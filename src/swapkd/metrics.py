@@ -19,7 +19,13 @@ import numpy as np
 
 from .detectors import ThresholdDetector
 from .errors import NoCoincidenceError, UndefinedVisibilityError
-from .fock import ConditionalState, ModeRegister, TruncationPolicy, _mixer_eig, pair_mixer_unitary
+from .fock import (
+    ConditionalState,
+    ModeRegister,
+    TruncationPolicy,
+    annihilation_matrix,
+    pair_mixer_unitary,
+)
 
 __all__ = [
     "AnalyzerSetting",
@@ -143,18 +149,37 @@ def _split_rho(cond: ConditionalState) -> np.ndarray:
     return cond.rho.reshape(d2, d2, d2, d2)
 
 
+def _bob_operator(result, ea: np.ndarray) -> np.ndarray:
+    """Bob's operator M = Tr_A[rho (E_A (x) 1)] on the flattened (dH, dV) pair space.
+
+    The only step that depends on how the state is stored.  For the pair
+    factors of a factored swap result, two tensordots per herald cost
+    O((n_max+1)^6) each; a ConditionalState is contracted directly.
+    """
+    factors = getattr(result, "factors", ())
+    if not factors:
+        return np.einsum("abAB,Aa->bB", _split_rho(_as_cond(result)), ea)
+    d = result.n_max + 1
+    ea4 = ea.reshape(d, d, d, d)  # [I, J, i, j]
+    m = 0.0
+    for th, tv in factors:
+        t1 = np.tensordot(th, ea4, axes=([0, 2], [2, 0]))  # [k, K, J, j]
+        m = m + np.tensordot(t1, tv, axes=([3, 2], [0, 2]))  # [k, K, l, L]
+    return m.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
 def _joint_probabilities(
-    cond: ConditionalState,
+    result,
     det_ab: ThresholdDetector,
     theta_alice: float,
     theta_bob: float,
 ) -> Dict[Tuple[str, str], float]:
-    ea = _analyzer_povms(cond.n_max, det_ab.eta, det_ab.p_dc, float(theta_alice))
-    eb = _analyzer_povms(cond.n_max, det_ab.eta, det_ab.p_dc, float(theta_bob))
-    rho4 = _split_rho(cond)
+    n_max = result.n_max
+    ea = _analyzer_povms(n_max, det_ab.eta, det_ab.p_dc, float(theta_alice))
+    eb = _analyzer_povms(n_max, det_ab.eta, det_ab.p_dc, float(theta_bob))
     probs: Dict[Tuple[str, str], float] = {}
     for ka in _PATTERNS:
-        half = np.einsum("abAB,Aa->bB", rho4, ea[ka])
+        half = _bob_operator(result, ea[ka])
         for kb in _PATTERNS:
             probs[(ka, kb)] = float(np.real(np.einsum("bB,Bb->", half, eb[kb])))
     return probs
@@ -166,8 +191,7 @@ def fourfold_coincidence(result, setting: AnalyzerSetting, det_ab: ThresholdDete
     det_ab.eta must already include the channel loss of the detector's arm;
     this routine applies no further attenuation.
     """
-    cond = _as_cond(result)
-    probs = _joint_probabilities(cond, det_ab, setting.theta_alice, setting.theta_bob)
+    probs = _joint_probabilities(result, det_ab, setting.theta_alice, setting.theta_bob)
     p_double_alice = sum(probs[("both", kb)] for kb in _PATTERNS)
     p_double_bob = sum(probs[(ka, "both")] for ka in _PATTERNS)
     return CoincidenceTable(
@@ -180,12 +204,40 @@ def fourfold_coincidence(result, setting: AnalyzerSetting, det_ab: ThresholdDete
         p_vv=probs[("v", "v")],
         p_double_alice=p_double_alice,
         p_double_bob=p_double_bob,
-        herald_probability=cond.herald_probability,
+        herald_probability=result.herald_probability,
     )
 
 
+@lru_cache(maxsize=16)
+def _rotation_eigensystem(n_max: int) -> Tuple[np.ndarray, ...]:
+    """Eigensystem of the polarization-rotation generator on complete photon-number blocks.
+
+    The generator i(a^dag b - a b^dag) conserves n1+n2, and on every complete
+    block n1+n2 = N its eigenvalues are the integers -N, -N+2, .., N.  Bob's
+    operators live on n1, n2 <= n_max, so the blocks N <= 2*n_max carry all
+    of the angle dependence; blocks cut by a finite embedding are never
+    touched, so no eigenvector can mix them in.
+
+    Returns (integer eigenvalues, eigenvectors, positions of the n1, n2 <=
+    n_max states in pair-flattened order, and the n1, n2 occupations of the
+    basis states).
+    """
+    n_total = 2 * n_max
+    a = annihilation_matrix(n_total + 1)
+    generator = 1j * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
+    n1, n2 = np.divmod(np.arange((n_total + 1) ** 2), n_total + 1)
+    keep = np.flatnonzero(n1 + n2 <= n_total)
+    w, v = np.linalg.eigh(generator[np.ix_(keep, keep)])
+    w_int = np.rint(w)
+    if np.abs(w - w_int).max() > 1e-9:
+        raise ArithmeticError("rotation generator has non-integer eigenvalues on complete blocks")
+    n1, n2 = n1[keep], n2[keep]
+    sub = np.flatnonzero((n1 <= n_max) & (n2 <= n_max))
+    return w_int.astype(int), v, sub, n1, n2
+
+
 def _bob_angle_curve(
-    cond: ConditionalState,
+    result,
     det_ab: ThresholdDetector,
     theta_alice: float,
     pattern_alice: str = "h",
@@ -193,43 +245,39 @@ def _bob_angle_curve(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Coincidence probability as a function of Bob's analyzer angle.
 
-    Contracting Alice's POVM first leaves an operator M on Bob's pair space;
-    diagonalizing the rotation generator turns p(theta) = tr[M U(theta)^dag W
-    U(theta)] into a short trigonometric polynomial, so the angle scan costs
-    one matrix product total instead of one POVM build per grid point.
+    Contracting Alice's POVM first leaves an operator M on Bob's pair space.
+    In the eigenbasis of the rotation generator, p(theta) = tr[M U(theta)^dag
+    W U(theta)] = sum_pq K[p,q] exp(i theta (w_q - w_p)) with integer
+    eigenvalues w, so the terms group into a Fourier series
+    p(theta) = Re sum_f C_f exp(i f theta) with |f| <= 4*n_max.
     """
-    n_max = cond.n_max
-    d = n_max + 1
-    dbig = 2 * n_max + 1
+    n_max = result.n_max
     ea = _analyzer_povms(n_max, det_ab.eta, det_ab.p_dc, float(theta_alice))[pattern_alice]
-    rho4 = _split_rho(cond)
-    m_small = np.einsum("abAB,Aa->bB", rho4, ea)
+    m = _bob_operator(result, ea)
 
-    sub = np.array([i * dbig + j for i in range(d) for j in range(d)])
-    m_big = np.zeros((dbig * dbig, dbig * dbig), dtype=complex)
-    m_big[np.ix_(sub, sub)] = m_small
-
-    det = ThresholdDetector(eta=det_ab.eta, p_dc=det_ab.p_dc)
-    wc = det.weight_vector(True, dbig - 1)
-    wn = det.weight_vector(False, dbig - 1)
+    w, v, sub, n1, n2 = _rotation_eigensystem(n_max)
+    wc = det_ab.weight_vector(True, 2 * n_max)
+    wn = det_ab.weight_vector(False, 2 * n_max)
     w_pattern = {
-        "h": np.kron(wc, wn),
-        "v": np.kron(wn, wc),
-        "both": np.kron(wc, wc),
-        "none": np.kron(wn, wn),
+        "h": wc[n1] * wn[n2],
+        "v": wn[n1] * wc[n2],
+        "both": wc[n1] * wc[n2],
+        "none": wn[n1] * wn[n2],
     }[pattern_bob]
 
-    w, v = _mixer_eig(dbig, 0.0)
-    a = v.conj().T @ m_big @ v
+    v_sub = v[sub]
+    a = v_sub.conj().T @ m @ v_sub
     c = (v.conj().T * w_pattern[None, :]) @ v
-    k = a * c.T
-    freq = np.subtract.outer(w, w)  # p(theta) = sum K[p,q] exp(i theta (w_q - w_p))
-    k_flat = k.reshape(-1)
-    f_flat = -freq.reshape(-1)
+    k = (a * c.T).reshape(-1)
+    f_max = 4 * n_max
+    bins = (w[None, :] - w[:, None] + f_max).reshape(-1)  # w_q - w_p, shifted to >= 0
+    n_bins = 2 * f_max + 1
+    coeffs = np.bincount(bins, k.real, n_bins) + 1j * np.bincount(bins, k.imag, n_bins)
+    freqs = np.arange(-f_max, f_max + 1)
 
     def evaluate(thetas: np.ndarray) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        return np.real(np.exp(1j * np.outer(thetas, f_flat)) @ k_flat)
+        return np.real(np.exp(1j * np.outer(thetas, freqs)) @ coeffs)
 
     return evaluate
 
@@ -278,8 +326,7 @@ def visibility_scan(
     The curve has period pi, so the grid covers [0, pi); golden-section
     refinement shrinks each bracketed extremum to refine_tol radians.
     """
-    cond = _as_cond(result)
-    curve = _bob_angle_curve(cond, det_ab, theta_alice)
+    curve = _bob_angle_curve(result, det_ab, theta_alice)
     thetas = np.linspace(0.0, math.pi, grid_points, endpoint=False)
     values = curve(thetas)
     step = math.pi / grid_points
@@ -359,9 +406,8 @@ def qber(result, det_ab: ThresholdDetector, compute_visibility: bool = True) -> 
     The corrected swap output is anticorrelated in every basis, so the wrong
     bits are the correlated (HH and VV) coincidences.
     """
-    cond = _as_cond(result)
-    table_z = fourfold_coincidence(cond, Z_BASIS, det_ab)
-    table_x = fourfold_coincidence(cond, X_BASIS, det_ab)
+    table_z = fourfold_coincidence(result, Z_BASIS, det_ab)
+    table_x = fourfold_coincidence(result, X_BASIS, det_ab)
     total = table_z.p_coincidence + table_x.p_coincidence
     if total <= 0.0:
         raise NoCoincidenceError("no coincidences in either basis; QBER undefined")
@@ -372,8 +418,8 @@ def qber(result, det_ab: ThresholdDetector, compute_visibility: bool = True) -> 
     if compute_visibility:
         # fringe visibility per key basis; the mean is the value that pairs
         # with the pooled error fraction via QBER = (1 - V)/2
-        vis_z = visibility(cond, det_ab, theta_alice=Z_BASIS.theta_alice)
-        vis_x = visibility(cond, det_ab, theta_alice=X_BASIS.theta_alice)
+        vis_z = visibility(result, det_ab, theta_alice=Z_BASIS.theta_alice)
+        vis_x = visibility(result, det_ab, theta_alice=X_BASIS.theta_alice)
         vis = 0.5 * (vis_z + vis_x)
         qber_from_v = 0.5 * (1.0 - vis)
     else:

@@ -17,7 +17,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .detectors import DEFAULT_CONSTRAINT, DetectorConstraint
-from .errors import TruncationError
+from .errors import (
+    ConstraintViolationError,
+    NoCoincidenceError,
+    TruncationError,
+    UndefinedStateError,
+    UndefinedVisibilityError,
+)
 from .fock import TruncationPolicy
 from .metrics import QberReport, qber
 from .rates import (
@@ -194,10 +200,23 @@ class SweepRow:
     error: Optional[str] = None
 
 
+# Failures that belong to one grid point: the physics at that point is
+# undefined or unconverged, or its parameters are out of range.  Anything
+# else is a programming error and aborts the sweep.
+_ROW_ERRORS = (
+    TruncationError,
+    NoCoincidenceError,
+    UndefinedVisibilityError,
+    UndefinedStateError,
+    ConstraintViolationError,
+    ValueError,
+)
+
+
 def _evaluate_row(s: Scenario) -> SweepRow:
     try:
         return SweepRow(scenario=s, report=evaluate(s))
-    except Exception as exc:  # per-point failures must not abort the sweep
+    except _ROW_ERRORS as exc:  # per-point failures must not abort the sweep
         return SweepRow(scenario=s, report=None, error=f"{type(exc).__name__}: {exc}")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,13 +62,35 @@ def accepted_patterns() -> Tuple[HeraldPattern, ...]:
     )
 
 
-@dataclass
 class SwapResult:
-    """Conditional state on (aH, aV, dH, dV) for one herald (or the aggregate)."""
+    """Conditional state on (aH, aV, dH, dV) for one herald or the aggregate.
 
-    cond: ConditionalState
-    pattern: Optional[HeraldPattern]
-    herald_probability: float
+    Holds either a dense ConditionalState or, on the factored path, one pair
+    of factors (th_p, tv_p) per accepted herald p, with
+    rho[(ijkl),(IJKL)] = sum_p th_p[i,k,I,K] * tv_p[j,l,J,L].
+    The metrics contract the factors directly; the dense state is built from
+    them only when .cond is first read.
+    """
+
+    def __init__(
+        self,
+        cond: Optional[ConditionalState],
+        pattern: Optional[HeraldPattern],
+        herald_probability: float,
+        factors: Sequence[Tuple[np.ndarray, np.ndarray]] = (),
+        n_max: Optional[int] = None,
+    ):
+        self._cond = cond
+        self.pattern = pattern
+        self.herald_probability = herald_probability
+        self.factors = tuple(factors)
+        self.n_max = cond.n_max if cond is not None else n_max
+
+    @property
+    def cond(self) -> ConditionalState:
+        if self._cond is None:
+            self._cond = _dense_from_factors(self.factors, self.n_max, self.herald_probability)
+        return self._cond
 
 
 def bsm_detector(eta0: float, alpha_d_db: float, p_dc: float) -> ThresholdDetector:
@@ -131,19 +153,22 @@ def _balanced_pair_povm(
     return 0.5 * (e + e.conj().T)
 
 
-def _factored_pattern_state(
+def _pattern_factors(
     chi: float,
     det_bsm: ThresholdDetector,
     pattern: HeraldPattern,
     n_max: int,
-) -> ConditionalState:
-    """Conditional state on (aH, aV, dH, dV) from the pair structure of the source.
+    correction: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pair factors (th, tv) of one herald's conditional state on (aH, aV, dH, dV).
 
     The two-source state factorizes over the pairs (aH,bH), (aV,bV), (cH,dH),
     (cV,dV), so tracing the BSM POVM gives
-    rho[(ijkl),(IJKL)] = c_i c_j c_k c_l conj(c_I c_J c_K c_L)
-                          * E_H[(I,K),(i,k)] * E_V[(J,L),(j,l)]
-    with i=n_aH(=n_bH), j=n_aV, k=n_dH(=n_cH), l=n_dV.
+    rho[(ijkl),(IJKL)] = th[i,k,I,K] * tv[j,l,J,L] with
+    th[i,k,I,K] = c_i c_k conj(c_I c_K) * E_H[(I,K),(i,k)] and tv the same
+    with E_V, where i=n_aH(=n_bH), j=n_aV, k=n_dH(=n_cH), l=n_dV. With
+    correction, psi+ heralds carry the V -> -V phase on mode d in tv as
+    (-1)^(l+L).
     """
     d = n_max + 1
     c = pair_amplitudes(chi, n_max)
@@ -151,16 +176,27 @@ def _factored_pattern_state(
     ev = _balanced_pair_povm(n_max, det_bsm.eta, det_bsm.p_dc, pattern.clicks[1], pattern.clicks[3])
 
     s = np.outer(c, c)  # s[i, k] = c_i c_k
-    eh4 = eh.reshape(d, d, d, d).transpose(2, 3, 0, 1)  # -> [i, k, I, K]
-    ev4 = ev.reshape(d, d, d, d).transpose(2, 3, 0, 1)
-    th = s[:, :, None, None] * s.conj()[None, None, :, :] * eh4
-    tv = s[:, :, None, None] * s.conj()[None, None, :, :] * ev4
+    weight = s[:, :, None, None] * s.conj()[None, None, :, :]
+    th = weight * eh.reshape(d, d, d, d).transpose(2, 3, 0, 1)  # -> [i, k, I, K]
+    tv = weight * ev.reshape(d, d, d, d).transpose(2, 3, 0, 1)
+    if correction and pattern.target == PSI_PLUS:
+        parity = (-1.0) ** np.arange(d)
+        tv = tv * parity[None, :, None, None] * parity[None, None, None, :]
+    return th, tv
 
-    rho8 = np.einsum("ikIK,jlJL->ijklIJKL", th, tv, optimize=True)
-    rho = rho8.reshape(d ** 4, d ** 4)
-    rho = 0.5 * (rho + rho.conj().T)
-    herald = float(np.trace(rho).real)
-    return ConditionalState(SURVIVING_MODES, n_max, rho, herald)
+
+def _dense_from_factors(
+    factors: Sequence[Tuple[np.ndarray, np.ndarray]], n_max: int, herald: float
+) -> ConditionalState:
+    """Dense conditional state sum_p th_p (x) tv_p; O((n_max+1)^8) time and memory."""
+    d = n_max + 1
+    total = None
+    for th, tv in factors:
+        rho8 = np.einsum("ikIK,jlJL->ijklIJKL", th, tv, optimize=True)
+        rho = rho8.reshape(d ** 4, d ** 4)
+        rho = 0.5 * (rho + rho.conj().T)
+        total = rho if total is None else total + rho
+    return ConditionalState(SURVIVING_MODES, n_max, total, herald)
 
 
 def swap_conditional_state(
@@ -174,8 +210,10 @@ def swap_conditional_state(
 ) -> SwapResult:
     """Aggregate conditional state over all accepted heralds, in the psi- frame.
 
-    method="factored" builds the conditional operator directly from the source
-    pair structure with exactly composed mixer+detector POVMs; "dense" runs the
+    method="factored" returns the per-herald pair factors of the state, built
+    from the source pair structure with exactly composed mixer+detector
+    POVMs; the herald probability is sum_p tr(th_p) tr(tv_p) and no
+    (n_max+1)^8 operator is formed unless .cond is read. "dense" runs the
     literal pipeline (two_source_state -> mixers -> conditioning). Both agree
     wherever mixer overflow is negligible; "factored" carries none by
     construction and is much faster.
@@ -183,14 +221,20 @@ def swap_conditional_state(
     det = bsm_detector(eta0, alpha_d_db, p_dc)
     if method not in ("factored", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    state = two_source_state(chi, policy) if method == "dense" else None
+    if method == "factored":
+        factors = [
+            _pattern_factors(chi, det, pattern, policy.n_max, correction)
+            for pattern in accepted_patterns()
+        ]
+        herald = sum(
+            float((np.einsum("ikik->", th) * np.einsum("jljl->", tv)).real) for th, tv in factors
+        )
+        return SwapResult(None, None, herald, factors=factors, n_max=policy.n_max)
+    state = two_source_state(chi, policy)
     total = None
     herald_sum = 0.0
     for pattern in accepted_patterns():
-        if method == "factored":
-            cond = _factored_pattern_state(chi, det, pattern, policy.n_max)
-        else:
-            cond = perform_bsm(state, det, pattern).cond
+        cond = perform_bsm(state, det, pattern).cond
         if correction and pattern.target == PSI_PLUS:
             cond = apply_psi_plus_correction(cond)
         herald_sum += cond.herald_probability

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ import pytest
 from conftest import singlet_state, werner_state
 from swapkd.detectors import ThresholdDetector
 from swapkd.errors import NoCoincidenceError, UndefinedVisibilityError
-from swapkd.fock import ConditionalState, TruncationPolicy
+from swapkd.fock import ConditionalState, TruncationPolicy, pair_mixer_unitary
 from swapkd.metrics import (
     X_BASIS,
     Z_BASIS,
     AnalyzerSetting,
+    CoincidenceTable,
     _analyzer_povms,
+    _bob_angle_curve,
     bell_psi_minus,
     chsh,
     embed_qubit_pair,
@@ -179,3 +182,70 @@ def test_joint_probability_weight_is_herald(ideal_detector):
     table = fourfold_coincidence(cond, Z_BASIS, ideal_detector)
     assert table.p_hv == pytest.approx(0.005, abs=1e-12)
     assert table.herald_probability == pytest.approx(0.01)
+
+
+def swap_case(n_max: int, chi: float, p_dc: float):
+    """Factored swap result at eta0=0.3, 10 dB, and the analyzer detector."""
+    res = swap_conditional_state(chi, 0.3, 10.0, p_dc, TruncationPolicy(n_max=n_max))
+    return res, bsm_detector(0.3, 10.0, p_dc)
+
+
+OFF_AXIS = AnalyzerSetting(0.3, 1.1, "off")
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
+def test_factored_contraction_matches_dense_state(n_max):
+    """Tables and scans from the pair factors equal those from the materialized rho."""
+    for chi in (0.01, 0.15, 0.3):
+        for p_dc in (0.0, 1e-4):
+            res, det = swap_case(n_max, chi, p_dc)
+            cond = res.cond
+            for setting in (Z_BASIS, X_BASIS, OFF_AXIS):
+                tf = fourfold_coincidence(res, setting, det)
+                td = fourfold_coincidence(cond, setting, det)
+                for field in fields(CoincidenceTable):
+                    want = getattr(td, field.name)
+                    got = getattr(tf, field.name)
+                    if isinstance(want, float):
+                        assert got == pytest.approx(want, rel=1e-9, abs=1e-20), field.name
+                    else:
+                        assert got == want
+                sf = visibility_scan(res, det, theta_alice=setting.theta_alice)
+                sd = visibility_scan(cond, det, theta_alice=setting.theta_alice)
+                for name in ("visibility", "p_max", "p_min"):
+                    want = getattr(sd, name)
+                    assert getattr(sf, name) == pytest.approx(want, rel=1e-9, abs=1e-20), name
+
+
+def brute_force_bob_curve(cond: ConditionalState, det: ThresholdDetector, theta_alice, thetas):
+    """p(theta) = tr[M U(theta)^dag W U(theta)], one rotation unitary per angle."""
+    n_max = cond.n_max
+    d = n_max + 1
+    dbig = 2 * n_max + 1
+    ea = _analyzer_povms(n_max, det.eta, det.p_dc, float(theta_alice))["h"]
+    rho4 = cond.rho.reshape(d * d, d * d, d * d, d * d)
+    m = np.einsum("abAB,Aa->bB", rho4, ea)
+    w = np.kron(det.weight_vector(True, dbig - 1), det.weight_vector(False, dbig - 1))
+    sub = np.array([i * dbig + j for i in range(d) for j in range(d)])
+    values = []
+    for theta in thetas:
+        u = pair_mixer_unitary(dbig, theta)
+        e = (u.conj().T @ (w[:, None] * u))[np.ix_(sub, sub)]
+        values.append(float(np.real(np.trace(m @ e))))
+    return np.array(values)
+
+
+def test_fourier_curve_matches_brute_force():
+    """The Fourier series equals the rotated-POVM trace at off-grid angles."""
+    thetas = np.array([0.0123, 0.4567, 0.7071, 1.2345, 2.0101, 2.9876, 3.5])
+    det = ThresholdDetector(eta=0.7, p_dc=1e-3)
+    cases = [(werner_state(0.85, n_max=3), det, 0.2)]
+    for n_max in (4, 6):
+        res, swap_det = swap_case(n_max, 0.15, 1e-4)
+        cases.append((res, swap_det, 0.0))
+        cases.append((res, swap_det, math.pi / 4.0))
+    for state, d, theta_alice in cases:
+        cond = state.cond if hasattr(state, "cond") else state
+        want = brute_force_bob_curve(cond, d, theta_alice, thetas)
+        got = _bob_angle_curve(state, d, theta_alice)(thetas)
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-20)

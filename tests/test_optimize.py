@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+import swapkd.optimize as optimize_module
+import swapkd.swap as swap_module
 from swapkd.detectors import DEFAULT_CONSTRAINT, DetectorConstraint
 from swapkd.errors import TruncationError
 from swapkd.fock import TruncationPolicy
@@ -16,6 +18,7 @@ from swapkd.optimize import (
     sweep,
 )
 from swapkd.rates import decoy_inputs, decoy_secret_rate
+from swapkd.swap import swap_conditional_state
 
 
 def test_scenario_requires_exactly_one_dark_count_source():
@@ -127,6 +130,38 @@ def test_sweep_preserves_order_and_captures_errors():
     assert rows[2].report is not None
     # less span loss keeps more key
     assert rows[0].report.r_sec > rows[2].report.r_sec
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    """Only physics and parameter errors become row errors; a TypeError aborts."""
+
+    def broken(s, *args, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(optimize_module, "evaluate", broken)
+    scenarios = [Scenario(alpha_d_db=5.0, chi=0.05, eta0=0.3, p_dc=1e-5)]
+    with pytest.raises(TypeError):
+        sweep(scenarios, workers=1)
+
+
+class DenseStateBuilt(Exception):
+    pass
+
+
+def test_pipeline_never_builds_dense_state(monkeypatch):
+    """evaluate() with visibility, escalating to n_max 6, runs on pair factors only."""
+
+    def refuse(*args, **kwargs):
+        raise DenseStateBuilt("dense conditional state built")
+
+    monkeypatch.setattr(swap_module, "_dense_from_factors", refuse)
+    probe = swap_conditional_state(0.25, 0.3, 10.0, 1e-4, TruncationPolicy(n_max=2))
+    with pytest.raises(DenseStateBuilt):
+        probe.cond
+    rep = evaluate(Scenario(alpha_d_db=10.0, chi=0.25, eta0=0.3, p_dc=1e-4))
+    assert rep.converged
+    assert rep.n_max_used == 6
+    assert 0.0 < rep.visibility < 1.0
 
 
 def test_sweep_parallel_matches_serial():
