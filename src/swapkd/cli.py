@@ -16,8 +16,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .optimize import (
     find_crossover,
     optimize_chi,
     optimize_joint,
+    ordered_map,
     sweep,
 )
 from .rates import (
@@ -177,41 +177,25 @@ def _report_row(sr: SweepRow) -> Dict:
 
 
 def _optimum_row(pt: OptimumPoint) -> Dict:
+    return {col: getattr(pt, col) for col in OPTIMIZE_COLUMNS}
+
+
+def _decoy_row(alpha: float, eta0: float, p_dc: float, rep) -> Dict:
     return {
-        "alpha_d_db": pt.alpha_d_db,
-        "chi_opt": pt.chi_opt,
-        "eta0_opt": pt.eta0_opt,
-        "p_dc_at_opt": pt.p_dc_at_opt,
-        "r_sec_at_opt": pt.r_sec_at_opt,
-        "qber_at_opt": pt.qber_at_opt,
-        "converged": pt.converged,
-        "positive": pt.positive,
-        "guard_flag": pt.guard_flag,
+        "alpha_d_db": alpha,
+        "eta0": eta0,
+        "p_dc": p_dc,
+        "mu": rep.inputs.mu,
+        "nu": rep.inputs.nu,
+        "q_mu": rep.q_mu,
+        "e_mu": rep.e_mu,
+        "y1_lower": rep.y1_lower,
+        "q1_lower": rep.q1_lower,
+        "e1_upper": rep.e1_upper,
+        "r_raw": rep.r_raw,
+        "r_sec": rep.r_sec,
+        "log10_r_sec": _log10_or_none(rep.r_sec),
     }
-
-
-def _write_manifest(
-    path: str,
-    command: str,
-    config: Dict,
-    outputs: List[str],
-    wall_time_s: float,
-    results: Optional[Dict] = None,
-) -> None:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "swapkd",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "outputs": outputs,
-        "wall_time_s": wall_time_s,
-    }
-    if results is not None:
-        payload["results"] = results
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -335,29 +319,17 @@ def _out_path(config: Dict, name: str) -> str:
 
 # ---------------------------------------------------------------------------
 # commands
+#
+# A command's run(config) returns its CSV files as (suffix, columns, rows),
+# each written to <stem><suffix>.csv, and the manifest's "results" entry
+# (None for none).  It may replace config values by their parsed form, which
+# the manifest then records.
 
-_EVALUATE_DEFAULTS: Dict = {
-    "chi": None,
-    "eta0": None,
-    "alpha_d": None,
-    "p_dc": None,
-    "constraint": False,
-    "constraint_a": DEFAULT_CONSTRAINT.a,
-    "constraint_b": DEFAULT_CONSTRAINT.b,
-    "kappa": KAPPA_DEFAULT,
-    "n_max": 4,
-    "convergence_tol": 1e-4,
-    "output_dir": ".",
-    "output_prefix": "evaluate",
-}
+Output = Tuple[str, Sequence[str], List[Dict]]
+RunResult = Tuple[List[Output], Optional[Dict]]
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    t0 = time.time()
-    config = _resolve(args, _EVALUATE_DEFAULTS)
-    for key in ("chi", "eta0", "alpha_d"):
-        if config[key] is None:
-            raise ConfigError(f"{key} is required")
+def _run_evaluate(config: Dict) -> RunResult:
     p_dc, constraint = _resolve_pdc_mode(config)
     scenario = Scenario(
         alpha_d_db=float(config["alpha_d"]),
@@ -370,90 +342,27 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     )
     report = evaluate(scenario)
     row = _report_row(SweepRow(scenario=scenario, report=report))
-    csv_path = _out_path(config, config["output_prefix"] + ".csv")
-    _write_csv(csv_path, ROW_COLUMNS, [row])
-    manifest_path = _out_path(config, config["output_prefix"] + "_manifest.json")
-    _write_manifest(
-        manifest_path,
-        "evaluate",
-        config,
-        [os.path.basename(csv_path)],
-        time.time() - t0,
-        results={"r_sec": report.r_sec, "qber": report.qber, "visibility": report.visibility},
-    )
-    return 0
+    results = {"r_sec": report.r_sec, "qber": report.qber, "visibility": report.visibility}
+    return [("", ROW_COLUMNS, [row])], results
 
 
-_SWEEP_DEFAULTS: Dict = {
-    "chi_grid": None,
-    "eta0_grid": None,
-    "alpha_d_grid": None,
-    "p_dc": None,
-    "constraint": False,
-    "constraint_a": DEFAULT_CONSTRAINT.a,
-    "constraint_b": DEFAULT_CONSTRAINT.b,
-    "kappa": KAPPA_DEFAULT,
-    "n_max": 4,
-    "convergence_tol": 1e-4,
-    "workers": None,
-    "output_dir": ".",
-    "output_prefix": "sweep",
-}
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    t0 = time.time()
-    config = _resolve(args, _SWEEP_DEFAULTS)
-    for key in ("chi_grid", "eta0_grid", "alpha_d_grid"):
-        if config[key] is None:
-            raise ConfigError(f"{key} is required")
+def _run_sweep(config: Dict) -> RunResult:
     p_dc, constraint = _resolve_pdc_mode(config, require_eta0=False)
-    alpha_values = parse_grid(config["alpha_d_grid"])
-    eta_values = parse_grid(config["eta0_grid"])
-    chi_values = parse_grid(config["chi_grid"])
-    config["alpha_d_grid"] = alpha_values
-    config["eta0_grid"] = eta_values
-    config["chi_grid"] = chi_values
+    for key in ("alpha_d_grid", "eta0_grid", "chi_grid"):
+        config[key] = parse_grid(config[key])
     policy = _policy(config)
     scenarios = [
         Scenario(
             alpha_d_db=a, chi=c, eta0=e, p_dc=p_dc, constraint=constraint,
             kappa=float(config["kappa"]), policy=policy,
         )
-        for a in alpha_values
-        for e in eta_values
-        for c in chi_values
+        for a in config["alpha_d_grid"]
+        for e in config["eta0_grid"]
+        for c in config["chi_grid"]
     ]
     rows = [_report_row(sr) for sr in sweep(scenarios, workers=_workers(config))]
-    csv_path = _out_path(config, config["output_prefix"] + ".csv")
-    _write_csv(csv_path, ROW_COLUMNS, rows)
-    manifest_path = _out_path(config, config["output_prefix"] + "_manifest.json")
     n_failed = sum(1 for r in rows if r.get("error"))
-    _write_manifest(
-        manifest_path,
-        "sweep",
-        config,
-        [os.path.basename(csv_path)],
-        time.time() - t0,
-        results={"points": len(rows), "failed_points": n_failed},
-    )
-    return 0
-
-
-_OPTIMIZE_DEFAULTS: Dict = {
-    "alpha_d_grid": None,
-    "eta0": None,
-    "p_dc": None,
-    "constraint": False,
-    "constraint_a": DEFAULT_CONSTRAINT.a,
-    "constraint_b": DEFAULT_CONSTRAINT.b,
-    "kappa": KAPPA_DEFAULT,
-    "n_max": 4,
-    "convergence_tol": 1e-4,
-    "workers": None,
-    "output_dir": ".",
-    "output_prefix": "optimize",
-}
+    return [("", ROW_COLUMNS, rows)], {"points": len(rows), "failed_points": n_failed}
 
 
 def _optimize_one_alpha(task: Tuple) -> OptimumPoint:
@@ -465,13 +374,8 @@ def _optimize_one_alpha(task: Tuple) -> OptimumPoint:
     )
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    t0 = time.time()
-    config = _resolve(args, _OPTIMIZE_DEFAULTS)
-    if config["alpha_d_grid"] is None:
-        raise ConfigError("alpha_d_grid is required")
-    alpha_values = parse_grid(config["alpha_d_grid"])
-    config["alpha_d_grid"] = alpha_values
+def _run_optimize(config: Dict) -> RunResult:
+    config["alpha_d_grid"] = parse_grid(config["alpha_d_grid"])
     eta0 = config["eta0"]
     if eta0 is None:
         # joint (chi, eta0) optimization needs the dark-count constraint
@@ -485,41 +389,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         p_dc, constraint = _resolve_pdc_mode(config)
     policy = _policy(config)
     kappa = float(config["kappa"])
-    tasks = [(a, eta0, p_dc, constraint, kappa, policy) for a in alpha_values]
-    workers = _workers(config)
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_optimize_one_alpha, tasks))
-    else:
-        points = [_optimize_one_alpha(t) for t in tasks]
-    rows = [_optimum_row(pt) for pt in points]
-    csv_path = _out_path(config, config["output_prefix"] + ".csv")
-    _write_csv(csv_path, OPTIMIZE_COLUMNS, rows)
-    manifest_path = _out_path(config, config["output_prefix"] + "_manifest.json")
-    _write_manifest(
-        manifest_path,
-        "optimize",
-        config,
-        [os.path.basename(csv_path)],
-        time.time() - t0,
-        results={"points": len(rows)},
-    )
-    return 0
-
-
-_COMPARE_DEFAULTS: Dict = {
-    "alpha_d_grid": None,
-    "eta0": None,
-    "p_dc": None,
-    "nu": NU_DEFAULT,
-    "mu": None,
-    "chi": None,
-    "kappa": KAPPA_DEFAULT,
-    "n_max": 4,
-    "convergence_tol": 1e-4,
-    "output_dir": ".",
-    "output_prefix": "compare_decoy",
-}
+    tasks = [(a, eta0, p_dc, constraint, kappa, policy) for a in config["alpha_d_grid"]]
+    points = ordered_map(_optimize_one_alpha, tasks, _workers(config))
+    return [("", OPTIMIZE_COLUMNS, [_optimum_row(pt) for pt in points])], {"points": len(points)}
 
 
 def _compare_rows(
@@ -566,16 +438,10 @@ def _compare_rows(
     return rows
 
 
-def _cmd_compare_decoy(args: argparse.Namespace) -> int:
-    t0 = time.time()
-    config = _resolve(args, _COMPARE_DEFAULTS)
-    for key in ("alpha_d_grid", "eta0", "p_dc"):
-        if config[key] is None:
-            raise ConfigError(f"{key} is required")
-    alpha_values = parse_grid(config["alpha_d_grid"])
-    config["alpha_d_grid"] = alpha_values
+def _run_compare_decoy(config: Dict) -> RunResult:
+    config["alpha_d_grid"] = parse_grid(config["alpha_d_grid"])
     rows = _compare_rows(
-        alpha_values,
+        config["alpha_d_grid"],
         float(config["eta0"]),
         float(config["p_dc"]),
         float(config["nu"]),
@@ -584,41 +450,10 @@ def _cmd_compare_decoy(args: argparse.Namespace) -> int:
         config["mu"],
         config["chi"],
     )
-    csv_path = _out_path(config, config["output_prefix"] + ".csv")
-    _write_csv(csv_path, COMPARE_COLUMNS, rows)
-    manifest_path = _out_path(config, config["output_prefix"] + "_manifest.json")
-    _write_manifest(
-        manifest_path,
-        "compare-decoy",
-        config,
-        [os.path.basename(csv_path)],
-        time.time() - t0,
-        results={"points": len(rows)},
-    )
-    return 0
+    return [("", COMPARE_COLUMNS, rows)], {"points": len(rows)}
 
 
-_CROSSOVER_DEFAULTS: Dict = {
-    "eta0": None,
-    "p_dc": None,
-    "alpha_min": 0.0,
-    "alpha_max": 60.0,
-    "step": 2.5,
-    "nu": NU_DEFAULT,
-    "kappa": KAPPA_DEFAULT,
-    "n_max": 4,
-    "convergence_tol": 1e-4,
-    "output_dir": ".",
-    "output_prefix": "crossover",
-}
-
-
-def _cmd_crossover(args: argparse.Namespace) -> int:
-    t0 = time.time()
-    config = _resolve(args, _CROSSOVER_DEFAULTS)
-    for key in ("eta0", "p_dc"):
-        if config[key] is None:
-            raise ConfigError(f"{key} is required")
+def _run_crossover(config: Dict) -> RunResult:
     eta0 = float(config["eta0"])
     p_dc = float(config["p_dc"])
     kappa = float(config["kappa"])
@@ -634,293 +469,246 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
         policy=policy,
         nu=nu,
     )
-    alphas = parse_grid(f"{config['alpha_min']}:{config['alpha_max']}:{config['step']}")
     rows = []
-    for alpha in alphas:
+    for alpha in parse_grid(f"{config['alpha_min']}:{config['alpha_max']}:{config['step']}"):
         r_es = es_optimal_rate(alpha, eta0, p_dc, kappa=kappa, policy=policy)[1]
         r_dk = decoy_optimal_rate(alpha, eta0, p_dc, nu=nu, kappa=kappa)[1]
         rows.append({"alpha_d_db": alpha, "r_es": r_es, "r_decoy": r_dk})
-    csv_path = _out_path(config, config["output_prefix"] + ".csv")
-    _write_csv(csv_path, CROSSOVER_COLUMNS, rows)
-    manifest_path = _out_path(config, config["output_prefix"] + "_manifest.json")
-    _write_manifest(
-        manifest_path,
-        "crossover",
-        config,
-        [os.path.basename(csv_path)],
-        time.time() - t0,
-        results={"alpha_crossover": alpha_star},
-    )
-    return 0
+    return [("", CROSSOVER_COLUMNS, rows)], {"alpha_crossover": alpha_star}
 
 
 # ---------------------------------------------------------------------------
 # figure data
-
-_FIGURE_DEFAULTS: Dict = {
-    "figure": None,
-    "variant": None,
-    "alpha_d_grid": None,
-    "chi_grid": None,
-    "workers": None,
-    "n_max": 4,
-    "convergence_tol": 1e-4,
-    "output_dir": ".",
-}
 
 _CHI_SCAN_FULL = "1e-4:0.3:25:log"
 _CHI_SCAN_ZOOM = "1e-4:1e-2:25:log"
 _ALPHA_SCAN = "0:50:2.5"
 _ALPHA_SCAN_LONG = "0:60:2.5"
 
-# chi-scan QBER curves at fixed (eta0, constraint), one file per alpha*d
-_FIG3_VARIANTS = {
-    "a": (0.1, _CHI_SCAN_ZOOM),
-    "b": (0.1, _CHI_SCAN_FULL),
-    "c": (0.3, _CHI_SCAN_ZOOM),
-    "d": (0.3, _CHI_SCAN_FULL),
-}
+# fig3/fig5: chi-scan curves at (eta0, chi grid) under the dark-count
+# constraint, one file per alpha*d
 _FIG3_ALPHAS = (0.0, 5.0, 10.0, 25.0, 50.0)
-
-# alpha-scan QBER curves, one file per chi
-_FIG4_VARIANTS = {"a": 0.1, "b": 0.3}
+# fig4: alpha-scan curves at eta0 under the constraint, one file per chi
 _FIG4_CHIS = (1e-4, 1e-3, 1e-2, 0.1, 0.2)
-
-# chi-scan secret-rate curves, one file per alpha*d
-_FIG5_VARIANTS = {"a": 0.1, "b": 0.3}
-
-# decoy-vs-swap comparison at eta0 = 0.2, per-distance optimal brightness
-_FIG7_VARIANTS = {"a": 1.8e-5, "b": 1e-6, "c": 1e-10}
-
+# fig7: decoy vs swap at eta0 = 0.2 and per-distance optimal brightness,
+# one variant per dark-count level
+_FIG7_ETA0 = 0.2
 _FIG8_PDC = 1e-12
-_FIG8A_ETA0 = 0.2
-_FIG8A_MUS = (0.8, 0.4)
-_FIG8A_CHIS = (0.174, 0.172, 0.12)
-_FIG8B_MU = 0.7
-_FIG8B_CHI = 0.12
-_FIG8B_ETAS = (0.9, 0.1)
 
 
 def _num_label(value: float) -> str:
     return ("%g" % value).replace("-0", "-").replace("+", "")
 
 
-def _fig_sweep_files(
-    config: Dict,
-    prefix: str,
-    curves: Sequence[Tuple[str, List[Scenario]]],
+# fig8: fixed intensities and brightnesses at p_dc = _FIG8_PDC.  Each curve
+# is (scheme, file label, eta0, mu or chi): "decoy" evaluates the decoy
+# chain at intensity mu, "es" sweeps the swap link at brightness chi.
+_FIG8_CURVES = {
+    "a": [("decoy", f"mu{_num_label(mu)}", 0.2, mu) for mu in (0.8, 0.4)]
+    + [("es", f"chi{_num_label(chi)}", 0.2, chi) for chi in (0.174, 0.172, 0.12)],
+    "b": [
+        (scheme, f"eta{_num_label(eta0)}", eta0, x)
+        for eta0 in (0.9, 0.1)
+        for scheme, x in (("decoy", 0.7), ("es", 0.12))
+    ],
+}
+
+# Variants of each figure, in default order; fig6 has one unnamed variant.
+_FIGURES = {
+    "fig3": {
+        "a": (0.1, _CHI_SCAN_ZOOM),
+        "b": (0.1, _CHI_SCAN_FULL),
+        "c": (0.3, _CHI_SCAN_ZOOM),
+        "d": (0.3, _CHI_SCAN_FULL),
+    },
+    "fig4": {"a": 0.1, "b": 0.3},
+    "fig5": {"a": (0.1, _CHI_SCAN_FULL), "b": (0.3, _CHI_SCAN_FULL)},
+    "fig6": {"": None},
+    "fig7": {"a": 1.8e-5, "b": 1e-6, "c": 1e-10},
+    "fig8": _FIG8_CURVES,
+}
+
+
+def _es_rows(
+    alphas: Sequence[float],
+    chis: Sequence[float],
+    eta0: float,
+    policy: TruncationPolicy,
     workers: int,
-) -> List[str]:
-    """Evaluate one scenario list per curve and write one CSV per curve."""
-    outputs = []
-    for label, scenarios in curves:
-        rows = [_report_row(sr) for sr in sweep(scenarios, workers=workers)]
-        path = _out_path(config, f"{prefix}_{label}.csv")
-        _write_csv(path, ROW_COLUMNS, rows)
-        outputs.append(os.path.basename(path))
-    return outputs
+    p_dc: Optional[float] = None,
+) -> List[Dict]:
+    """Swap-link rows over alphas x chis; constraint dark counts unless p_dc is given."""
+    constraint = DEFAULT_CONSTRAINT if p_dc is None else None
+    scenarios = [
+        Scenario(alpha_d_db=a, chi=c, eta0=eta0, p_dc=p_dc, constraint=constraint, policy=policy)
+        for a in alphas
+        for c in chis
+    ]
+    return [_report_row(sr) for sr in sweep(scenarios, workers=workers)]
 
 
-def _default_variants(figure: str) -> Tuple[str, ...]:
-    return {
-        "fig3": tuple(_FIG3_VARIANTS),
-        "fig4": tuple(_FIG4_VARIANTS),
-        "fig5": tuple(_FIG5_VARIANTS),
-        "fig6": ("",),
-        "fig7": tuple(_FIG7_VARIANTS),
-        "fig8": ("a", "b"),
-    }[figure]
-
-
-def _emit_figure_variant(config: Dict, figure: str, variant: str, workers: int) -> List[str]:
-    policy = _policy(config)
-    kappa = KAPPA_DEFAULT
-    prefix = figure + variant
-
-    if figure == "fig3" or figure == "fig5":
-        variants = _FIG3_VARIANTS if figure == "fig3" else {
-            k: (v, _CHI_SCAN_FULL) for k, v in _FIG5_VARIANTS.items()
-        }
-        if variant not in variants:
-            raise ConfigError(f"unknown variant {variant!r} for {figure}")
-        eta0, default_chi = variants[variant]
-        chi_values = parse_grid(config["chi_grid"] or default_chi)
-        alpha_values = (
-            parse_grid(config["alpha_d_grid"]) if config["alpha_d_grid"] else list(_FIG3_ALPHAS)
-        )
-        curves = []
-        for alpha in alpha_values:
-            scenarios = [
-                Scenario(
-                    alpha_d_db=alpha, chi=c, eta0=eta0,
-                    constraint=DEFAULT_CONSTRAINT, kappa=kappa, policy=policy,
-                )
-                for c in chi_values
-            ]
-            curves.append((f"ad{_num_label(alpha)}", scenarios))
-        return _fig_sweep_files(config, prefix, curves, workers)
-
-    if figure == "fig4":
-        if variant not in _FIG4_VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r} for fig4")
-        eta0 = _FIG4_VARIANTS[variant]
-        alpha_values = parse_grid(config["alpha_d_grid"] or _ALPHA_SCAN)
-        chi_values = parse_grid(config["chi_grid"]) if config["chi_grid"] else list(_FIG4_CHIS)
-        curves = []
-        for chi in chi_values:
-            scenarios = [
-                Scenario(
-                    alpha_d_db=a, chi=chi, eta0=eta0,
-                    constraint=DEFAULT_CONSTRAINT, kappa=kappa, policy=policy,
-                )
-                for a in alpha_values
-            ]
-            curves.append((f"chi{_num_label(chi)}", scenarios))
-        return _fig_sweep_files(config, prefix, curves, workers)
-
+def _figure_files(
+    config: Dict, figure: str, variant: str, policy: TruncationPolicy, workers: int
+) -> List[Output]:
+    alpha_grid, chi_grid = config["alpha_d_grid"], config["chi_grid"]
     if figure == "fig6":
-        alpha_values = parse_grid(config["alpha_d_grid"] or _ALPHA_SCAN)
-        tasks = [(a, None, None, DEFAULT_CONSTRAINT, kappa, policy) for a in alpha_values]
-        if workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                points = list(pool.map(_optimize_one_alpha, tasks))
-        else:
-            points = [_optimize_one_alpha(t) for t in tasks]
-        path = _out_path(config, "fig6_optima.csv")
-        _write_csv(path, OPTIMIZE_COLUMNS, [_optimum_row(pt) for pt in points])
-        return [os.path.basename(path)]
+        alphas = parse_grid(alpha_grid or _ALPHA_SCAN)
+        tasks = [(a, None, None, DEFAULT_CONSTRAINT, KAPPA_DEFAULT, policy) for a in alphas]
+        points = ordered_map(_optimize_one_alpha, tasks, workers)
+        return [("_optima", OPTIMIZE_COLUMNS, [_optimum_row(pt) for pt in points])]
+    if variant not in _FIGURES[figure]:
+        raise ConfigError(f"unknown variant {variant!r} for {figure}")
+    preset = _FIGURES[figure][variant]
 
+    if figure in ("fig3", "fig5"):
+        eta0, chi_scan = preset
+        chis = parse_grid(chi_grid or chi_scan)
+        return [
+            (f"{variant}_ad{_num_label(a)}", ROW_COLUMNS,
+             _es_rows([a], chis, eta0, policy, workers))
+            for a in parse_grid(alpha_grid or _FIG3_ALPHAS)
+        ]
+    if figure == "fig4":
+        alphas = parse_grid(alpha_grid or _ALPHA_SCAN)
+        return [
+            (f"{variant}_chi{_num_label(c)}", ROW_COLUMNS,
+             _es_rows(alphas, [c], preset, policy, workers))
+            for c in parse_grid(chi_grid or _FIG4_CHIS)
+        ]
+
+    alphas = parse_grid(alpha_grid or _ALPHA_SCAN_LONG)
     if figure == "fig7":
-        if variant not in _FIG7_VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r} for fig7")
-        p_dc = _FIG7_VARIANTS[variant]
-        alpha_values = parse_grid(config["alpha_d_grid"] or _ALPHA_SCAN_LONG)
         rows = _compare_rows(
-            alpha_values, 0.2, p_dc, NU_DEFAULT, kappa, policy, None, None
+            alphas, _FIG7_ETA0, preset, NU_DEFAULT, KAPPA_DEFAULT, policy, None, None
         )
-        path = _out_path(config, f"{prefix}_es_vs_decoy.csv")
-        _write_csv(path, COMPARE_COLUMNS, rows)
-        return [os.path.basename(path)]
-
-    if figure == "fig8":
-        alpha_values = parse_grid(config["alpha_d_grid"] or _ALPHA_SCAN_LONG)
-        outputs = []
-        if variant == "a":
-            for mu in _FIG8A_MUS:
-                rows = []
-                for alpha in alpha_values:
-                    rep = decoy_rate_report(
-                        decoy_inputs(mu, _FIG8A_ETA0, alpha, _FIG8_PDC, kappa=kappa)
-                    )
-                    rows.append(_decoy_row(alpha, _FIG8A_ETA0, _FIG8_PDC, rep))
-                path = _out_path(config, f"{prefix}_decoy_mu{_num_label(mu)}.csv")
-                _write_csv(path, DECOY_COLUMNS, rows)
-                outputs.append(os.path.basename(path))
-            for chi in _FIG8A_CHIS:
-                scenarios = [
-                    Scenario(
-                        alpha_d_db=a, chi=chi, eta0=_FIG8A_ETA0, p_dc=_FIG8_PDC,
-                        kappa=kappa, policy=policy,
-                    )
-                    for a in alpha_values
-                ]
-                rows = [_report_row(sr) for sr in sweep(scenarios, workers=workers)]
-                path = _out_path(config, f"{prefix}_es_chi{_num_label(chi)}.csv")
-                _write_csv(path, ROW_COLUMNS, rows)
-                outputs.append(os.path.basename(path))
-            return outputs
-        if variant == "b":
-            for eta0 in _FIG8B_ETAS:
-                rows = []
-                for alpha in alpha_values:
-                    rep = decoy_rate_report(
-                        decoy_inputs(_FIG8B_MU, eta0, alpha, _FIG8_PDC, kappa=kappa)
-                    )
-                    rows.append(_decoy_row(alpha, eta0, _FIG8_PDC, rep))
-                path = _out_path(config, f"{prefix}_decoy_eta{_num_label(eta0)}.csv")
-                _write_csv(path, DECOY_COLUMNS, rows)
-                outputs.append(os.path.basename(path))
-                scenarios = [
-                    Scenario(
-                        alpha_d_db=a, chi=_FIG8B_CHI, eta0=eta0, p_dc=_FIG8_PDC,
-                        kappa=kappa, policy=policy,
-                    )
-                    for a in alpha_values
-                ]
-                es_rows = [_report_row(sr) for sr in sweep(scenarios, workers=workers)]
-                path = _out_path(config, f"{prefix}_es_eta{_num_label(eta0)}.csv")
-                _write_csv(path, ROW_COLUMNS, es_rows)
-                outputs.append(os.path.basename(path))
-            return outputs
-        raise ConfigError(f"unknown variant {variant!r} for fig8")
-
-    raise ConfigError(f"unknown figure {figure!r}")
+        return [(f"{variant}_es_vs_decoy", COMPARE_COLUMNS, rows)]
+    files = []
+    for scheme, label, eta0, x in preset:
+        if scheme == "decoy":
+            reports = [decoy_rate_report(decoy_inputs(x, eta0, a, _FIG8_PDC)) for a in alphas]
+            rows = [_decoy_row(a, eta0, _FIG8_PDC, r) for a, r in zip(alphas, reports)]
+            files.append((f"{variant}_decoy_{label}", DECOY_COLUMNS, rows))
+        else:
+            rows = _es_rows(alphas, [x], eta0, policy, workers, p_dc=_FIG8_PDC)
+            files.append((f"{variant}_es_{label}", ROW_COLUMNS, rows))
+    return files
 
 
-def _decoy_row(alpha: float, eta0: float, p_dc: float, rep) -> Dict:
-    return {
-        "alpha_d_db": alpha,
-        "eta0": eta0,
-        "p_dc": p_dc,
-        "mu": rep.inputs.mu,
-        "nu": rep.inputs.nu,
-        "q_mu": rep.q_mu,
-        "e_mu": rep.e_mu,
-        "y1_lower": rep.y1_lower,
-        "q1_lower": rep.q1_lower,
-        "e1_upper": rep.e1_upper,
-        "r_raw": rep.r_raw,
-        "r_sec": rep.r_sec,
-        "log10_r_sec": _log10_or_none(rep.r_sec),
-    }
-
-
-def _cmd_figure_data(args: argparse.Namespace) -> int:
-    t0 = time.time()
-    config = _resolve(args, _FIGURE_DEFAULTS)
+def _run_figure_data(config: Dict) -> RunResult:
     figure = config["figure"]
-    if figure not in ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8"):
+    if figure not in _FIGURES:
         raise ConfigError(f"unknown figure {figure!r}")
-    variants = (config["variant"],) if config["variant"] else _default_variants(figure)
+    variants = (config["variant"],) if config["variant"] else tuple(_FIGURES[figure])
     workers = _workers(config)
-    outputs: List[str] = []
+    policy = _policy(config)
+    files: List[Output] = []
     for variant in variants:
-        outputs.extend(_emit_figure_variant(config, figure, variant or "", workers))
-    manifest_path = _out_path(config, f"{figure}_manifest.json")
-    _write_manifest(
-        manifest_path,
-        "figure-data",
-        config,
-        outputs,
-        time.time() - t0,
-    )
-    return 0
+        files.extend(_figure_files(config, figure, variant, policy, workers))
+    return files, None
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# command table, argument parsing and the runner
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file or run manifest")
-    parser.add_argument("--output-dir", dest="output_dir", help="directory for output files")
-    parser.add_argument("--n-max", dest="n_max", type=int, help="Fock cutoff per mode")
-    parser.add_argument(
-        "--tol", dest="convergence_tol", type=float, help="truncation convergence tolerance"
-    )
+class _Command(NamedTuple):
+    help: str
+    defaults: Dict
+    required: Tuple[str, ...]
+    run: Callable[[Dict], RunResult]
+    stem_key: str = "output_prefix"  # config key naming the output files
+    flag_help: Dict[str, str] = {}
 
 
-def _add_pdc_mode(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pdc", dest="p_dc", type=float, help="explicit dark-count probability")
-    parser.add_argument(
-        "--constraint",
-        dest="constraint",
-        action="store_const",
-        const=True,
-        help="tie dark counts to eta0 via the efficiency/dark-count fit",
-    )
-    parser.add_argument("--constraint-a", dest="constraint_a", type=float)
-    parser.add_argument("--constraint-b", dest="constraint_b", type=float)
+_COMMON_DEFAULTS: Dict = {"n_max": 4, "convergence_tol": 1e-4, "output_dir": "."}
+_PDC_MODE_DEFAULTS: Dict = {
+    "p_dc": None,
+    "constraint": False,
+    "constraint_a": DEFAULT_CONSTRAINT.a,
+    "constraint_b": DEFAULT_CONSTRAINT.b,
+}
+
+COMMANDS: Dict[str, _Command] = {
+    "evaluate": _Command(
+        "evaluate one operating point",
+        {**_COMMON_DEFAULTS, **_PDC_MODE_DEFAULTS, "chi": None, "eta0": None, "alpha_d": None,
+         "kappa": KAPPA_DEFAULT, "output_prefix": "evaluate"},
+        ("chi", "eta0", "alpha_d"),
+        _run_evaluate,
+    ),
+    "sweep": _Command(
+        "evaluate a parameter grid",
+        {**_COMMON_DEFAULTS, **_PDC_MODE_DEFAULTS, "chi_grid": None, "eta0_grid": None,
+         "alpha_d_grid": None, "kappa": KAPPA_DEFAULT, "workers": None, "output_prefix": "sweep"},
+        ("chi_grid", "eta0_grid", "alpha_d_grid"),
+        _run_sweep,
+    ),
+    "optimize": _Command(
+        "maximize the key rate per distance",
+        {**_COMMON_DEFAULTS, **_PDC_MODE_DEFAULTS, "alpha_d_grid": None, "eta0": None,
+         "kappa": KAPPA_DEFAULT, "workers": None, "output_prefix": "optimize"},
+        ("alpha_d_grid",),
+        _run_optimize,
+        flag_help={"eta0": "fix eta0 and optimize chi only"},
+    ),
+    "compare-decoy": _Command(
+        "swap scheme vs decoy baseline per distance",
+        {**_COMMON_DEFAULTS, "alpha_d_grid": None, "eta0": None, "p_dc": None, "nu": NU_DEFAULT,
+         "mu": None, "chi": None, "kappa": KAPPA_DEFAULT, "output_prefix": "compare_decoy"},
+        ("alpha_d_grid", "eta0", "p_dc"),
+        _run_compare_decoy,
+        flag_help={"chi": "fix the swap source brightness"},
+    ),
+    "crossover": _Command(
+        "find the decoy/swap crossover distance",
+        {**_COMMON_DEFAULTS, "eta0": None, "p_dc": None, "alpha_min": 0.0, "alpha_max": 60.0,
+         "step": 2.5, "nu": NU_DEFAULT, "kappa": KAPPA_DEFAULT, "output_prefix": "crossover"},
+        ("eta0", "p_dc"),
+        _run_crossover,
+    ),
+    "figure-data": _Command(
+        "emit the published parameter grids",
+        {**_COMMON_DEFAULTS, "figure": None, "variant": None, "alpha_d_grid": None,
+         "chi_grid": None, "workers": None},
+        (),
+        _run_figure_data,
+        stem_key="figure",
+        flag_help={
+            "alpha_d_grid": "override the preset grid",
+            "chi_grid": "override the preset grid",
+        },
+    ),
+}
+
+# Command-line flag and argparse settings of every config key.
+_FLAGS: Dict[str, Tuple[str, Dict]] = {
+    "chi": ("--chi", {"type": float}),
+    "eta0": ("--eta0", {"type": float}),
+    "alpha_d": ("--alpha-d", {"type": float}),
+    "p_dc": ("--pdc", {"type": float, "help": "explicit dark-count probability"}),
+    "constraint": ("--constraint", {
+        "action": "store_const", "const": True,
+        "help": "tie dark counts to eta0 via the efficiency/dark-count fit",
+    }),
+    "constraint_a": ("--constraint-a", {"type": float}),
+    "constraint_b": ("--constraint-b", {"type": float}),
+    "kappa": ("--kappa", {"type": float}),
+    "nu": ("--nu", {"type": float}),
+    "mu": ("--mu", {"type": float, "help": "fix the decoy signal intensity"}),
+    "alpha_min": ("--alpha-min", {"type": float}),
+    "alpha_max": ("--alpha-max", {"type": float}),
+    "step": ("--step", {"type": float}),
+    "chi_grid": ("--chi-grid", {}),
+    "eta0_grid": ("--eta0-grid", {}),
+    "alpha_d_grid": ("--alpha-d-grid", {}),
+    "figure": ("--figure", {"choices": list(_FIGURES)}),
+    "variant": ("--variant", {"help": "single variant letter; default all"}),
+    "workers": ("--workers", {"type": int}),
+    "n_max": ("--n-max", {"type": int, "help": "Fock cutoff per mode"}),
+    "convergence_tol": ("--tol", {"type": float, "help": "truncation convergence tolerance"}),
+    "output_dir": ("--output-dir", {"help": "directory for output files"}),
+    "output_prefix": ("--output-prefix", {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -930,79 +718,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"swapkd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("evaluate", help="evaluate one operating point")
-    _add_common(p)
-    _add_pdc_mode(p)
-    p.add_argument("--chi", type=float)
-    p.add_argument("--eta0", type=float)
-    p.add_argument("--alpha-d", dest="alpha_d", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--output-prefix", dest="output_prefix")
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("sweep", help="evaluate a parameter grid")
-    _add_common(p)
-    _add_pdc_mode(p)
-    p.add_argument("--chi-grid", dest="chi_grid")
-    p.add_argument("--eta0-grid", dest="eta0_grid")
-    p.add_argument("--alpha-d-grid", dest="alpha_d_grid")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--output-prefix", dest="output_prefix")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("optimize", help="maximize the key rate per distance")
-    _add_common(p)
-    _add_pdc_mode(p)
-    p.add_argument("--alpha-d-grid", dest="alpha_d_grid")
-    p.add_argument("--eta0", type=float, help="fix eta0 and optimize chi only")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--output-prefix", dest="output_prefix")
-    p.set_defaults(func=_cmd_optimize)
-
-    p = sub.add_parser("compare-decoy", help="swap scheme vs decoy baseline per distance")
-    _add_common(p)
-    p.add_argument("--alpha-d-grid", dest="alpha_d_grid")
-    p.add_argument("--eta0", type=float)
-    p.add_argument("--pdc", dest="p_dc", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--mu", type=float, help="fix the decoy signal intensity")
-    p.add_argument("--chi", type=float, help="fix the swap source brightness")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--output-prefix", dest="output_prefix")
-    p.set_defaults(func=_cmd_compare_decoy)
-
-    p = sub.add_parser("crossover", help="find the decoy/swap crossover distance")
-    _add_common(p)
-    p.add_argument("--eta0", type=float)
-    p.add_argument("--pdc", dest="p_dc", type=float)
-    p.add_argument("--alpha-min", dest="alpha_min", type=float)
-    p.add_argument("--alpha-max", dest="alpha_max", type=float)
-    p.add_argument("--step", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--output-prefix", dest="output_prefix")
-    p.set_defaults(func=_cmd_crossover)
-
-    p = sub.add_parser("figure-data", help="emit the published parameter grids")
-    _add_common(p)
-    p.add_argument("--figure", choices=["fig3", "fig4", "fig5", "fig6", "fig7", "fig8"])
-    p.add_argument("--variant", help="single variant letter; default all")
-    p.add_argument("--alpha-d-grid", dest="alpha_d_grid", help="override the preset grid")
-    p.add_argument("--chi-grid", dest="chi_grid", help="override the preset grid")
-    p.add_argument("--workers", type=int)
-    p.set_defaults(func=_cmd_figure_data)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="JSON config file or run manifest")
+        for key in command.defaults:
+            flag, options = _FLAGS[key]
+            if key in command.flag_help:
+                options = dict(options, help=command.flag_help[key])
+            p.add_argument(flag, dest=key, **options)
     return parser
 
 
+def _run(name: str, args: argparse.Namespace) -> int:
+    """Resolve the config, check required keys, run, write the CSVs and the manifest."""
+    t0 = time.time()
+    command = COMMANDS[name]
+    config = _resolve(args, command.defaults)
+    for key in command.required:
+        if config[key] is None:
+            raise ConfigError(f"{key} is required")
+    files, results = command.run(config)
+    stem = config[command.stem_key]
+    outputs = []
+    for suffix, columns, rows in files:
+        path = _out_path(config, f"{stem}{suffix}.csv")
+        _write_csv(path, columns, rows)
+        outputs.append(os.path.basename(path))
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "tool": "swapkd",
+        "version": __version__,
+        "command": name,
+        "config": config,
+        "outputs": outputs,
+        "wall_time_s": time.time() - t0,
+    }
+    if results is not None:
+        payload["results"] = results
+    with open(_out_path(config, f"{stem}_manifest.json"), "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args.command, args)
     except (ConfigError, ConstraintViolationError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -47,9 +46,6 @@ class ThresholdDetector:
         n = np.arange(max_n + 1)
         return self.click_weight(n) if click else self.no_click_weight(n)
 
-    def with_extra_loss(self, transmission: float) -> "ThresholdDetector":
-        return ThresholdDetector(self.eta * transmission, self.p_dc)
-
 
 @dataclass(frozen=True)
 class DetectorConstraint:
@@ -75,31 +71,3 @@ DEFAULT_CONSTRAINT = DetectorConstraint()
 def constraint_pdc(eta0: float, constraint: DetectorConstraint = DEFAULT_CONSTRAINT) -> float:
     """Dark-count probability implied by the detector constraint at intrinsic efficiency eta0."""
     return constraint.p_dc(eta0)
-
-
-def pattern_weight(
-    detectors: Sequence[ThresholdDetector],
-    clicks: Sequence[bool],
-    occupation: Sequence[int],
-) -> float:
-    """Joint weight for one click/no-click pattern across independent detectors."""
-    if not (len(detectors) == len(clicks) == len(occupation)):
-        raise ValueError("detectors, clicks and occupation must have equal length")
-    w = 1.0
-    for det, q, n in zip(detectors, clicks, occupation):
-        w *= det.click_weight(n) if q else det.no_click_weight(n)
-    return float(w)
-
-
-def pattern_weight_table(
-    detectors: Sequence[ThresholdDetector],
-    clicks: Sequence[bool],
-    max_n: int,
-) -> np.ndarray:
-    """pattern_weight evaluated on the full occupation grid (one axis per detector)."""
-    if len(detectors) != len(clicks):
-        raise ValueError("detectors and clicks must have equal length")
-    table = np.ones((), dtype=float)
-    for det, q in zip(detectors, clicks):
-        table = np.multiply.outer(table, det.weight_vector(q, max_n))
-    return table

@@ -1,26 +1,22 @@
-"""Truncated multimode Fock-space engine.
+"""Truncated Fock-space primitives.
 
-States live on a fixed tuple of polarization modes with per-mode occupation
-0..n_max, stored as a dense complex amplitude tensor (one axis per mode, row
-major in label order). Passive two-mode mixing is computed exactly on an
-enlarged occupancy embedding (total photon number is conserved, so blocks up
-to 2*n_max are complete there) and then projected back, tracking the dropped
-weight. Measurements are diagonal photon-number POVMs; conditioning turns the
-pure tensor into a dense density operator on the surviving modes only.
+Every mode carries occupations 0..n_max (TruncationPolicy).  Passive
+two-mode mixers are exact number-conserving unitaries on a flattened mode
+pair; callers evaluate them on an occupancy embedding with per-mode cutoff
+2*n_max, where every block reachable from inputs <= n_max is complete, so
+conjugating a POVM there and restricting back loses nothing.
+ConditionalState is a dense unnormalized density operator on labeled modes,
+the form in which textbook states (singlet, Werner) enter the metrics.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import TruncationError, UndefinedStateError
-
-WeightFn = Union[Callable[[tuple], float], np.ndarray]
+from .errors import UndefinedStateError
 
 
 @dataclass(frozen=True)
@@ -42,55 +38,6 @@ class TruncationPolicy:
 
 
 DEFAULT_POLICY = TruncationPolicy()
-
-
-@dataclass
-class ModeRegister:
-    """Pure state on labeled modes. Treated as immutable; ops return new registers.
-
-    leakage accumulates the total weight dropped by cutoff projections, so
-    norm_squared() + leakage stays 1 for states built from a normalized input.
-    """
-
-    labels: tuple
-    policy: TruncationPolicy
-    amplitudes: np.ndarray
-    leakage: float = 0.0
-
-    def __post_init__(self):
-        self.labels = tuple(self.labels)
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"duplicate mode labels: {self.labels}")
-        want = (self.policy.dim,) * len(self.labels)
-        if tuple(self.amplitudes.shape) != want:
-            raise ValueError(f"amplitude tensor shape {self.amplitudes.shape} != {want}")
-
-    @property
-    def n_max(self) -> int:
-        return self.policy.n_max
-
-    def axis(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown mode label {label!r}; have {self.labels}") from None
-
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def to_debug_json(self, atol: float = 1e-14) -> str:
-        entries = []
-        for occ in np.ndindex(*self.amplitudes.shape):
-            a = self.amplitudes[occ]
-            if abs(a) > atol:
-                entries.append({"occupation": list(occ), "re": float(a.real), "im": float(a.imag)})
-        payload = {
-            "labels": list(self.labels),
-            "n_max": self.n_max,
-            "leakage": self.leakage,
-            "entries": entries,
-        }
-        return json.dumps(payload, indent=2)
 
 
 @dataclass
@@ -129,13 +76,6 @@ class ConditionalState:
         return self.rho / self.herald_probability
 
 
-def vacuum(labels: Sequence[str], policy: TruncationPolicy = DEFAULT_POLICY) -> ModeRegister:
-    labels = tuple(labels)
-    amp = np.zeros((policy.dim,) * len(labels), dtype=complex)
-    amp[(0,) * len(labels)] = 1.0
-    return ModeRegister(labels, policy, amp)
-
-
 def annihilation_matrix(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
 
@@ -161,109 +101,3 @@ def pair_mixer_unitary(dim: int, theta: float, phase: float = 0.0) -> np.ndarray
     """
     w, v = _mixer_eig(dim, float(phase))
     return (v * np.exp(-1j * theta * w)) @ v.conj().T
-
-
-def apply_two_mode_mixer(
-    state: ModeRegister,
-    mode1: str,
-    mode2: str,
-    theta: float,
-    phase: float = 0.0,
-) -> ModeRegister:
-    """Mix two modes with a passive unitary; project back to n_max, tracking leakage.
-
-    The unitary is evaluated on an embedding with per-mode cutoff 2*n_max, where
-    every block reachable from the input is complete, so the surviving
-    amplitudes are exact and only genuine overflow (occupation > n_max) is
-    dropped. Raises TruncationError when the dropped weight exceeds the policy
-    convergence tolerance.
-    """
-    ax1, ax2 = state.axis(mode1), state.axis(mode2)
-    if ax1 == ax2:
-        raise ValueError("mode1 and mode2 must differ")
-    d = state.policy.dim
-    dbig = 2 * state.n_max + 1
-
-    amp = np.moveaxis(state.amplitudes, (ax1, ax2), (0, 1))
-    rest_shape = amp.shape[2:]
-    big = np.zeros((dbig, dbig) + rest_shape, dtype=complex)
-    big[:d, :d] = amp
-
-    u = pair_mixer_unitary(dbig, float(theta), float(phase))
-    mixed = (u @ big.reshape(dbig * dbig, -1)).reshape((dbig, dbig) + rest_shape)
-
-    kept = mixed[:d, :d]
-    norm_in = float(np.vdot(amp, amp).real)
-    norm_kept = float(np.vdot(kept, kept).real)
-    dropped = max(norm_in - norm_kept, 0.0)
-    if dropped > state.policy.convergence_tol:
-        raise TruncationError(
-            f"mixer dropped weight {dropped:.3e} > convergence_tol "
-            f"{state.policy.convergence_tol:.3e} at n_max={state.n_max}",
-            values=(norm_in, norm_kept),
-        )
-    out = np.moveaxis(kept, (0, 1), (ax1, ax2)).copy()
-    return ModeRegister(state.labels, state.policy, out, leakage=state.leakage + dropped)
-
-
-def apply_polarization_rotation(state: ModeRegister, spatial: str, theta: float) -> ModeRegister:
-    """Rotate the (H, V) mode pair of one spatial channel by theta."""
-    return apply_two_mode_mixer(state, f"{spatial}H", f"{spatial}V", theta)
-
-
-def _weights_array(weight_fn: WeightFn, dims: tuple) -> np.ndarray:
-    if isinstance(weight_fn, np.ndarray):
-        w = np.asarray(weight_fn, dtype=float)
-        if w.shape != dims:
-            w = w.reshape(dims)
-    else:
-        w = np.empty(dims, dtype=float)
-        for occ in np.ndindex(*dims):
-            w[occ] = float(weight_fn(occ))
-    if w.min() < -1e-12 or w.max() > 1.0 + 1e-12:
-        raise ValueError(f"POVM weights outside [0, 1]: min {w.min()!r} max {w.max()!r}")
-    return np.clip(w, 0.0, 1.0)
-
-
-def condition_on_diagonal_povm(
-    state: ModeRegister,
-    measured: Sequence[str],
-    weight_fn: WeightFn,
-) -> ConditionalState:
-    """Condition a pure register on a photon-number-diagonal POVM outcome.
-
-    weight_fn gives the outcome weight in [0, 1] for each measured-mode
-    occupation tuple (callable, or a precomputed array over those axes).
-    Returns the unnormalized density operator on the remaining modes, whose
-    trace is the herald probability.
-    """
-    measured = list(measured)
-    axes = [state.axis(m) for m in measured]
-    if len(set(axes)) != len(axes):
-        raise ValueError(f"duplicate measured modes: {measured}")
-    if len(axes) == len(state.labels):
-        raise ValueError("at least one mode must survive the conditioning")
-    rest = [i for i in range(len(state.labels)) if i not in axes]
-    d = state.policy.dim
-    dims_meas = (d,) * len(axes)
-
-    w = _weights_array(weight_fn, dims_meas)
-    psi = np.transpose(state.amplitudes, rest + axes).reshape(d ** len(rest), d ** len(axes))
-    rho = (psi * w.reshape(-1)) @ psi.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    herald = float(np.trace(rho).real)
-    labels_rest = tuple(state.labels[i] for i in rest)
-    return ConditionalState(labels_rest, state.n_max, rho, herald)
-
-
-def fidelity_with_pure(cond: ConditionalState, target: ModeRegister) -> float:
-    """<target| rho_normalized |target> for a pure target on the same modes."""
-    if cond.labels != tuple(target.labels):
-        raise ValueError(f"mode labels differ: {cond.labels} vs {target.labels}")
-    if cond.n_max != target.n_max:
-        raise ValueError("n_max mismatch between state and target")
-    if cond.herald_probability <= 0.0:
-        raise UndefinedStateError("herald probability is zero; fidelity undefined")
-    v = target.amplitudes.reshape(-1)
-    val = float(np.real(v.conj() @ cond.rho @ v)) / cond.herald_probability
-    return min(max(val, 0.0), 1.0)

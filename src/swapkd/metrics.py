@@ -19,13 +19,8 @@ import numpy as np
 
 from .detectors import ThresholdDetector
 from .errors import NoCoincidenceError, UndefinedVisibilityError
-from .fock import (
-    ConditionalState,
-    ModeRegister,
-    TruncationPolicy,
-    annihilation_matrix,
-    pair_mixer_unitary,
-)
+from .fock import ConditionalState, annihilation_matrix, pair_mixer_unitary
+from .rates import golden_max
 
 __all__ = [
     "AnalyzerSetting",
@@ -40,7 +35,6 @@ __all__ = [
     "qber",
     "fidelity_visibility",
     "chsh",
-    "bell_psi_minus",
     "embed_qubit_pair",
 ]
 
@@ -56,6 +50,11 @@ class AnalyzerSetting:
 
 Z_BASIS = AnalyzerSetting(0.0, 0.0, "Z")
 X_BASIS = AnalyzerSetting(math.pi / 4.0, math.pi / 4.0, "X")
+
+# Bob-angle grid over one period of the fringe, and the golden-section
+# tolerance (radians) to which each extremum is refined.
+SCAN_GRID_POINTS = 181
+SCAN_REFINE_TOL = 1e-6
 
 # Exclusive outcomes of one analyzer: exactly the H detector, exactly the V
 # detector, both, or neither.
@@ -107,11 +106,6 @@ class CoincidenceTable:
         return self.p_hv + self.p_vh
 
 
-def _as_cond(obj) -> ConditionalState:
-    """Accept either a SwapResult-like object or a bare ConditionalState."""
-    return obj.cond if hasattr(obj, "cond") else obj
-
-
 @lru_cache(maxsize=256)
 def _analyzer_povms(
     n_max: int, eta: float, p_dc: float, theta: float
@@ -143,26 +137,19 @@ def _analyzer_povms(
     return povms
 
 
-def _split_rho(cond: ConditionalState) -> np.ndarray:
-    """View rho as [x_alice, x_bob, y_alice, y_bob] with pair-flattened indices."""
-    d2 = (cond.n_max + 1) ** 2
-    return cond.rho.reshape(d2, d2, d2, d2)
-
-
-def _bob_operator(result, ea: np.ndarray) -> np.ndarray:
+def _bob_operator(state, ea: np.ndarray) -> np.ndarray:
     """Bob's operator M = Tr_A[rho (E_A (x) 1)] on the flattened (dH, dV) pair space.
 
     The only step that depends on how the state is stored.  For the pair
-    factors of a factored swap result, two tensordots per herald cost
-    O((n_max+1)^6) each; a ConditionalState is contracted directly.
+    factors of a swap result, two tensordots per herald cost
+    O((n_max+1)^6) each; a dense ConditionalState is contracted directly.
     """
-    factors = getattr(result, "factors", ())
-    if not factors:
-        return np.einsum("abAB,Aa->bB", _split_rho(_as_cond(result)), ea)
-    d = result.n_max + 1
+    d = state.n_max + 1
+    if isinstance(state, ConditionalState):
+        return np.einsum("abAB,Aa->bB", state.rho.reshape(d * d, d * d, d * d, d * d), ea)
     ea4 = ea.reshape(d, d, d, d)  # [I, J, i, j]
     m = 0.0
-    for th, tv in factors:
+    for th, tv in state.factors:
         t1 = np.tensordot(th, ea4, axes=([0, 2], [2, 0]))  # [k, K, J, j]
         m = m + np.tensordot(t1, tv, axes=([3, 2], [0, 2]))  # [k, K, l, L]
     return m.transpose(0, 2, 1, 3).reshape(d * d, d * d)
@@ -282,24 +269,6 @@ def _bob_angle_curve(
     return evaluate
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> Tuple[float, float]:
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - g * (hi - lo)
-    x2 = lo + g * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + g * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - g * (hi - lo)
-            f1 = f(x1)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
-
-
 @dataclass(frozen=True)
 class VisibilityScan:
     """Extrema of the coincidence-vs-angle curve and the visibility they give."""
@@ -318,26 +287,24 @@ def visibility_scan(
     result,
     det_ab: ThresholdDetector,
     theta_alice: float = 0.0,
-    grid_points: int = 181,
-    refine_tol: float = 1e-6,
 ) -> VisibilityScan:
     """Scan Bob's analyzer angle and refine both extrema of the H-H rate.
 
     The curve has period pi, so the grid covers [0, pi); golden-section
-    refinement shrinks each bracketed extremum to refine_tol radians.
+    refinement shrinks each bracketed extremum to SCAN_REFINE_TOL radians.
     """
     curve = _bob_angle_curve(result, det_ab, theta_alice)
-    thetas = np.linspace(0.0, math.pi, grid_points, endpoint=False)
+    thetas = np.linspace(0.0, math.pi, SCAN_GRID_POINTS, endpoint=False)
     values = curve(thetas)
-    step = math.pi / grid_points
+    step = math.pi / SCAN_GRID_POINTS
 
     def refine(index: int, sign: float) -> Tuple[float, float]:
         center = thetas[index]
-        x, fx = _golden_max(
+        x, fx = golden_max(
             lambda t: sign * float(curve(np.array([t]))[0]),
             center - step,
             center + step,
-            refine_tol,
+            SCAN_REFINE_TOL,
         )
         return x % math.pi, sign * fx
 
@@ -448,14 +415,6 @@ def chsh(vis: float) -> float:
     if not 0.0 <= vis <= 1.0:
         raise ValueError(f"visibility {vis!r} outside [0, 1]")
     return 2.0 * math.sqrt(2.0) * vis
-
-
-def bell_psi_minus(policy: TruncationPolicy, labels=("aH", "aV", "dH", "dV")) -> ModeRegister:
-    """Singlet on the surviving modes: (|HV> - |VH>)/sqrt(2) in photon occupation."""
-    amp = np.zeros((policy.dim,) * 4, dtype=complex)
-    amp[1, 0, 0, 1] = 1.0 / math.sqrt(2.0)
-    amp[0, 1, 1, 0] = -1.0 / math.sqrt(2.0)
-    return ModeRegister(tuple(labels), policy, amp)
 
 
 def embed_qubit_pair(rho_qubits: np.ndarray, n_max: int, herald: float = 1.0) -> ConditionalState:

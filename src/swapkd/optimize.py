@@ -30,6 +30,7 @@ from .rates import (
     KAPPA_DEFAULT,
     KeyRateReport,
     NU_DEFAULT,
+    golden_max,
     optimal_mu,
     secret_rate,
     sifted_rate,
@@ -43,7 +44,7 @@ __all__ = [
     "SweepRow",
     "evaluate",
     "sweep",
-    "golden_max",
+    "ordered_map",
     "optimize_chi",
     "optimize_joint",
     "es_optimal_rate",
@@ -57,6 +58,12 @@ __all__ = [
 CHI_SEARCH_MAX = 0.3
 CHI_SEARCH_MIN = 1e-3
 ETA0_SEARCH_RANGE = (0.05, 0.6)
+# Joint search: eta0 seed grid and golden-section tolerance, and the coarse
+# chi grid and tolerance of each inner search.
+ETA0_SEED_POINTS = 12
+ETA0_TOL = 1e-3
+INNER_CHI_GRID_POINTS = 15
+INNER_CHI_TOL = 1e-3
 _ESCALATION_STEPS = 3
 
 
@@ -220,38 +227,24 @@ def _evaluate_row(s: Scenario) -> SweepRow:
         return SweepRow(scenario=s, report=None, error=f"{type(exc).__name__}: {exc}")
 
 
-def sweep(scenarios: Sequence[Scenario], workers: Optional[int] = None) -> List[SweepRow]:
-    """Evaluate every scenario, in input order, tolerating per-point failures.
+def ordered_map(fn: Callable, items: Sequence, workers: Optional[int]) -> List:
+    """[fn(x) for x in items], fanned out to a process pool when workers > 1.
 
-    workers > 1 fans the points out to a process pool; results are still
-    assembled in input order, so the output is independent of worker count.
+    Results come back in input order, so they do not depend on the worker
+    count; fn and the items must be picklable.
     """
+    if workers is not None and workers > 1 and len(items) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
+def sweep(scenarios: Sequence[Scenario], workers: Optional[int] = None) -> List[SweepRow]:
+    """Evaluate every scenario, in input order, tolerating per-point failures."""
     scenarios = list(scenarios)
     if not scenarios:
         raise ValueError("empty scenario list")
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_evaluate_row, scenarios))
-    return [_evaluate_row(s) for s in scenarios]
-
-
-def golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> Tuple[float, float]:
-    """Golden-section maximization of a unimodal scalar function on [lo, hi]."""
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - g * (hi - lo)
-    x2 = lo + g * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + g * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - g * (hi - lo)
-            f1 = f(x1)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
+    return ordered_map(_evaluate_row, scenarios, workers)
 
 
 @dataclass(frozen=True)
@@ -381,11 +374,6 @@ def optimize_joint(
     constraint: DetectorConstraint = DEFAULT_CONSTRAINT,
     kappa: float = KAPPA_DEFAULT,
     policy: TruncationPolicy = TruncationPolicy(),
-    eta_range: Tuple[float, float] = ETA0_SEARCH_RANGE,
-    eta_seed_points: int = 12,
-    eta_tol: float = 1e-3,
-    inner_grid_points: int = 15,
-    inner_tol: float = 1e-3,
 ) -> OptimumPoint:
     """Maximize the rate over (chi, eta0) with dark counts tied to eta0.
 
@@ -398,12 +386,11 @@ def optimize_joint(
     def inner_rate(eta0: float) -> float:
         point = optimize_chi(
             alpha_d_db, eta0, constraint=constraint, kappa=kappa, policy=policy,
-            grid_points=inner_grid_points, refine_tol=inner_tol, full_final=False,
+            grid_points=INNER_CHI_GRID_POINTS, refine_tol=INNER_CHI_TOL, full_final=False,
         )
         return point.r_sec_at_opt
 
-    eta_lo, eta_hi = eta_range
-    seeds = np.linspace(eta_lo, eta_hi, eta_seed_points)
+    seeds = np.linspace(*ETA0_SEARCH_RANGE, ETA0_SEED_POINTS)
     seed_vals = [inner_rate(e) for e in seeds]
     i_best = int(np.argmax(seed_vals))
     if seed_vals[i_best] <= 0.0:
@@ -418,8 +405,8 @@ def optimize_joint(
             positive=False,
         )
     lo = seeds[max(0, i_best - 1)]
-    hi = seeds[min(eta_seed_points - 1, i_best + 1)]
-    eta_opt, r_outer = golden_max(inner_rate, float(lo), float(hi), eta_tol)
+    hi = seeds[min(ETA0_SEED_POINTS - 1, i_best + 1)]
+    eta_opt, r_outer = golden_max(inner_rate, float(lo), float(hi), ETA0_TOL)
     guard_flag = False
     if r_outer < seed_vals[i_best]:
         guard_flag = True

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, Tuple
 
 __all__ = [
     "KAPPA_DEFAULT",
     "NU_DEFAULT",
     "E0_BACKGROUND",
+    "golden_max",
     "h2",
     "sifted_rate",
     "secret_rate",
@@ -33,6 +34,33 @@ __all__ = [
 KAPPA_DEFAULT = 1.22
 NU_DEFAULT = 0.1
 E0_BACKGROUND = 0.5
+# Dark-count opportunities per pulse at the decoy receiver: one threshold
+# detector per basis outcome.
+DETECTORS_AT_BOB = 2
+# Golden-section tolerance of the signal-intensity search.
+MU_REFINE_TOL = 1e-5
+
+
+def golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> Tuple[float, float]:
+    """Golden-section maximization of a unimodal scalar function on [lo, hi].
+
+    Returns the midpoint of the final bracket and f evaluated there.
+    """
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - g * (hi - lo)
+    x2 = lo + g * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + g * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - g * (hi - lo)
+            f1 = f(x1)
+    x = 0.5 * (lo + hi)
+    return x, f(x)
 
 
 def h2(x: float) -> float:
@@ -117,18 +145,14 @@ def decoy_inputs(
     p_dc: float,
     nu: float = NU_DEFAULT,
     kappa: float = KAPPA_DEFAULT,
-    detectors_at_bob: int = 2,
 ) -> DecoyInputs:
     """Build DecoyInputs for a sender-to-receiver link of alpha*d dB.
 
     The background yield counts one dark-count opportunity per detector at
-    Bob; two threshold detectors (one per basis outcome) is the default, kept
-    as a knob because the detector count is a modeling choice.
+    Bob, DETECTORS_AT_BOB of them.
     """
-    if detectors_at_bob < 1:
-        raise ValueError("detectors_at_bob must be >= 1")
     eta_bob = eta0 * 10.0 ** (-alpha_d_db / 10.0)
-    y0 = min(1.0, detectors_at_bob * p_dc)
+    y0 = min(1.0, DETECTORS_AT_BOB * p_dc)
     return DecoyInputs(mu=mu, eta_bob=eta_bob, y0=y0, nu=nu, kappa=kappa)
 
 
@@ -211,8 +235,6 @@ def optimal_mu(
     p_dc: float,
     nu: float = NU_DEFAULT,
     kappa: float = KAPPA_DEFAULT,
-    detectors_at_bob: int = 2,
-    refine_tol: float = 1e-5,
 ) -> Tuple[float, float]:
     """Best signal intensity on mu in [0.05, 1.0] and the rate it achieves.
 
@@ -222,10 +244,7 @@ def optimal_mu(
     """
 
     def rate(mu: float) -> float:
-        return decoy_secret_rate(
-            decoy_inputs(mu, eta0, alpha_d_db, p_dc, nu=nu, kappa=kappa,
-                         detectors_at_bob=detectors_at_bob)
-        )
+        return decoy_secret_rate(decoy_inputs(mu, eta0, alpha_d_db, p_dc, nu=nu, kappa=kappa))
 
     best_mu, best_r = float("nan"), -1.0
     n_steps = int(round((1.0 - 0.05) / 0.005))
@@ -240,21 +259,7 @@ def optimal_mu(
 
     lo = max(usable[0], best_mu - 0.005)
     hi = min(usable[-1], best_mu + 0.005)
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - g * (hi - lo)
-    x2 = lo + g * (hi - lo)
-    f1, f2 = rate(x1), rate(x2)
-    while hi - lo > refine_tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + g * (hi - lo)
-            f2 = rate(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - g * (hi - lo)
-            f1 = rate(x1)
-    mu_opt = 0.5 * (lo + hi)
-    r_opt = rate(mu_opt)
+    mu_opt, r_opt = golden_max(rate, lo, hi, MU_REFINE_TOL)
     if r_opt < best_r:
         mu_opt, r_opt = best_mu, best_r
     return mu_opt, r_opt

@@ -1,4 +1,4 @@
-"""Polarization-entangled PDC sources and lossy channel bookkeeping.
+"""Polarization-entangled PDC sources.
 
 A source pumps two degenerate PDC processes so that, per polarization P, modes
 (aP, bP) carry a two-mode squeezed state with amplitudes
@@ -9,84 +9,13 @@ swap: source 1 emits into (a, b), source 2 into (c, d).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DEFAULT_POLICY, ModeRegister, TruncationPolicy
-
 CHI_CAP = 0.35
-
-MODE_ORDER = ("aH", "aV", "bH", "bV", "cH", "cV", "dH", "dV")
-
-
-@dataclass(frozen=True)
-class PdcSource:
-    """Single polarization-entangled PDC source with interaction parameter chi."""
-
-    chi: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.chi <= CHI_CAP):
-            raise ValueError(f"chi must be in [0, {CHI_CAP}], got {self.chi!r}")
-
-    @property
-    def mean_pairs_per_polarization(self) -> float:
-        return math.sinh(self.chi) ** 2
-
-
-@dataclass(frozen=True)
-class ChannelSegment:
-    """Fiber segment with total loss alpha_l in dB."""
-
-    alpha_l_db: float
-
-    def __post_init__(self):
-        if self.alpha_l_db < 0.0:
-            raise ValueError(f"loss must be >= 0 dB, got {self.alpha_l_db!r}")
-
-    @property
-    def transmission(self) -> float:
-        return 10.0 ** (-self.alpha_l_db / 10.0)
-
-
-def effective_efficiency(eta0: float, alpha_l_db: float) -> float:
-    """Detector efficiency with an upstream lossy segment folded in."""
-    if not (0.0 <= eta0 <= 1.0):
-        raise ValueError(f"eta0 must be in [0, 1], got {eta0!r}")
-    return eta0 * ChannelSegment(alpha_l_db).transmission
 
 
 def pair_amplitudes(chi: float, n_max: int) -> np.ndarray:
     """Amplitudes c_n = (i tanh chi)^n / cosh chi for n = 0..n_max."""
     n = np.arange(n_max + 1)
     return (1j * math.tanh(chi)) ** n / math.cosh(chi)
-
-
-def pdc_two_mode_state(
-    source: PdcSource,
-    spatial_a: str = "a",
-    spatial_b: str = "b",
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> ModeRegister:
-    """Four-mode register (aH, aV, bH, bV) for one source.
-
-    Occupations are pairwise locked: amp[nH, nV, mH, mV] = c_nH c_nV when
-    (mH, mV) == (nH, nV), else 0.
-    """
-    d = policy.dim
-    c = pair_amplitudes(source.chi, policy.n_max)
-    amp = np.zeros((d, d, d, d), dtype=complex)
-    idx = np.arange(d)
-    amp[idx[:, None], idx[None, :], idx[:, None], idx[None, :]] = c[:, None] * c[None, :]
-    labels = (f"{spatial_a}H", f"{spatial_a}V", f"{spatial_b}H", f"{spatial_b}V")
-    return ModeRegister(labels, policy, amp)
-
-
-def two_source_state(chi: float, policy: TruncationPolicy = DEFAULT_POLICY) -> ModeRegister:
-    """Tensor product of two identical sources on (aH aV bH bV cH cV dH dV)."""
-    src = PdcSource(chi)
-    s1 = pdc_two_mode_state(src, "a", "b", policy)
-    s2 = pdc_two_mode_state(src, "c", "d", policy)
-    amp = np.einsum("ijkl,mnop->ijklmnop", s1.amplitudes, s2.amplitudes)
-    return ModeRegister(MODE_ORDER, policy, amp)

@@ -6,6 +6,7 @@ import pytest
 from swapkd.detectors import ThresholdDetector
 from swapkd.fock import ConditionalState, TruncationPolicy
 from swapkd.metrics import embed_qubit_pair
+from swapkd.swap import _balanced_pair_povm, accepted_patterns
 
 SINGLET_QUBITS = np.zeros(4, dtype=complex)
 SINGLET_QUBITS[1] = 1.0 / math.sqrt(2.0)
@@ -21,6 +22,26 @@ def werner_state(fidelity: float, n_max: int = 2) -> ConditionalState:
     lam = (4.0 * fidelity - 1.0) / 3.0
     rho = lam * np.outer(SINGLET_QUBITS, SINGLET_QUBITS.conj()) + (1.0 - lam) * np.eye(4) / 4.0
     return embed_qubit_pair(rho, n_max)
+
+
+def single_pair_herald_budget(eta: float) -> float:
+    """Accepted-herald probability with one pair per source and no dark counts.
+
+    Each source puts its pair in H or V with amplitude 1/sqrt(2); the four
+    placements leave orthogonal states on modes a and d, so the budget is
+    1/4 sum_p sum_placements E_H^p[(n_bH, n_cH)] E_V^p[(n_bV, n_cV)] with the
+    engine's single-pair (n_max = 1) BSM POVMs, indexed n_b * 2 + n_c.
+    """
+    total = 0.0
+    for p in accepted_patterns():
+        e_h = _balanced_pair_povm(1, eta, 0.0, p.clicks[0], p.clicks[2])
+        e_v = _balanced_pair_povm(1, eta, 0.0, p.clicks[1], p.clicks[3])
+        for n_bh in (0, 1):
+            for n_ch in (0, 1):
+                i_h = 2 * n_bh + n_ch
+                i_v = 2 * (1 - n_bh) + (1 - n_ch)
+                total += 0.25 * float((e_h[i_h, i_h] * e_v[i_v, i_v]).real)
+    return total
 
 
 @pytest.fixture

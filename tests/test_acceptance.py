@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import oracle
-from swapkd.detectors import DEFAULT_CONSTRAINT, ThresholdDetector, constraint_pdc
-from swapkd.fock import TruncationPolicy
+from conftest import single_pair_herald_budget
+from swapkd.detectors import DEFAULT_CONSTRAINT, constraint_pdc
 from swapkd.optimize import (
     Scenario,
     evaluate,
@@ -25,9 +25,6 @@ from swapkd.optimize import (
     optimize_joint,
 )
 from swapkd.rates import decoy_inputs, decoy_rate_report, qber_threshold
-from swapkd.sources import MODE_ORDER
-from swapkd.swap import accepted_patterns, perform_bsm
-from swapkd.fock import ModeRegister
 
 FIG3_ALPHAS = (0.0, 5.0, 10.0, 25.0, 50.0)
 FIG3_CHIS = np.geomspace(1e-4, 0.25, 11)
@@ -114,21 +111,9 @@ def test_criterion_04_rate_scaling():
 
 
 def test_criterion_05_bsm_budget():
-    policy = TruncationPolicy(n_max=1, convergence_tol=0.6)
-    idx = {m: i for i, m in enumerate(MODE_ORDER)}
-    amp = np.zeros((2,) * 8, dtype=complex)
-    for pair1 in (("aH", "bH"), ("aV", "bV")):
-        for pair2 in (("cH", "dH"), ("cV", "dV")):
-            occ = [0] * 8
-            for m in pair1 + pair2:
-                occ[idx[m]] = 1
-            amp[tuple(occ)] = 0.5
-    reg = ModeRegister(MODE_ORDER, policy, amp)
-    worst = 0.0
-    for eta in (0.3, 0.7, 1.0):
-        det = ThresholdDetector(eta, 0.0)
-        total = sum(perform_bsm(reg, det, p).herald_probability for p in accepted_patterns())
-        worst = max(worst, abs(total - 0.5 * eta * eta))
+    worst = max(
+        abs(single_pair_herald_budget(eta) - 0.5 * eta * eta) for eta in (0.3, 0.7, 1.0)
+    )
     ok = worst < 1e-8
     verdict(5, ok, f"single-pair BSM herald vs eta^2/2: max deviation {worst:.2e}")
 

@@ -222,6 +222,19 @@ def test_optimize_csv(tmp_path):
     assert 0.1 < float(rows[0]["chi_opt"]) < 0.2
 
 
+def test_optimize_parallel_matches_serial(tmp_path):
+    csv = {}
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        code = main(
+            ["optimize", "--alpha-d-grid", "0,10", "--eta0", "0.2", "--pdc", "1e-5",
+             "--workers", workers, "--output-dir", str(out)] + FAST
+        )
+        assert code == 0
+        csv[workers] = (out / "optimize.csv").read_bytes()
+    assert csv["2"] == csv["1"]
+
+
 def test_optimize_joint_requires_constraint(tmp_path, capsys):
     code = main(["optimize", "--alpha-d-grid", "10", "--pdc", "1e-5",
                  "--output-dir", str(tmp_path)])

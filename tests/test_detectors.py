@@ -3,13 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from dense_reference import pattern_weight, pattern_weight_table, with_extra_loss
 from swapkd.detectors import (
     DEFAULT_CONSTRAINT,
     DetectorConstraint,
     ThresholdDetector,
     constraint_pdc,
-    pattern_weight,
-    pattern_weight_table,
 )
 from swapkd.errors import ConstraintViolationError
 
@@ -29,7 +28,7 @@ def test_weight_vector_and_extra_loss():
     wc = det.weight_vector(True, 3)
     wn = det.weight_vector(False, 3)
     assert np.allclose(wc + wn, 1.0)
-    lossy = det.with_extra_loss(0.2)
+    lossy = with_extra_loss(det, 0.2)
     assert lossy.eta == pytest.approx(0.1)
     assert lossy.p_dc == det.p_dc
 

@@ -3,19 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from swapkd.errors import TruncationError
-from swapkd.fock import (
+from dense_reference import (
     ModeRegister,
-    TruncationPolicy,
-    annihilation_matrix,
     apply_polarization_rotation,
     apply_two_mode_mixer,
+    bell_psi_minus,
     condition_on_diagonal_povm,
     fidelity_with_pure,
-    pair_mixer_unitary,
     vacuum,
 )
-from swapkd.metrics import bell_psi_minus
+from swapkd.errors import TruncationError
+from swapkd.fock import ConditionalState, TruncationPolicy, annihilation_matrix, pair_mixer_unitary
 
 
 def test_policy_validation():
@@ -143,8 +141,6 @@ def test_condition_rejects_measuring_everything():
 
 
 def test_fidelity_with_pure_self():
-    from swapkd.fock import ConditionalState
-
     pol = TruncationPolicy(n_max=2)
     target = bell_psi_minus(pol)
     psi = target.amplitudes.reshape(-1)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import singlet_state, werner_state
+from dense_reference import bell_psi_minus, dense_state
 from swapkd.detectors import ThresholdDetector
 from swapkd.errors import NoCoincidenceError, UndefinedVisibilityError
 from swapkd.fock import ConditionalState, TruncationPolicy, pair_mixer_unitary
@@ -15,7 +16,6 @@ from swapkd.metrics import (
     CoincidenceTable,
     _analyzer_povms,
     _bob_angle_curve,
-    bell_psi_minus,
     chsh,
     embed_qubit_pair,
     fidelity_visibility,
@@ -199,7 +199,7 @@ def test_factored_contraction_matches_dense_state(n_max):
     for chi in (0.01, 0.15, 0.3):
         for p_dc in (0.0, 1e-4):
             res, det = swap_case(n_max, chi, p_dc)
-            cond = res.cond
+            cond = dense_state(res)
             for setting in (Z_BASIS, X_BASIS, OFF_AXIS):
                 tf = fourfold_coincidence(res, setting, det)
                 td = fourfold_coincidence(cond, setting, det)
@@ -245,7 +245,7 @@ def test_fourier_curve_matches_brute_force():
         cases.append((res, swap_det, 0.0))
         cases.append((res, swap_det, math.pi / 4.0))
     for state, d, theta_alice in cases:
-        cond = state.cond if hasattr(state, "cond") else state
+        cond = state if isinstance(state, ConditionalState) else dense_state(state)
         want = brute_force_bob_curve(cond, d, theta_alice, thetas)
         got = _bob_angle_curve(state, d, theta_alice)(thetas)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-20)

@@ -1,9 +1,9 @@
 import math
+import tracemalloc
 
 import pytest
 
 import swapkd.optimize as optimize_module
-import swapkd.swap as swap_module
 from swapkd.detectors import DEFAULT_CONSTRAINT, DetectorConstraint
 from swapkd.errors import TruncationError
 from swapkd.fock import TruncationPolicy
@@ -12,13 +12,11 @@ from swapkd.optimize import (
     CHI_SEARCH_MIN,
     Scenario,
     evaluate,
-    golden_max,
     max_positive_alpha,
     optimize_chi,
     sweep,
 )
-from swapkd.rates import decoy_inputs, decoy_secret_rate
-from swapkd.swap import swap_conditional_state
+from swapkd.rates import decoy_inputs, decoy_secret_rate, golden_max
 
 
 def test_scenario_requires_exactly_one_dark_count_source():
@@ -144,21 +142,19 @@ def test_sweep_propagates_programming_errors(monkeypatch):
         sweep(scenarios, workers=1)
 
 
-class DenseStateBuilt(Exception):
-    pass
+def test_pipeline_never_builds_dense_state():
+    """evaluate() with visibility, escalating to n_max 6, runs on pair factors only.
 
-
-def test_pipeline_never_builds_dense_state(monkeypatch):
-    """evaluate() with visibility, escalating to n_max 6, runs on pair factors only."""
-
-    def refuse(*args, **kwargs):
-        raise DenseStateBuilt("dense conditional state built")
-
-    monkeypatch.setattr(swap_module, "_dense_from_factors", refuse)
-    probe = swap_conditional_state(0.25, 0.3, 10.0, 1e-4, TruncationPolicy(n_max=2))
-    with pytest.raises(DenseStateBuilt):
-        probe.cond
-    rep = evaluate(Scenario(alpha_d_db=10.0, chi=0.25, eta0=0.3, p_dc=1e-4))
+    One dense conditional state at n_max 6 is a complex (7^4)^2 matrix of
+    16 * 7^8 bytes; the whole evaluation must peak at a tenth of that.
+    """
+    tracemalloc.start()
+    try:
+        rep = evaluate(Scenario(alpha_d_db=10.0, chi=0.25, eta0=0.3, p_dc=1e-4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 7**8 / 10
     assert rep.converged
     assert rep.n_max_used == 6
     assert 0.0 < rep.visibility < 1.0

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from swapkd.fock import TruncationPolicy
-from swapkd.sources import (
-    CHI_CAP,
+from dense_reference import (
     MODE_ORDER,
     ChannelSegment,
     PdcSource,
     effective_efficiency,
-    pair_amplitudes,
     two_source_state,
 )
+from swapkd.fock import TruncationPolicy
+from swapkd.sources import CHI_CAP, pair_amplitudes
 
 
 def test_pair_amplitudes_geometric_form():

@@ -3,18 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from conftest import single_pair_herald_budget
+from dense_reference import (
+    MODE_ORDER,
+    ModeRegister,
+    apply_psi_plus_correction,
+    bell_psi_minus,
+    dense_state,
+    dense_swap_state,
+    fidelity_with_pure,
+    perform_bsm,
+)
 from swapkd.detectors import ThresholdDetector
-from swapkd.fock import ModeRegister, TruncationPolicy, fidelity_with_pure
-from swapkd.metrics import bell_psi_minus
-from swapkd.sources import MODE_ORDER
+from swapkd.fock import TruncationPolicy
 from swapkd.swap import (
     PSI_MINUS,
     PSI_PLUS,
     SURVIVING_MODES,
     accepted_patterns,
-    apply_psi_plus_correction,
     bsm_detector,
-    perform_bsm,
     swap_conditional_state,
 )
 
@@ -61,9 +68,11 @@ def test_bsm_detector_folds_quarter_span_loss():
 def test_bsm_herald_budget_half_eta_squared(eta):
     """Single pair per source, no dark counts: accepted heralds sum to eta^2 / 2.
 
-    The n_max=1 register is exact for this check: mixer overflow only ever
+    Checked on the engine's BSM POVMs and on the dense reference.  The
+    reference's n_max=1 register is exact here: mixer overflow only ever
     lands in single-detector branches, which no accepted pattern keeps.
     """
+    assert abs(single_pair_herald_budget(eta) - 0.5 * eta * eta) < 1e-8
     policy = TruncationPolicy(n_max=1, convergence_tol=0.6)
     reg = single_pair_per_source_register(policy)
     det = ThresholdDetector(eta, 0.0)
@@ -88,7 +97,7 @@ def test_aggregate_fidelity_is_one_half():
     policy = TruncationPolicy(n_max=3)
     res = swap_conditional_state(0.01, 1.0, 0.0, 0.0, policy)
     target = bell_psi_minus(policy)
-    f = fidelity_with_pure(res.cond, target)
+    f = fidelity_with_pure(dense_state(res), target)
     assert abs(f - 0.5) < 5e-4
 
 
@@ -97,7 +106,7 @@ def test_postselected_fidelity_near_unity():
     policy = TruncationPolicy(n_max=3)
     res = swap_conditional_state(0.01, 1.0, 0.0, 0.0, policy)
     sel = one_photon_per_side_indices(policy.n_max)
-    rho_sel = res.cond.rho[np.ix_(sel, sel)]
+    rho_sel = dense_state(res).rho[np.ix_(sel, sel)]
     target = bell_psi_minus(policy).amplitudes.reshape(-1)[sel]
     f = float(np.real(target.conj() @ rho_sel @ target) / np.trace(rho_sel).real)
     assert f > 0.999
@@ -106,15 +115,12 @@ def test_postselected_fidelity_near_unity():
 def test_psi_plus_patterns_need_the_frame_correction():
     """Uncorrected psi+ heralds carry the opposite relative sign."""
     policy = TruncationPolicy(n_max=3)
-    det = ThresholdDetector(1.0, 0.0)
-    res = swap_conditional_state(
-        0.01, 1.0, 0.0, 0.0, policy, method="dense", correction=False
-    )
+    cond = dense_swap_state(0.01, 1.0, 0.0, 0.0, policy, correction=False)
     # build psi+ on the survivors: same occupations as psi-, both signs +
     plus = bell_psi_minus(policy).amplitudes.copy()
     plus = np.abs(plus)
     sel = one_photon_per_side_indices(policy.n_max)
-    rho_sel = res.cond.rho[np.ix_(sel, sel)]
+    rho_sel = cond.rho[np.ix_(sel, sel)]
 
     def overlap(vec):
         v = vec.reshape(-1)[sel]
@@ -128,33 +134,31 @@ def test_psi_plus_patterns_need_the_frame_correction():
 
 def test_psi_plus_correction_diagonal_phase():
     policy = TruncationPolicy(n_max=2)
-    res = swap_conditional_state(0.05, 0.8, 2.0, 1e-5, policy)
-    corrected = apply_psi_plus_correction(res.cond)
-    assert corrected.herald_probability == res.cond.herald_probability
+    cond = dense_state(swap_conditional_state(0.05, 0.8, 2.0, 1e-5, policy))
+    corrected = apply_psi_plus_correction(cond)
+    assert corrected.herald_probability == cond.herald_probability
     # applying the dV parity twice is the identity
     twice = apply_psi_plus_correction(corrected)
-    assert np.allclose(twice.rho, res.cond.rho)
+    assert np.allclose(twice.rho, cond.rho)
 
 
 def test_factored_matches_dense_pipeline():
     policy = TruncationPolicy(n_max=3)
     args = dict(chi=0.02, eta0=0.4, alpha_d_db=3.0, p_dc=1e-4, policy=policy)
-    rf = swap_conditional_state(method="factored", **args)
-    rd = swap_conditional_state(method="dense", **args)
-    scale = np.abs(rf.cond.rho).max()
-    assert np.abs(rf.cond.rho - rd.cond.rho).max() / scale < 1e-8
+    rf = swap_conditional_state(**args)
+    rd = dense_swap_state(**args)
+    rho_f = dense_state(rf).rho
+    scale = np.abs(rho_f).max()
+    assert np.abs(rho_f - rd.rho).max() / scale < 1e-8
     assert rf.herald_probability == pytest.approx(rd.herald_probability, rel=1e-8)
 
 
 def test_swap_result_shape_and_validity():
     policy = TruncationPolicy(n_max=2)
     res = swap_conditional_state(0.1, 0.5, 5.0, 1e-5, policy)
-    assert res.cond.labels == SURVIVING_MODES
-    assert res.pattern is None
-    res.cond.validate()
+    assert res.n_max == 2
+    assert len(res.factors) == len(accepted_patterns())
+    cond = dense_state(res)
+    assert cond.labels == SURVIVING_MODES
+    cond.validate()
     assert res.herald_probability > 0.0
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        swap_conditional_state(0.1, 0.5, 5.0, 1e-5, TruncationPolicy(n_max=2), method="magic")
