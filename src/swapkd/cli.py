@@ -25,13 +25,14 @@ from .detectors import DEFAULT_CONSTRAINT, DetectorConstraint
 from .errors import ConstraintViolationError
 from .fock import TruncationPolicy
 from .optimize import (
+    CROSSOVER_TOL_DB,
     OptimumPoint,
     Scenario,
     SweepRow,
+    _crossover_scan,
     decoy_optimal_rate,
     es_optimal_rate,
     evaluate,
-    find_crossover,
     optimize_chi,
     optimize_joint,
     ordered_map,
@@ -454,26 +455,16 @@ def _run_compare_decoy(config: Dict) -> RunResult:
 
 
 def _run_crossover(config: Dict) -> RunResult:
-    eta0 = float(config["eta0"])
-    p_dc = float(config["p_dc"])
-    kappa = float(config["kappa"])
-    nu = float(config["nu"])
-    policy = _policy(config)
-    alpha_star = find_crossover(
-        eta0,
-        p_dc,
-        alpha_lo=float(config["alpha_min"]),
-        alpha_hi=float(config["alpha_max"]),
-        step=float(config["step"]),
-        kappa=kappa,
-        policy=policy,
-        nu=nu,
+    alpha_star, rows = _crossover_scan(
+        float(config["eta0"]),
+        float(config["p_dc"]),
+        parse_grid(f"{config['alpha_min']}:{config['alpha_max']}:{config['step']}"),
+        tol=CROSSOVER_TOL_DB,
+        kappa=float(config["kappa"]),
+        policy=_policy(config),
+        nu=float(config["nu"]),
     )
-    rows = []
-    for alpha in parse_grid(f"{config['alpha_min']}:{config['alpha_max']}:{config['step']}"):
-        r_es = es_optimal_rate(alpha, eta0, p_dc, kappa=kappa, policy=policy)[1]
-        r_dk = decoy_optimal_rate(alpha, eta0, p_dc, nu=nu, kappa=kappa)[1]
-        rows.append({"alpha_d_db": alpha, "r_es": r_es, "r_decoy": r_dk})
+    rows = [dict(zip(CROSSOVER_COLUMNS, row)) for row in rows]
     return [("", CROSSOVER_COLUMNS, rows)], {"alpha_crossover": alpha_star}
 
 

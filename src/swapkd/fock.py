@@ -1,10 +1,12 @@
 """Truncated Fock-space primitives.
 
-Every mode carries occupations 0..n_max (TruncationPolicy).  Passive
-two-mode mixers are exact number-conserving unitaries on a flattened mode
-pair; callers evaluate them on an occupancy embedding with per-mode cutoff
-2*n_max, where every block reachable from inputs <= n_max is complete, so
-conjugating a POVM there and restricting back loses nothing.
+Every mode carries occupations 0..n_max (TruncationPolicy).  Every passive
+two-mode optic in the link (the BSM beamsplitters, the polarization
+analyzers) is a rotation generated by i(a^dag b - a b^dag) followed by one
+threshold detector per output.  The generator conserves n1+n2, so its
+eigensystem on the complete photon-number blocks n1+n2 <= 2*n_max
+(rotation_eigensystem) gives every such POVM element on n1, n2 <= n_max
+exactly (rotated_pair_povm), and the Fourier coefficients of a fringe.
 ConditionalState is a dense unnormalized density operator on labeled modes,
 the form in which textbook states (singlet, Werner) enter the metrics.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
@@ -80,24 +83,51 @@ def annihilation_matrix(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
 
 
-@lru_cache(maxsize=64)
-def _mixer_eig(dim: int, phase: float):
-    """Eigensystem of H = i*(e^{i phase} a^dag b - e^{-i phase} a b^dag) on a dim x dim pair.
+@lru_cache(maxsize=16)
+def rotation_eigensystem(n_max: int) -> Tuple[np.ndarray, ...]:
+    """Eigensystem of the two-mode rotation generator on complete photon-number blocks.
 
-    The mixer exp(theta*(e^{i phase} a^dag b - h.c.)) is then V diag(e^{-i theta w}) V^dag.
+    The generator i(a^dag b - a b^dag) conserves n1+n2, and on every complete
+    block n1+n2 = N its eigenvalues are the integers -N, -N+2, .., N.  Pair
+    operators live on n1, n2 <= n_max, so the blocks N <= 2*n_max carry all
+    of the angle dependence; blocks cut by a finite embedding are never
+    touched, so no eigenvector can mix them in.
+
+    Returns (integer eigenvalues, eigenvectors, positions of the n1, n2 <=
+    n_max states in pair-flattened order, and the n1, n2 occupations of the
+    basis states).
     """
-    a = annihilation_matrix(dim)
-    adag = a.conj().T
-    k = np.exp(1j * phase) * np.kron(adag, a) - np.exp(-1j * phase) * np.kron(a, adag)
-    w, v = np.linalg.eigh(1j * k)
-    return w, v
+    n_total = 2 * n_max
+    a = annihilation_matrix(n_total + 1)
+    generator = 1j * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
+    n1, n2 = np.divmod(np.arange((n_total + 1) ** 2), n_total + 1)
+    keep = np.flatnonzero(n1 + n2 <= n_total)
+    w, v = np.linalg.eigh(generator[np.ix_(keep, keep)])
+    w_int = np.rint(w)
+    if np.abs(w - w_int).max() > 1e-9:
+        raise ArithmeticError("rotation generator has non-integer eigenvalues on complete blocks")
+    n1, n2 = n1[keep], n2[keep]
+    sub = np.flatnonzero((n1 <= n_max) & (n2 <= n_max))
+    return w_int.astype(int), v, sub, n1, n2
 
 
-def pair_mixer_unitary(dim: int, theta: float, phase: float = 0.0) -> np.ndarray:
-    """Exact number-conserving mixer on the flattened (mode1, mode2) pair space.
+def rotation_basis_weights(n_max: int, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """C = V^dag diag(w1[n1] * w2[n2]) V: two detectors' outcome weights in the
+    generator's eigenbasis.  w1 and w2 run over occupations 0..2*n_max."""
+    _, v, _, n1, n2 = rotation_eigensystem(n_max)
+    return (v.conj().T * (w1[n1] * w2[n2])[None, :]) @ v
 
-    Creation operators transform as a1+ -> cos(t) a1+ - e^{-i phase} sin(t) a2+,
-    a2+ -> e^{i phase} sin(t) a1+ + cos(t) a2+.
+
+def rotated_pair_povm(n_max: int, theta: float, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """POVM element of a two-mode rotation by theta followed by one detector per output.
+
+    E = U(theta)^dag diag(w1[n1] * w2[n2]) U(theta) on n1, n2 <= n_max, in
+    pair-flattened order, with U(theta) = V diag(e^{-i theta w}) V^dag; the
+    rotation conserves n1+n2, so E = P C P^dag with P = V[sub] diag(e^{i theta w})
+    is exact.  Creation operators transform as a1+ -> cos(t) a1+ - sin(t) a2+,
+    a2+ -> sin(t) a1+ + cos(t) a2+; theta = pi/4 is a balanced beamsplitter.
     """
-    w, v = _mixer_eig(dim, float(phase))
-    return (v * np.exp(-1j * theta * w)) @ v.conj().T
+    w, v, sub, _, _ = rotation_eigensystem(n_max)
+    p = v[sub] * np.exp(1j * theta * w)[None, :]
+    e = p @ rotation_basis_weights(n_max, w1, w2) @ p.conj().T
+    return 0.5 * (e + e.conj().T)

@@ -3,9 +3,12 @@
 Alice holds the (aH, aV) pair and Bob the (dH, dV) pair of the conditional
 state produced by the swap.  Each side passes its two modes through a
 polarization rotation by the analyzer angle and then through one threshold
-detector per output.  All probabilities reported here are absolute (per pump
-pulse): the conditional state carries the herald probability as its trace, so
-no renormalization happens between the swap and the coincidence counts.
+detector per output: the same rotation POVM (fock.rotated_pair_povm) as a
+BSM beamsplitter, at the analyzer angle.  The fringe in Bob's angle is a
+Fourier series over the rotation generator's integer eigenvalues.  All
+probabilities reported here are absolute (per pump pulse): the conditional
+state carries the herald probability as its trace, so no renormalization
+happens between the swap and the coincidence counts.
 """
 
 from __future__ import annotations
@@ -19,7 +22,12 @@ import numpy as np
 
 from .detectors import ThresholdDetector
 from .errors import NoCoincidenceError, UndefinedVisibilityError
-from .fock import ConditionalState, annihilation_matrix, pair_mixer_unitary
+from .fock import (
+    ConditionalState,
+    rotated_pair_povm,
+    rotation_basis_weights,
+    rotation_eigensystem,
+)
 from .rates import golden_max
 
 __all__ = [
@@ -57,8 +65,16 @@ SCAN_GRID_POINTS = 181
 SCAN_REFINE_TOL = 1e-6
 
 # Exclusive outcomes of one analyzer: exactly the H detector, exactly the V
-# detector, both, or neither.
-_PATTERNS = ("h", "v", "both", "none")
+# detector, both, or neither, as (H detector, V detector) click demands.
+_OUTCOMES = {"h": (True, False), "v": (False, True), "both": (True, True), "none": (False, False)}
+
+
+def _outcome_weights(
+    det: ThresholdDetector, n_max: int, outcome: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-detector weights of one analyzer outcome over occupations 0..2*n_max."""
+    click_h, click_v = _OUTCOMES[outcome]
+    return det.weight_vector(click_h, 2 * n_max), det.weight_vector(click_v, 2 * n_max)
 
 
 @dataclass(frozen=True)
@@ -110,31 +126,12 @@ class CoincidenceTable:
 def _analyzer_povms(
     n_max: int, eta: float, p_dc: float, theta: float
 ) -> Dict[str, np.ndarray]:
-    """POVM elements of one rotated two-detector analyzer, on the (H, V) pair.
-
-    Computed exactly: the rotation conserves total photon number, so building
-    it on a 2*n_max+1 per-mode embedding and restricting the conjugated
-    element back to occupations <= n_max loses nothing.
-    """
-    d = n_max + 1
-    dbig = 2 * n_max + 1
+    """POVM elements of one rotated two-detector analyzer, on the (H, V) pair."""
     det = ThresholdDetector(eta=eta, p_dc=p_dc)
-    wc = det.weight_vector(True, dbig - 1)
-    wn = det.weight_vector(False, dbig - 1)
-    u = pair_mixer_unitary(dbig, theta)
-    sub = np.array([i * dbig + j for i in range(d) for j in range(d)])
-    weights = {
-        "h": np.kron(wc, wn),
-        "v": np.kron(wn, wc),
-        "both": np.kron(wc, wc),
-        "none": np.kron(wn, wn),
+    return {
+        key: rotated_pair_povm(n_max, theta, *_outcome_weights(det, n_max, key))
+        for key in _OUTCOMES
     }
-    povms = {}
-    for key, w in weights.items():
-        e = u.conj().T @ (w[:, None] * u)
-        e = e[np.ix_(sub, sub)]
-        povms[key] = 0.5 * (e + e.conj().T)
-    return povms
 
 
 def _bob_operator(state, ea: np.ndarray) -> np.ndarray:
@@ -165,9 +162,9 @@ def _joint_probabilities(
     ea = _analyzer_povms(n_max, det_ab.eta, det_ab.p_dc, float(theta_alice))
     eb = _analyzer_povms(n_max, det_ab.eta, det_ab.p_dc, float(theta_bob))
     probs: Dict[Tuple[str, str], float] = {}
-    for ka in _PATTERNS:
+    for ka in _OUTCOMES:
         half = _bob_operator(result, ea[ka])
-        for kb in _PATTERNS:
+        for kb in _OUTCOMES:
             probs[(ka, kb)] = float(np.real(np.einsum("bB,Bb->", half, eb[kb])))
     return probs
 
@@ -179,8 +176,8 @@ def fourfold_coincidence(result, setting: AnalyzerSetting, det_ab: ThresholdDete
     this routine applies no further attenuation.
     """
     probs = _joint_probabilities(result, det_ab, setting.theta_alice, setting.theta_bob)
-    p_double_alice = sum(probs[("both", kb)] for kb in _PATTERNS)
-    p_double_bob = sum(probs[(ka, "both")] for ka in _PATTERNS)
+    p_double_alice = sum(probs[("both", kb)] for kb in _OUTCOMES)
+    p_double_bob = sum(probs[(ka, "both")] for ka in _OUTCOMES)
     return CoincidenceTable(
         theta_alice=setting.theta_alice,
         theta_bob=setting.theta_bob,
@@ -193,34 +190,6 @@ def fourfold_coincidence(result, setting: AnalyzerSetting, det_ab: ThresholdDete
         p_double_bob=p_double_bob,
         herald_probability=result.herald_probability,
     )
-
-
-@lru_cache(maxsize=16)
-def _rotation_eigensystem(n_max: int) -> Tuple[np.ndarray, ...]:
-    """Eigensystem of the polarization-rotation generator on complete photon-number blocks.
-
-    The generator i(a^dag b - a b^dag) conserves n1+n2, and on every complete
-    block n1+n2 = N its eigenvalues are the integers -N, -N+2, .., N.  Bob's
-    operators live on n1, n2 <= n_max, so the blocks N <= 2*n_max carry all
-    of the angle dependence; blocks cut by a finite embedding are never
-    touched, so no eigenvector can mix them in.
-
-    Returns (integer eigenvalues, eigenvectors, positions of the n1, n2 <=
-    n_max states in pair-flattened order, and the n1, n2 occupations of the
-    basis states).
-    """
-    n_total = 2 * n_max
-    a = annihilation_matrix(n_total + 1)
-    generator = 1j * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
-    n1, n2 = np.divmod(np.arange((n_total + 1) ** 2), n_total + 1)
-    keep = np.flatnonzero(n1 + n2 <= n_total)
-    w, v = np.linalg.eigh(generator[np.ix_(keep, keep)])
-    w_int = np.rint(w)
-    if np.abs(w - w_int).max() > 1e-9:
-        raise ArithmeticError("rotation generator has non-integer eigenvalues on complete blocks")
-    n1, n2 = n1[keep], n2[keep]
-    sub = np.flatnonzero((n1 <= n_max) & (n2 <= n_max))
-    return w_int.astype(int), v, sub, n1, n2
 
 
 def _bob_angle_curve(
@@ -242,19 +211,10 @@ def _bob_angle_curve(
     ea = _analyzer_povms(n_max, det_ab.eta, det_ab.p_dc, float(theta_alice))[pattern_alice]
     m = _bob_operator(result, ea)
 
-    w, v, sub, n1, n2 = _rotation_eigensystem(n_max)
-    wc = det_ab.weight_vector(True, 2 * n_max)
-    wn = det_ab.weight_vector(False, 2 * n_max)
-    w_pattern = {
-        "h": wc[n1] * wn[n2],
-        "v": wn[n1] * wc[n2],
-        "both": wc[n1] * wc[n2],
-        "none": wn[n1] * wn[n2],
-    }[pattern_bob]
-
+    w, v, sub, _, _ = rotation_eigensystem(n_max)
     v_sub = v[sub]
     a = v_sub.conj().T @ m @ v_sub
-    c = (v.conj().T * w_pattern[None, :]) @ v
+    c = rotation_basis_weights(n_max, *_outcome_weights(det_ab, n_max, pattern_bob))
     k = (a * c.T).reshape(-1)
     f_max = 4 * n_max
     bins = (w[None, :] - w[:, None] + f_max).reshape(-1)  # w_q - w_p, shifted to >= 0

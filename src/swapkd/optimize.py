@@ -65,6 +65,8 @@ ETA0_TOL = 1e-3
 INNER_CHI_GRID_POINTS = 15
 INNER_CHI_TOL = 1e-3
 _ESCALATION_STEPS = 3
+# Width (dB) to which the crossover search bisects its bracket.
+CROSSOVER_TOL_DB = 0.1
 
 
 @dataclass(frozen=True)
@@ -263,29 +265,6 @@ class OptimumPoint:
     report: Optional[KeyRateReport] = None
 
 
-def _chi_rate_fn(
-    alpha_d_db: float,
-    eta0: float,
-    p_dc: Optional[float],
-    constraint: Optional[DetectorConstraint],
-    kappa: float,
-    policy: TruncationPolicy,
-) -> Callable[[float], float]:
-    def rate(chi: float) -> float:
-        s = Scenario(
-            alpha_d_db=alpha_d_db,
-            chi=chi,
-            eta0=eta0,
-            p_dc=p_dc,
-            constraint=constraint,
-            kappa=kappa,
-            policy=policy,
-        )
-        return evaluate(s, with_visibility=False, escalate=False).r_sec
-
-    return rate
-
-
 def optimize_chi(
     alpha_d_db: float,
     eta0: float,
@@ -305,20 +284,25 @@ def optimize_chi(
     value the function falls back to a fine linear scan of the bracket and
     flags the point, so a non-unimodal rate curve cannot silently win.
     """
-    rate = _chi_rate_fn(alpha_d_db, eta0, p_dc, constraint, kappa, policy)
+
+    def at(chi: float) -> Scenario:
+        return Scenario(
+            alpha_d_db=alpha_d_db, chi=chi, eta0=eta0,
+            p_dc=p_dc, constraint=constraint, kappa=kappa, policy=policy,
+        )
+
+    def rate(chi: float) -> float:
+        return evaluate(at(chi), with_visibility=False, escalate=False).r_sec
+
     grid = np.logspace(math.log10(CHI_SEARCH_MIN), math.log10(CHI_SEARCH_MAX), grid_points)
     values = [rate(c) for c in grid]
     i_best = int(np.argmax(values))
     if values[i_best] <= 0.0:
-        s_probe = Scenario(
-            alpha_d_db=alpha_d_db, chi=grid[i_best], eta0=eta0,
-            p_dc=p_dc, constraint=constraint, kappa=kappa, policy=policy,
-        )
         return OptimumPoint(
             alpha_d_db=alpha_d_db,
             chi_opt=float("nan"),
             eta0_opt=eta0,
-            p_dc_at_opt=s_probe.resolved_p_dc,
+            p_dc_at_opt=at(grid[i_best]).resolved_p_dc,
             r_sec_at_opt=0.0,
             qber_at_opt=float("nan"),
             converged=False,
@@ -338,34 +322,18 @@ def optimize_chi(
         if r_opt < values[i_best]:
             chi_opt, r_opt = float(grid[i_best]), values[i_best]
 
-    s_opt = Scenario(
-        alpha_d_db=alpha_d_db, chi=float(chi_opt), eta0=eta0,
-        p_dc=p_dc, constraint=constraint, kappa=kappa, policy=policy,
-    )
-    if full_final:
-        report = evaluate(s_opt)
-        return OptimumPoint(
-            alpha_d_db=alpha_d_db,
-            chi_opt=float(chi_opt),
-            eta0_opt=eta0,
-            p_dc_at_opt=s_opt.resolved_p_dc,
-            r_sec_at_opt=report.r_sec,
-            qber_at_opt=report.qber,
-            converged=report.converged,
-            guard_flag=guard_flag,
-            report=report,
-        )
-    fast = evaluate(s_opt, with_visibility=False, escalate=False)
+    s_opt = at(float(chi_opt))
+    report = evaluate(s_opt, with_visibility=full_final, escalate=full_final)
     return OptimumPoint(
         alpha_d_db=alpha_d_db,
         chi_opt=float(chi_opt),
         eta0_opt=eta0,
         p_dc_at_opt=s_opt.resolved_p_dc,
-        r_sec_at_opt=fast.r_sec,
-        qber_at_opt=fast.qber,
-        converged=False,
+        r_sec_at_opt=report.r_sec,
+        qber_at_opt=report.qber,
+        converged=report.converged,
         guard_flag=guard_flag,
-        report=fast,
+        report=report,
     )
 
 
@@ -454,13 +422,63 @@ def decoy_optimal_rate(
     return optimal_mu(eta0, alpha_d_db, p_dc, nu=nu, kappa=kappa)
 
 
+def _crossover_scan(
+    eta0: float,
+    p_dc: float,
+    alphas: Sequence[float],
+    tol: float,
+    kappa: float,
+    policy: TruncationPolicy,
+    nu: float,
+) -> Tuple[Optional[float], List[Tuple[float, float, float]]]:
+    """Crossover distance (see find_crossover) and the (alpha, r_es, r_decoy)
+    rows of the grid scan that brackets it; each grid distance runs once."""
+
+    def rates(alpha: float) -> Tuple[float, float, float]:
+        r_es = es_optimal_rate(alpha, eta0, p_dc, kappa=kappa, policy=policy)[1]
+        r_dk = decoy_optimal_rate(alpha, eta0, p_dc, nu=nu, kappa=kappa)[1]
+        return alpha, r_es, r_dk
+
+    def difference(row: Tuple[float, float, float]) -> Optional[float]:
+        _, r_es, r_dk = row
+        if r_es <= 0.0 and r_dk <= 0.0:
+            return None
+        return r_dk - r_es
+
+    rows = [rates(float(a)) for a in alphas]
+    diffs = [difference(row) for row in rows]
+    bracket = None
+    for (a0, g0), (a1, g1) in zip(zip(alphas, diffs), zip(alphas[1:], diffs[1:])):
+        if g0 is None or g1 is None:
+            continue
+        if g0 == 0.0:
+            return float(a0), rows
+        if g0 * g1 < 0.0:
+            bracket = (float(a0), float(a1), g0)
+            break
+    if bracket is None:
+        return None, rows
+
+    lo, hi, g_lo = bracket
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        g_mid = difference(rates(mid))
+        if g_mid is None or g_mid == 0.0:
+            break
+        if g_lo * g_mid < 0.0:
+            hi = mid
+        else:
+            lo, g_lo = mid, g_mid
+    return 0.5 * (lo + hi), rows
+
+
 def find_crossover(
     eta0: float,
     p_dc: float,
     alpha_lo: float = 0.0,
     alpha_hi: float = 60.0,
     step: float = 2.5,
-    tol: float = 0.1,
+    tol: float = CROSSOVER_TOL_DB,
     kappa: float = KAPPA_DEFAULT,
     policy: TruncationPolicy = TruncationPolicy(),
     nu: float = NU_DEFAULT,
@@ -476,39 +494,8 @@ def find_crossover(
     when one scheme's rate stays on the same side of the other's over the
     whole positive-rate region (p_dc = 0 behaves this way).
     """
-
-    def difference(alpha: float) -> Optional[float]:
-        r_es = es_optimal_rate(alpha, eta0, p_dc, kappa=kappa, policy=policy)[1]
-        r_dk = decoy_optimal_rate(alpha, eta0, p_dc, nu=nu, kappa=kappa)[1]
-        if r_es <= 0.0 and r_dk <= 0.0:
-            return None
-        return r_dk - r_es
-
     alphas = np.arange(alpha_lo, alpha_hi + 0.5 * step, step)
-    diffs = [difference(float(a)) for a in alphas]
-    bracket = None
-    for (a0, g0), (a1, g1) in zip(zip(alphas, diffs), zip(alphas[1:], diffs[1:])):
-        if g0 is None or g1 is None:
-            continue
-        if g0 == 0.0:
-            return float(a0)
-        if g0 * g1 < 0.0:
-            bracket = (float(a0), float(a1), g0)
-            break
-    if bracket is None:
-        return None
-
-    lo, hi, g_lo = bracket
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        g_mid = difference(mid)
-        if g_mid is None or g_mid == 0.0:
-            break
-        if g_lo * g_mid < 0.0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-    return 0.5 * (lo + hi)
+    return _crossover_scan(eta0, p_dc, alphas, tol, kappa, policy, nu)[0]
 
 
 def max_positive_alpha(

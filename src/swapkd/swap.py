@@ -5,7 +5,9 @@ and V pairs; the four outputs (b'H, b'V, c'H, c'V) hit threshold detectors.
 Exactly-two-click patterns with one H and one V detector are accepted:
 (b'H, c'V) and (b'V, c'H) herald psi-, (b'H, b'V) and (c'H, c'V) herald psi+.
 Accepted psi+ outcomes are rotated into the psi- frame by a V -> -V phase on
-mode d, so the aggregate conditional state targets the singlet.
+mode d, so the aggregate conditional state targets the singlet.  Each
+beamsplitter with its two detectors is the rotation POVM of fock at pi/4
+(fock.rotated_pair_povm), cached per click pair in _balanced_pair_povm.
 
 The two-source state factorizes over the pairs (aH,bH), (aV,bV), (cH,dH),
 (cV,dV), and the BSM mixes H with H and V with V, so each herald's state on
@@ -24,7 +26,7 @@ from typing import Tuple
 import numpy as np
 
 from .detectors import ThresholdDetector
-from .fock import DEFAULT_POLICY, TruncationPolicy, pair_mixer_unitary
+from .fock import DEFAULT_POLICY, TruncationPolicy, rotated_pair_povm
 from .sources import pair_amplitudes
 
 PSI_MINUS = "psi_minus"
@@ -85,21 +87,14 @@ def _balanced_pair_povm(
     click_out2: bool,
 ) -> np.ndarray:
     """POVM element on an input mode pair: balanced mixer, then one threshold
-    detector per output with the demanded click outcomes.
-
-    Composed in the Heisenberg picture on an occupancy embedding with per-mode
-    cutoff 2*n_max, where every block reachable from inputs <= n_max is
-    complete, then restricted back; exact for any state within truncation.
-    """
-    d = n_max + 1
-    dbig = 2 * n_max + 1
-    u = pair_mixer_unitary(dbig, math.pi / 4.0)
+    detector per output with the demanded click outcomes."""
     det = ThresholdDetector(eta, p_dc)
-    w = np.kron(det.weight_vector(click_out1, dbig - 1), det.weight_vector(click_out2, dbig - 1))
-    e_big = u.conj().T @ (w[:, None] * u)
-    idx = np.array([n1 * dbig + n2 for n1 in range(d) for n2 in range(d)])
-    e = e_big[np.ix_(idx, idx)]
-    return 0.5 * (e + e.conj().T)
+    return rotated_pair_povm(
+        n_max,
+        math.pi / 4.0,
+        det.weight_vector(click_out1, 2 * n_max),
+        det.weight_vector(click_out2, 2 * n_max),
+    )
 
 
 def _pattern_factors(
@@ -142,8 +137,8 @@ def swap_conditional_state(
     """Aggregate heralded state over all accepted heralds, in the psi- frame.
 
     Returns the per-herald pair factors, built from the source pair amplitudes
-    with exactly composed mixer+detector POVMs, so no mixer overflow enters;
-    the herald probability is sum_p tr(th_p) tr(tv_p).
+    and the exact mixer+detector POVMs; the herald probability is
+    sum_p tr(th_p) tr(tv_p).
     """
     det = bsm_detector(eta0, alpha_d_db, p_dc)
     factors = tuple(

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from swapkd.detectors import ThresholdDetector
 from swapkd.errors import TruncationError, UndefinedStateError
-from swapkd.fock import DEFAULT_POLICY, ConditionalState, TruncationPolicy, pair_mixer_unitary
+from swapkd.fock import DEFAULT_POLICY, ConditionalState, TruncationPolicy, annihilation_matrix
 from swapkd.sources import CHI_CAP, pair_amplitudes
 from swapkd.swap import (
     PSI_PLUS,
@@ -91,6 +92,30 @@ def bell_psi_minus(policy: TruncationPolicy, labels=SURVIVING_MODES) -> ModeRegi
     amp[1, 0, 0, 1] = 1.0 / math.sqrt(2.0)
     amp[0, 1, 1, 0] = -1.0 / math.sqrt(2.0)
     return ModeRegister(tuple(labels), policy, amp)
+
+
+@lru_cache(maxsize=64)
+def _mixer_eig(dim: int, phase: float):
+    """Eigensystem of H = i*(e^{i phase} a^dag b - e^{-i phase} a b^dag) on a dim x dim pair.
+
+    The mixer exp(theta*(e^{i phase} a^dag b - h.c.)) is then V diag(e^{-i theta w}) V^dag.
+    """
+    a = annihilation_matrix(dim)
+    adag = a.conj().T
+    k = np.exp(1j * phase) * np.kron(adag, a) - np.exp(-1j * phase) * np.kron(a, adag)
+    w, v = np.linalg.eigh(1j * k)
+    return w, v
+
+
+def pair_mixer_unitary(dim: int, theta: float, phase: float = 0.0) -> np.ndarray:
+    """Exact number-conserving mixer on the flattened (mode1, mode2) pair space.
+
+    Creation operators transform as a1+ -> cos(t) a1+ - e^{-i phase} sin(t) a2+,
+    a2+ -> e^{i phase} sin(t) a1+ + cos(t) a2+.  Built on the full dim x dim
+    pair space, so the engine's complete-block POVMs can be checked against it.
+    """
+    w, v = _mixer_eig(dim, float(phase))
+    return (v * np.exp(-1j * theta * w)) @ v.conj().T
 
 
 def apply_two_mode_mixer(

@@ -4,11 +4,14 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import swapkd
+import swapkd.cli as cli_module
+import swapkd.optimize as optimize_module
 from swapkd.cli import (
     COMPARE_COLUMNS,
     OPTIMIZE_COLUMNS,
@@ -258,6 +261,33 @@ def test_compare_decoy_fixed_parameters(tmp_path):
         assert float(row["chi_used"]) == 0.1
         # near range zero the decoy baseline outrates the swapped link
         assert float(row["r_decoy"]) > float(row["r_es"])
+
+
+def test_crossover_optimizes_each_grid_distance_once(tmp_path, monkeypatch):
+    calls = Counter()
+    es_optimal_rate = optimize_module.es_optimal_rate
+
+    def counting(alpha, *args, **kwargs):
+        calls[alpha] += 1
+        return es_optimal_rate(alpha, *args, **kwargs)
+
+    # the CLI calls it directly too (compare-decoy), so count both references
+    monkeypatch.setattr(optimize_module, "es_optimal_rate", counting)
+    monkeypatch.setattr(cli_module, "es_optimal_rate", counting)
+    out = str(tmp_path)
+    code = main(
+        ["crossover", "--eta0", "0.2", "--pdc", "1.8e-5", "--alpha-min", "0",
+         "--alpha-max", "30", "--step", "5", "--output-dir", out] + FAST
+    )
+    assert code == 0
+    _, rows = read_csv(os.path.join(out, "crossover.csv"))
+    grid = [float(row["alpha_d_db"]) for row in rows]
+    assert grid == [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
+    assert all(calls[alpha] == 1 for alpha in grid)
+    # the bisection adds only distances between grid points
+    assert max(calls.values()) == 1
+    manifest = json.load(open(os.path.join(out, "crossover_manifest.json")))
+    assert 0.0 < manifest["results"]["alpha_crossover"] < 30.0
 
 
 # ---------------------------------------------------------------------------

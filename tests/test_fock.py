@@ -10,10 +10,17 @@ from dense_reference import (
     bell_psi_minus,
     condition_on_diagonal_povm,
     fidelity_with_pure,
+    pair_mixer_unitary,
     vacuum,
 )
+from swapkd.detectors import ThresholdDetector
 from swapkd.errors import TruncationError
-from swapkd.fock import ConditionalState, TruncationPolicy, annihilation_matrix, pair_mixer_unitary
+from swapkd.fock import (
+    ConditionalState,
+    TruncationPolicy,
+    annihilation_matrix,
+    rotated_pair_povm,
+)
 
 
 def test_policy_validation():
@@ -148,3 +155,23 @@ def test_fidelity_with_pure_self():
     assert fidelity_with_pure(cond, target) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         fidelity_with_pure(cond, vacuum(["a", "b"], pol))
+
+
+@pytest.mark.parametrize("n_max", range(1, 7))
+def test_rotated_pair_povm_matches_full_embedding(n_max):
+    """Every outcome equals (U^dag diag(w) U)[sub, sub] with U on the full
+    (2n_max+1)^2 pair space, which also holds the truncated blocks."""
+    dbig = 2 * n_max + 1
+    sub = np.array([i * dbig + j for i in range(n_max + 1) for j in range(n_max + 1)])
+    for theta in (0.0, math.pi / 4.0, 0.3, 1.1):
+        u = pair_mixer_unitary(dbig, theta)
+        for eta in (0.05, 0.7, 1.0):
+            for p_dc in (0.0, 1e-3):
+                det = ThresholdDetector(eta, p_dc)
+                for click1 in (True, False):
+                    for click2 in (True, False):
+                        w1 = det.weight_vector(click1, dbig - 1)
+                        w2 = det.weight_vector(click2, dbig - 1)
+                        want = (u.conj().T @ (np.kron(w1, w2)[:, None] * u))[np.ix_(sub, sub)]
+                        got = rotated_pair_povm(n_max, theta, w1, w2)
+                        assert np.abs(got - want).max() < 1e-12, (theta, eta, p_dc, click1, click2)

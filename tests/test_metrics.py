@@ -4,11 +4,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import swapkd.metrics as metrics_module
+import swapkd.swap as swap_module
 from conftest import singlet_state, werner_state
-from dense_reference import bell_psi_minus, dense_state
+from dense_reference import bell_psi_minus, dense_state, pair_mixer_unitary
 from swapkd.detectors import ThresholdDetector
 from swapkd.errors import NoCoincidenceError, UndefinedVisibilityError
-from swapkd.fock import ConditionalState, TruncationPolicy, pair_mixer_unitary
+from swapkd.fock import ConditionalState, TruncationPolicy
 from swapkd.metrics import (
     X_BASIS,
     Z_BASIS,
@@ -24,7 +26,7 @@ from swapkd.metrics import (
     visibility,
     visibility_scan,
 )
-from swapkd.swap import bsm_detector, swap_conditional_state
+from swapkd.swap import _balanced_pair_povm, bsm_detector, swap_conditional_state
 
 
 def vacuum_conditional(n_max: int = 2) -> ConditionalState:
@@ -84,13 +86,37 @@ def test_fidelity_visibility_and_chsh():
     assert chsh(1.0 / math.sqrt(2.0)) == pytest.approx(2.0)
 
 
-def test_analyzer_povm_completeness():
-    povms = _analyzer_povms(3, 0.35, 1e-3, 0.27)
-    total = sum(povms.values())
-    assert np.abs(total - np.eye(16)).max() < 1e-12
-    for e in povms.values():
-        assert np.abs(e - e.conj().T).max() < 1e-14
-        assert np.linalg.eigvalsh(e).min() > -1e-12
+@pytest.mark.parametrize("n_max", range(1, 7))
+def test_analyzer_povm_completeness(n_max):
+    """Analyzer and BSM POVMs: the four click outcomes resolve the identity,
+    and each element is Hermitian and positive."""
+    analyzer = list(_analyzer_povms(n_max, 0.35, 1e-3, 0.27).values())
+    bsm = [
+        _balanced_pair_povm(n_max, 0.35, 1e-3, click1, click2)
+        for click1 in (True, False)
+        for click2 in (True, False)
+    ]
+    for family in (analyzer, bsm):
+        assert len(family) == 4
+        assert np.abs(sum(family) - np.eye((n_max + 1) ** 2)).max() < 1e-12
+        for e in family:
+            assert np.abs(e - e.conj().T).max() < 1e-14
+            assert np.linalg.eigvalsh(e).min() > -1e-12
+
+
+def test_povm_caches_keep_their_names():
+    """perfbench/child.py reads these two caches by name for its bsm_povm and
+    analyzer_povm hit ratios; a rename would make it report (0, 0)."""
+    cases = (
+        (swap_module, "_balanced_pair_povm", (2, 0.45, 1e-4, True, False)),
+        (metrics_module, "_analyzer_povms", (2, 0.45, 1e-4, 0.1)),
+    )
+    for module, name, args in cases:
+        cached = getattr(module, name)
+        cached(*args)
+        hits = cached.cache_info().hits
+        cached(*args)
+        assert cached.cache_info().hits == hits + 1, name
 
 
 def test_dark_counts_only_give_random_outcomes():
