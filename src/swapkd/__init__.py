@@ -14,21 +14,18 @@ from .errors import (
     ConstraintViolationError,
     NoCoincidenceError,
     TruncationError,
-    UndefinedStateError,
     UndefinedVisibilityError,
 )
-from .fock import ConditionalState, TruncationPolicy
+from .fock import TruncationPolicy
 from .metrics import (
     AnalyzerSetting,
     CoincidenceTable,
     QberReport,
     X_BASIS,
     Z_BASIS,
-    chsh,
-    embed_qubit_pair,
-    fidelity_visibility,
     fourfold_coincidence,
     qber,
+    qber_polynomial,
     visibility,
     visibility_scan,
 )
@@ -64,6 +61,7 @@ from .swap import (
     SwapResult,
     accepted_patterns,
     bsm_detector,
+    graded_swap_state,
     swap_conditional_state,
 )
 
@@ -71,7 +69,6 @@ __all__ = [
     "__version__",
     "AnalyzerSetting",
     "CoincidenceTable",
-    "ConditionalState",
     "ConstraintViolationError",
     "DecoyInputs",
     "DecoyRateReport",
@@ -88,24 +85,21 @@ __all__ = [
     "ThresholdDetector",
     "TruncationError",
     "TruncationPolicy",
-    "UndefinedStateError",
     "UndefinedVisibilityError",
     "X_BASIS",
     "Z_BASIS",
     "accepted_patterns",
     "bsm_detector",
-    "chsh",
     "constraint_pdc",
     "decoy_inputs",
     "decoy_optimal_rate",
     "decoy_rate_report",
     "decoy_secret_rate",
-    "embed_qubit_pair",
     "es_optimal_rate",
     "evaluate",
-    "fidelity_visibility",
     "find_crossover",
     "fourfold_coincidence",
+    "graded_swap_state",
     "h2",
     "max_positive_alpha",
     "optimal_mu",
@@ -113,6 +107,7 @@ __all__ = [
     "optimize_joint",
     "pair_amplitudes",
     "qber",
+    "qber_polynomial",
     "qber_threshold",
     "secret_rate",
     "sifted_rate",

@@ -14,10 +14,6 @@ class ConstraintViolationError(ValueError):
     """A detector parameter constraint produced a non-physical value."""
 
 
-class UndefinedStateError(RuntimeError):
-    """Operation needs a normalizable conditional state (herald probability > 0)."""
-
-
 class NoCoincidenceError(RuntimeError):
     """Total coincidence probability is zero; error fractions are undefined."""
 

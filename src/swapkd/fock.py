@@ -7,19 +7,18 @@ threshold detector per output.  The generator conserves n1+n2, so its
 eigensystem on the complete photon-number blocks n1+n2 <= 2*n_max
 (rotation_eigensystem) gives every such POVM element on n1, n2 <= n_max
 exactly (rotated_pair_povm), and the Fourier coefficients of a fringe.
-ConditionalState is a dense unnormalized density operator on labeled modes,
-the form in which textbook states (singlet, Werner) enter the metrics.
+realign puts a pair operator in the (first-mode indices) x (second-mode
+indices) layout in which the swap and metrics modules contract states.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
-
-from .errors import UndefinedStateError
 
 
 @dataclass(frozen=True)
@@ -41,42 +40,6 @@ class TruncationPolicy:
 
 
 DEFAULT_POLICY = TruncationPolicy()
-
-
-@dataclass
-class ConditionalState:
-    """Unnormalized density operator on the surviving modes after conditioning.
-
-    trace(rho) equals the herald probability of the conditioning outcome.
-    """
-
-    labels: tuple
-    n_max: int
-    rho: np.ndarray
-    herald_probability: float
-
-    def __post_init__(self):
-        self.labels = tuple(self.labels)
-        dim = (self.n_max + 1) ** len(self.labels)
-        if self.rho.shape != (dim, dim):
-            raise ValueError(f"rho shape {self.rho.shape} != ({dim}, {dim})")
-
-    def validate(self, atol: float = 1e-10) -> None:
-        """Assert hermiticity, positivity up to -1e-12, and trace==herald."""
-        h = np.abs(self.rho - self.rho.conj().T).max()
-        if h > atol:
-            raise AssertionError(f"rho not hermitian: max asymmetry {h:.3e}")
-        tr = float(np.trace(self.rho).real)
-        if abs(tr - self.herald_probability) > atol * max(1.0, abs(tr)):
-            raise AssertionError(f"trace {tr!r} != herald {self.herald_probability!r}")
-        eigmin = float(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)).min())
-        if eigmin < -1e-12 * max(1.0, tr):
-            raise AssertionError(f"rho not positive: min eigenvalue {eigmin:.3e}")
-
-    def normalized_rho(self) -> np.ndarray:
-        if self.herald_probability <= 0.0:
-            raise UndefinedStateError("herald probability is zero; state undefined")
-        return self.rho / self.herald_probability
 
 
 def annihilation_matrix(dim: int) -> np.ndarray:
@@ -131,3 +94,16 @@ def rotated_pair_povm(n_max: int, theta: float, w1: np.ndarray, w2: np.ndarray) 
     p = v[sub] * np.exp(1j * theta * w)[None, :]
     e = p @ rotation_basis_weights(n_max, w1, w2) @ p.conj().T
     return 0.5 * (e + e.conj().T)
+
+
+def realign(op: np.ndarray) -> np.ndarray:
+    """Pair operators E[..., (I,J), (i,j)] realigned as R[..., (i,I), (j,J)].
+
+    Rows run over the first mode's occupation pairs (i, I), columns over the
+    second mode's (j, J): the operator-Schmidt layout, in which a product of
+    single-mode operators is an outer product.  Leading axes are kept.
+    """
+    d = math.isqrt(op.shape[-1])
+    r = op.reshape(op.shape[:-2] + (d, d, d, d))
+    r = np.moveaxis(r, (-2, -4, -1, -3), (-4, -3, -2, -1))
+    return r.reshape(op.shape)

@@ -4,11 +4,12 @@ Alice holds the (aH, aV) pair and Bob the (dH, dV) pair of the conditional
 state produced by the swap.  Each side passes its two modes through a
 polarization rotation by the analyzer angle and then through one threshold
 detector per output: the same rotation POVM (fock.rotated_pair_povm) as a
-BSM beamsplitter, at the analyzer angle.  The fringe in Bob's angle is a
-Fourier series over the rotation generator's integer eigenvalues.  All
-probabilities reported here are absolute (per pump pulse): the conditional
-state carries the herald probability as its trace, so no renormalization
-happens between the swap and the coincidence counts.
+BSM beamsplitter.  Every table is one stacked contraction of the realigned
+pair factors and POVMs; qber_polynomial grades it by photon number.  The
+fringe in Bob's angle is a Fourier series over the rotation generator's
+integer eigenvalues.  All probabilities reported here are absolute (per
+pump pulse): the conditional state carries the herald probability as its
+trace, so no renormalization happens between the swap and the coincidences.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ import numpy as np
 
 from .detectors import ThresholdDetector
 from .errors import NoCoincidenceError, UndefinedVisibilityError
-from .fock import (
-    ConditionalState,
-    rotated_pair_povm,
-    rotation_basis_weights,
-    rotation_eigensystem,
-)
+from .fock import realign, rotated_pair_povm, rotation_basis_weights, rotation_eigensystem
 from .rates import golden_max
 
 __all__ = [
@@ -41,9 +37,7 @@ __all__ = [
     "visibility",
     "visibility_scan",
     "qber",
-    "fidelity_visibility",
-    "chsh",
-    "embed_qubit_pair",
+    "qber_polynomial",
 ]
 
 
@@ -117,12 +111,8 @@ class CoincidenceTable:
         """Error events for a singlet-frame key: correlated outcomes."""
         return self.p_hh + self.p_vv
 
-    @property
-    def p_right(self) -> float:
-        return self.p_hv + self.p_vh
 
-
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=32)  # keyed on float eta, so only recent detectors recur
 def _analyzer_povms(
     n_max: int, eta: float, p_dc: float, theta: float
 ) -> Dict[str, np.ndarray]:
@@ -134,39 +124,29 @@ def _analyzer_povms(
     }
 
 
-def _bob_operator(state, ea: np.ndarray) -> np.ndarray:
-    """Bob's operator M = Tr_A[rho (E_A (x) 1)] on the flattened (dH, dV) pair space.
+def _realigned_povms(n_max: int, det: ThresholdDetector, theta: float) -> np.ndarray:
+    """The four analyzer outcomes, in _OUTCOMES order, realigned (fock.realign)."""
+    povms = _analyzer_povms(n_max, det.eta, det.p_dc, float(theta))
+    return realign(np.stack([povms[key] for key in _OUTCOMES]))
 
-    The only step that depends on how the state is stored.  For the pair
-    factors of a swap result, two tensordots per herald cost
-    O((n_max+1)^6) each; a dense ConditionalState is contracted directly.
+
+def _bob_operators(result, ra: np.ndarray) -> np.ndarray:
+    """Bob's operators sum_p Th_p^T R_a Tv_p for a stack of realigned Alice POVM elements.
+
+    Entry [a, (k,K), (l,L)] is M_a[(k,l),(K,L)] with M_a = Tr_A[rho (E_A^a (x) 1)]:
+    one batched matmul over heralds p and Alice elements a.
     """
-    d = state.n_max + 1
-    if isinstance(state, ConditionalState):
-        return np.einsum("abAB,Aa->bB", state.rho.reshape(d * d, d * d, d * d, d * d), ea)
-    ea4 = ea.reshape(d, d, d, d)  # [I, J, i, j]
-    m = 0.0
-    for th, tv in state.factors:
-        t1 = np.tensordot(th, ea4, axes=([0, 2], [2, 0]))  # [k, K, J, j]
-        m = m + np.tensordot(t1, tv, axes=([3, 2], [0, 2]))  # [k, K, l, L]
-    return m.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return (np.swapaxes(result.th, 1, 2)[:, None] @ ra[None] @ result.tv[:, None]).sum(axis=0)
 
 
-def _joint_probabilities(
-    result,
-    det_ab: ThresholdDetector,
-    theta_alice: float,
-    theta_bob: float,
-) -> Dict[Tuple[str, str], float]:
-    n_max = result.n_max
-    ea = _analyzer_povms(n_max, det_ab.eta, det_ab.p_dc, float(theta_alice))
-    eb = _analyzer_povms(n_max, det_ab.eta, det_ab.p_dc, float(theta_bob))
-    probs: Dict[Tuple[str, str], float] = {}
-    for ka in _OUTCOMES:
-        half = _bob_operator(result, ea[ka])
-        for kb in _OUTCOMES:
-            probs[(ka, kb)] = float(np.real(np.einsum("bB,Bb->", half, eb[kb])))
-    return probs
+def _joint_probabilities(result, ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """P[a, b] = tr[rho (E_A^a (x) E_B^b)] for realigned POVM stacks ra and rb.
+
+    tr(M_a E_B^b) is the elementwise product of Bob's realigned operator and
+    realigned POVM element, so all (a, b) pairs are one matrix product.
+    """
+    m = _bob_operators(result, ra)
+    return np.real(m.reshape(len(ra), -1) @ rb.reshape(len(rb), -1).T)
 
 
 def fourfold_coincidence(result, setting: AnalyzerSetting, det_ab: ThresholdDetector) -> CoincidenceTable:
@@ -175,19 +155,21 @@ def fourfold_coincidence(result, setting: AnalyzerSetting, det_ab: ThresholdDete
     det_ab.eta must already include the channel loss of the detector's arm;
     this routine applies no further attenuation.
     """
-    probs = _joint_probabilities(result, det_ab, setting.theta_alice, setting.theta_bob)
-    p_double_alice = sum(probs[("both", kb)] for kb in _OUTCOMES)
-    p_double_bob = sum(probs[(ka, "both")] for ka in _OUTCOMES)
+    p = _joint_probabilities(
+        result,
+        _realigned_povms(result.n_max, det_ab, setting.theta_alice),
+        _realigned_povms(result.n_max, det_ab, setting.theta_bob),
+    )  # rows Alice, columns Bob, both in _OUTCOMES order: h, v, both, none
     return CoincidenceTable(
         theta_alice=setting.theta_alice,
         theta_bob=setting.theta_bob,
         basis_label=setting.basis_label,
-        p_hh=probs[("h", "h")],
-        p_hv=probs[("h", "v")],
-        p_vh=probs[("v", "h")],
-        p_vv=probs[("v", "v")],
-        p_double_alice=p_double_alice,
-        p_double_bob=p_double_bob,
+        p_hh=float(p[0, 0]),
+        p_hv=float(p[0, 1]),
+        p_vh=float(p[1, 0]),
+        p_vv=float(p[1, 1]),
+        p_double_alice=float(p[2].sum()),
+        p_double_bob=float(p[:, 2].sum()),
         herald_probability=result.herald_probability,
     )
 
@@ -208,8 +190,10 @@ def _bob_angle_curve(
     p(theta) = Re sum_f C_f exp(i f theta) with |f| <= 4*n_max.
     """
     n_max = result.n_max
+    d = n_max + 1
     ea = _analyzer_povms(n_max, det_ab.eta, det_ab.p_dc, float(theta_alice))[pattern_alice]
-    m = _bob_operator(result, ea)
+    m = _bob_operators(result, realign(ea[None]))[0]
+    m = m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)  # [(k,l),(K,L)]
 
     w, v, sub, _, _ = rotation_eigensystem(n_max)
     v_sub = v[sub]
@@ -363,40 +347,35 @@ def qber(result, det_ab: ThresholdDetector, compute_visibility: bool = True) -> 
     )
 
 
-def fidelity_visibility(fidelity: float) -> float:
-    """Visibility of a Bell-diagonal isotropic state with Bell fraction F."""
-    if not 0.0 <= fidelity <= 1.0:
-        raise ValueError(f"fidelity {fidelity!r} outside [0, 1]")
-    return (4.0 * fidelity - 1.0) / 3.0
+def _sector_table(result, det_ab: ThresholdDetector, setting: AnalyzerSetting) -> np.ndarray:
+    """Coincidences p[a, N_A, b, N_B] for Alice's and Bob's h/v outcomes a, b.
 
-
-def chsh(vis: float) -> float:
-    """CHSH parameter reachable with visibility V: S = 2 sqrt(2) V."""
-    if not 0.0 <= vis <= 1.0:
-        raise ValueError(f"visibility {vis!r} outside [0, 1]")
-    return 2.0 * math.sqrt(2.0) * vis
-
-
-def embed_qubit_pair(rho_qubits: np.ndarray, n_max: int, herald: float = 1.0) -> ConditionalState:
-    """Lift a two-qubit polarization density matrix onto the Fock register.
-
-    Qubit basis order (HH, HV, VH, VV); H means one photon in the H mode of
-    that side.  Useful for feeding textbook states (Werner, maximally mixed)
-    through the same coincidence machinery as simulated swap output.
+    N_A and N_B are the photon numbers reaching Alice's and Bob's analyzers.
+    Each analyzer POVM conserves its local photon number, so its N blocks
+    sum back to the full element and the sectors sum to the table.
     """
-    rho_qubits = np.asarray(rho_qubits, dtype=complex)
-    if rho_qubits.shape != (4, 4):
-        raise ValueError("expected a 4x4 two-qubit density matrix")
-    d = n_max + 1
-    if d < 2:
-        raise ValueError("need n_max >= 1 to hold one photon per side")
-    occmap = []
-    for s_a in (0, 1):
-        for s_b in (0, 1):
-            occ = (1 - s_a, s_a, 1 - s_b, s_b)
-            occmap.append(np.ravel_multi_index(occ, (d, d, d, d)))
-    rho = np.zeros((d**4, d**4), dtype=complex)
-    for r in range(4):
-        for c in range(4):
-            rho[occmap[r], occmap[c]] = rho_qubits[r, c] * herald
-    return ConditionalState(labels=("aH", "aV", "dH", "dV"), n_max=n_max, rho=rho, herald_probability=herald)
+    n_blocks = 2 * result.n_max + 1
+    d2 = (result.n_max + 1) ** 2
+    occ = np.add.outer(np.arange(result.n_max + 1), np.arange(result.n_max + 1)).reshape(-1)
+    sel = occ[None, :] == np.arange(n_blocks)[:, None]
+    blocks = realign(sel[:, :, None] & sel[:, None, :])  # N block: I+J = i+j = N
+    ra, rb = (
+        (_realigned_povms(result.n_max, det_ab, theta)[:2, None] * blocks).reshape(-1, d2, d2)
+        for theta in (setting.theta_alice, setting.theta_bob)
+    )
+    return _joint_probabilities(result, ra, rb).reshape(2, n_blocks, 2, n_blocks)
+
+
+def qber_polynomial(result, det_ab: ThresholdDetector) -> Tuple[np.ndarray, np.ndarray]:
+    """Wrong and total key-basis coincidences as polynomials in t = tanh^2 chi.
+
+    For the brightness-free state of swap.graded_swap_state, the coincidences
+    of qber() at brightness chi are (1-t)^4 sum_N W_N t^N (wrong, HH and VV)
+    and (1-t)^4 sum_N T_N t^N (total), pooled over Z and X, with N = N_A + N_B.
+    Returns (W, T); the pooled QBER is sum W_N t^N / sum T_N t^N.
+    """
+    p = sum(_sector_table(result, det_ab, setting) for setting in (Z_BASIS, X_BASIS))
+    n_blocks = 2 * result.n_max + 1
+    n = np.add.outer(np.arange(n_blocks), np.arange(n_blocks)).reshape(-1)  # N_A + N_B
+    wrong = np.bincount(n, (p[0, :, 0, :] + p[1, :, 1, :]).reshape(-1))
+    return wrong, np.bincount(n, p.sum(axis=(0, 2)).reshape(-1))

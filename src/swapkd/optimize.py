@@ -4,12 +4,15 @@ A Scenario bundles one operating point of the swapping link.  evaluate() runs
 the full sources -> swap -> metrics -> rates pipeline at increasing Fock
 cutoffs until two consecutive cutoffs agree, so every reported number carries
 a convergence verdict.  The optimizers are nested 1-D golden-section searches
-seeded by coarse grids, with an explicit unimodality guard.
+seeded by coarse grids, with an explicit unimodality guard.  The brightness
+search runs on the QBER polynomial of one chi-free build, not the pipeline.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -21,11 +24,10 @@ from .errors import (
     ConstraintViolationError,
     NoCoincidenceError,
     TruncationError,
-    UndefinedStateError,
     UndefinedVisibilityError,
 )
 from .fock import TruncationPolicy
-from .metrics import QberReport, qber
+from .metrics import QberReport, qber, qber_polynomial
 from .rates import (
     KAPPA_DEFAULT,
     KeyRateReport,
@@ -36,7 +38,7 @@ from .rates import (
     sifted_rate,
 )
 from .sources import CHI_CAP
-from .swap import SwapResult, bsm_detector, swap_conditional_state
+from .swap import SwapResult, bsm_detector, graded_swap_state, swap_conditional_state
 
 __all__ = [
     "Scenario",
@@ -216,7 +218,6 @@ _ROW_ERRORS = (
     TruncationError,
     NoCoincidenceError,
     UndefinedVisibilityError,
-    UndefinedStateError,
     ConstraintViolationError,
     ValueError,
 )
@@ -233,11 +234,23 @@ def ordered_map(fn: Callable, items: Sequence, workers: Optional[int]) -> List:
     """[fn(x) for x in items], fanned out to a process pool when workers > 1.
 
     Results come back in input order, so they do not depend on the worker
-    count; fn and the items must be picklable.
+    count; fn and the items must be picklable.  Workers are spawned with
+    BLAS pinned to one thread: one BLAS thread pool per worker thrashes the
+    cores on the engine's small matrices.
     """
     if workers is not None and workers > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+        saved = {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        os.environ.update(dict.fromkeys(saved, "1"))
+        try:
+            with ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+            ) as pool:
+                return list(pool.map(fn, items, chunksize=max(1, len(items) // (8 * workers))))
+        finally:
+            for name, value in saved.items():
+                del os.environ[name]
+                if value is not None:
+                    os.environ[name] = value
     return [fn(x) for x in items]
 
 
@@ -278,9 +291,11 @@ def optimize_chi(
 ) -> OptimumPoint:
     """Maximize the secret rate over chi at fixed distance and detectors.
 
-    Coarse search on a log-spaced grid, golden-section refinement inside the
-    bracketing grid cell, and (when full_final is set) a convergence-checked
-    re-evaluation at the winner.  If refinement lands below the best grid
+    The rate at each chi is the analytic sifted rate with the QBER of one
+    graded build at the fixed detectors.  Coarse search on a log-spaced
+    grid, golden-section refinement inside the bracketing grid cell, and a
+    pipeline evaluation at the winner (convergence-checked when full_final
+    is set) for the reported point.  If refinement lands below the best grid
     value the function falls back to a fine linear scan of the bracket and
     flags the point, so a non-unimodal rate curve cannot silently win.
     """
@@ -291,8 +306,19 @@ def optimize_chi(
             p_dc=p_dc, constraint=constraint, kappa=kappa, policy=policy,
         )
 
+    # One chi-free build gives Q(t) = sum W_N t^N / sum T_N t^N at t = tanh^2 chi
+    # (the (1-t)^4 of both sums cancels), with the arm detectors of _pipeline_once.
+    p_dc_used = at(CHI_SEARCH_MIN).resolved_p_dc
+    graded = graded_swap_state(eta0, alpha_d_db, p_dc_used, policy)
+    wrong, total = qber_polynomial(graded, bsm_detector(eta0, alpha_d_db, p_dc_used))
+
     def rate(chi: float) -> float:
-        return evaluate(at(chi), with_visibility=False, escalate=False).r_sec
+        t = math.tanh(chi) ** 2
+        den = np.polyval(total[::-1], t)  # polyval takes the highest power first
+        if den <= 0.0:
+            raise NoCoincidenceError("no coincidences in either basis; QBER undefined")
+        qber_t = np.polyval(wrong[::-1], t) / den
+        return secret_rate(sifted_rate(chi, eta0, alpha_d_db), min(qber_t, 0.5), kappa)[1]
 
     grid = np.logspace(math.log10(CHI_SEARCH_MIN), math.log10(CHI_SEARCH_MAX), grid_points)
     values = [rate(c) for c in grid]
@@ -302,7 +328,7 @@ def optimize_chi(
             alpha_d_db=alpha_d_db,
             chi_opt=float("nan"),
             eta0_opt=eta0,
-            p_dc_at_opt=at(grid[i_best]).resolved_p_dc,
+            p_dc_at_opt=p_dc_used,
             r_sec_at_opt=0.0,
             qber_at_opt=float("nan"),
             converged=False,

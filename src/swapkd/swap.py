@@ -26,7 +26,7 @@ from typing import Tuple
 import numpy as np
 
 from .detectors import ThresholdDetector
-from .fock import DEFAULT_POLICY, TruncationPolicy, rotated_pair_povm
+from .fock import DEFAULT_POLICY, TruncationPolicy, realign, rotated_pair_povm
 from .sources import pair_amplitudes
 
 PSI_MINUS = "psi_minus"
@@ -63,12 +63,14 @@ def accepted_patterns() -> Tuple[HeraldPattern, ...]:
 class SwapResult:
     """Aggregate heralded state on (aH, aV, dH, dV), in the psi- frame.
 
-    One pair of factors (th_p, tv_p) per accepted herald p, with
-    rho[(ijkl),(IJKL)] = sum_p th_p[i,k,I,K] * tv_p[j,l,J,L]; the metrics
-    contract them directly.  herald_probability is tr(rho).
+    Pair factors realigned as matrices (fock.realign) and stacked over p:
+    rho[(ijkl),(IJKL)] = sum_p th[p,(i,I),(k,K)] * tv[p,(j,J),(l,L)]; the
+    metrics contract them directly.  The swap holds one p per H click pair
+    of the accepted heralds.  herald_probability is tr(rho).
     """
 
-    factors: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    th: np.ndarray
+    tv: np.ndarray
     n_max: int
     herald_probability: float
 
@@ -78,7 +80,7 @@ def bsm_detector(eta0: float, alpha_d_db: float, p_dc: float) -> ThresholdDetect
     return ThresholdDetector(eta0 * 10.0 ** (-(alpha_d_db / 4.0) / 10.0), p_dc)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=32)  # keyed on float eta, so only recent detectors recur
 def _balanced_pair_povm(
     n_max: int,
     eta: float,
@@ -98,7 +100,7 @@ def _balanced_pair_povm(
 
 
 def _pattern_factors(
-    chi: float,
+    c: np.ndarray,
     det_bsm: ThresholdDetector,
     pattern: HeraldPattern,
     n_max: int,
@@ -107,24 +109,39 @@ def _pattern_factors(
 
     The two-source state factorizes over the pairs (aH,bH), (aV,bV), (cH,dH),
     (cV,dV), so tracing the BSM POVM gives
-    rho[(ijkl),(IJKL)] = th[i,k,I,K] * tv[j,l,J,L] with
-    th[i,k,I,K] = c_i c_k conj(c_I c_K) * E_H[(I,K),(i,k)] and tv the same
-    with E_V, where i=n_aH(=n_bH), j=n_aV, k=n_dH(=n_cH), l=n_dV. psi+
-    heralds carry the V -> -V phase on mode d in tv as (-1)^(l+L).
+    rho[(ijkl),(IJKL)] = th[(i,I),(k,K)] * tv[(j,J),(l,L)] with
+    th[(i,I),(k,K)] = c_i c_k conj(c_I c_K) * E_H[(I,K),(i,k)] and tv the
+    same with E_V, where i=n_aH(=n_bH), j=n_aV, k=n_dH(=n_cH), l=n_dV and c
+    holds the pair amplitudes.  psi+ heralds carry the V -> -V phase on
+    mode d in tv as (-1)^(l+L).
     """
     d = n_max + 1
-    c = pair_amplitudes(chi, n_max)
     eh = _balanced_pair_povm(n_max, det_bsm.eta, det_bsm.p_dc, pattern.clicks[0], pattern.clicks[2])
     ev = _balanced_pair_povm(n_max, det_bsm.eta, det_bsm.p_dc, pattern.clicks[1], pattern.clicks[3])
 
-    s = np.outer(c, c)  # s[i, k] = c_i c_k
-    weight = s[:, :, None, None] * s.conj()[None, None, :, :]
-    th = weight * eh.reshape(d, d, d, d).transpose(2, 3, 0, 1)  # -> [i, k, I, K]
-    tv = weight * ev.reshape(d, d, d, d).transpose(2, 3, 0, 1)
+    s = np.outer(c, c.conj()).reshape(-1)  # s[(i,I)] = c_i conj(c_I)
+    weight = np.outer(s, s)
+    th = weight * realign(eh)
+    tv = weight * realign(ev)
     if pattern.target == PSI_PLUS:
         parity = (-1.0) ** np.arange(d)
-        tv = tv * parity[None, :, None, None] * parity[None, None, None, :]
+        tv = tv * np.outer(parity, parity).reshape(-1)[None, :]
     return th, tv
+
+
+def _heralded_state(c: np.ndarray, det_bsm: ThresholdDetector, n_max: int) -> SwapResult:
+    """Pair factors over all accepted heralds for pair amplitudes c; the herald
+    probability is sum_p tr(th_p) tr(tv_p), the traces running over i = I."""
+    # Heralds with the same H click pair share th, so their tv add up.
+    merged = {}
+    for pattern in accepted_patterns():
+        th, tv = _pattern_factors(c, det_bsm, pattern, n_max)
+        key = (pattern.clicks[0], pattern.clicks[2])
+        merged[key] = (th, merged[key][1] + tv) if key in merged else (th, tv)
+    th, tv = (np.stack(f) for f in zip(*merged.values()))
+    d = n_max + 1
+    traces = [np.einsum("piikk->p", f.reshape(-1, d, d, d, d)) for f in (th, tv)]
+    return SwapResult(th, tv, n_max, float(np.real(traces[0] @ traces[1])))
 
 
 def swap_conditional_state(
@@ -137,14 +154,25 @@ def swap_conditional_state(
     """Aggregate heralded state over all accepted heralds, in the psi- frame.
 
     Returns the per-herald pair factors, built from the source pair amplitudes
-    and the exact mixer+detector POVMs; the herald probability is
-    sum_p tr(th_p) tr(tv_p).
+    and the exact mixer+detector POVMs.
     """
-    det = bsm_detector(eta0, alpha_d_db, p_dc)
-    factors = tuple(
-        _pattern_factors(chi, det, pattern, policy.n_max) for pattern in accepted_patterns()
+    return _heralded_state(
+        pair_amplitudes(chi, policy.n_max), bsm_detector(eta0, alpha_d_db, p_dc), policy.n_max
     )
-    herald = sum(
-        float((np.einsum("ikik->", th) * np.einsum("jljl->", tv)).real) for th, tv in factors
-    )
-    return SwapResult(factors, policy.n_max, herald)
+
+
+def graded_swap_state(
+    eta0: float,
+    alpha_d_db: float,
+    p_dc: float,
+    policy: TruncationPolicy = DEFAULT_POLICY,
+) -> SwapResult:
+    """The swap state with the brightness factored out: pair amplitudes i^n.
+
+    Each BSM POVM conserves its pair's photon number, so on its support the
+    pair amplitudes at brightness chi give c_i c_k conj(c_I c_K) =
+    (1-t)^2 t^(i+k) with t = tanh^2 chi: the state at chi is this one with
+    its N = i+j+k+l photon sector scaled by (1-t)^4 t^N.
+    """
+    n = np.arange(policy.n_max + 1)
+    return _heralded_state(1j ** n, bsm_detector(eta0, alpha_d_db, p_dc), policy.n_max)

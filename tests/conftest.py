@@ -3,25 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from dense_reference import embed_qubit_pair, pair_factors
 from swapkd.detectors import ThresholdDetector
-from swapkd.fock import ConditionalState, TruncationPolicy
-from swapkd.metrics import embed_qubit_pair
-from swapkd.swap import _balanced_pair_povm, accepted_patterns
+from swapkd.fock import TruncationPolicy
+from swapkd.swap import SwapResult, _balanced_pair_povm, accepted_patterns
 
 SINGLET_QUBITS = np.zeros(4, dtype=complex)
 SINGLET_QUBITS[1] = 1.0 / math.sqrt(2.0)
 SINGLET_QUBITS[2] = -1.0 / math.sqrt(2.0)
 
 
-def singlet_state(n_max: int = 2, herald: float = 1.0) -> ConditionalState:
+def singlet_state(n_max: int = 2, herald: float = 1.0) -> SwapResult:
     rho = np.outer(SINGLET_QUBITS, SINGLET_QUBITS.conj())
-    return embed_qubit_pair(rho, n_max, herald=herald)
+    return pair_factors(embed_qubit_pair(rho, n_max, herald=herald))
 
 
-def werner_state(fidelity: float, n_max: int = 2) -> ConditionalState:
+def werner_state(fidelity: float, n_max: int = 2) -> SwapResult:
     lam = (4.0 * fidelity - 1.0) / 3.0
     rho = lam * np.outer(SINGLET_QUBITS, SINGLET_QUBITS.conj()) + (1.0 - lam) * np.eye(4) / 4.0
-    return embed_qubit_pair(rho, n_max)
+    return pair_factors(embed_qubit_pair(rho, n_max))
 
 
 def single_pair_herald_budget(eta: float) -> float:

@@ -5,7 +5,10 @@ tensor on (aH aV bH bV cH cV dH dV), passive mixers applied to it mode pair
 by mode pair, and a photon-number-diagonal POVM conditioning that leaves an
 unnormalized density operator on the surviving modes.  It costs
 O((n_max+1)^8) in time and memory, which is why the package contracts pair
-tensors instead (swapkd.swap); the tests compare the two.
+tensors instead (swapkd.swap); the tests compare the two.  Textbook states
+(singlet, Werner) are built here as dense ConditionalStates too, and enter
+the package's metrics as pair factors (pair_factors); dense_probabilities
+contracts a dense state with the analyzer POVMs directly.
 
 A mixer is evaluated on an occupancy embedding with per-mode cutoff 2*n_max,
 where every block reachable from the input is complete, and projected back;
@@ -23,8 +26,9 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from swapkd.detectors import ThresholdDetector
-from swapkd.errors import TruncationError, UndefinedStateError
-from swapkd.fock import DEFAULT_POLICY, ConditionalState, TruncationPolicy, annihilation_matrix
+from swapkd.errors import TruncationError
+from swapkd.fock import DEFAULT_POLICY, TruncationPolicy, annihilation_matrix
+from swapkd.metrics import _OUTCOMES, _analyzer_povms
 from swapkd.sources import CHI_CAP, pair_amplitudes
 from swapkd.swap import (
     PSI_PLUS,
@@ -38,6 +42,119 @@ from swapkd.swap import (
 MODE_ORDER = ("aH", "aV", "bH", "bV", "cH", "cV", "dH", "dV")
 
 WeightFn = Union[Callable[[tuple], float], np.ndarray]
+
+
+# ---------------------------------------------------------------------------
+# dense conditional states
+
+
+class UndefinedStateError(RuntimeError):
+    """Operation needs a normalizable conditional state (herald probability > 0)."""
+
+
+@dataclass
+class ConditionalState:
+    """Unnormalized density operator on the surviving modes after conditioning.
+
+    trace(rho) equals the herald probability of the conditioning outcome.
+    """
+
+    labels: tuple
+    n_max: int
+    rho: np.ndarray
+    herald_probability: float
+
+    def __post_init__(self):
+        self.labels = tuple(self.labels)
+        dim = (self.n_max + 1) ** len(self.labels)
+        if self.rho.shape != (dim, dim):
+            raise ValueError(f"rho shape {self.rho.shape} != ({dim}, {dim})")
+
+    def validate(self, atol: float = 1e-10) -> None:
+        """Assert hermiticity, positivity up to -1e-12, and trace==herald."""
+        h = np.abs(self.rho - self.rho.conj().T).max()
+        if h > atol:
+            raise AssertionError(f"rho not hermitian: max asymmetry {h:.3e}")
+        tr = float(np.trace(self.rho).real)
+        if abs(tr - self.herald_probability) > atol * max(1.0, abs(tr)):
+            raise AssertionError(f"trace {tr!r} != herald {self.herald_probability!r}")
+        eigmin = float(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)).min())
+        if eigmin < -1e-12 * max(1.0, tr):
+            raise AssertionError(f"rho not positive: min eigenvalue {eigmin:.3e}")
+
+    def normalized_rho(self) -> np.ndarray:
+        if self.herald_probability <= 0.0:
+            raise UndefinedStateError("herald probability is zero; state undefined")
+        return self.rho / self.herald_probability
+
+
+def embed_qubit_pair(rho_qubits: np.ndarray, n_max: int, herald: float = 1.0) -> ConditionalState:
+    """Lift a two-qubit polarization density matrix onto the Fock register.
+
+    Qubit basis order (HH, HV, VH, VV); H means one photon in the H mode of
+    that side.  Useful for feeding textbook states (Werner, maximally mixed)
+    through the same coincidence machinery as simulated swap output.
+    """
+    rho_qubits = np.asarray(rho_qubits, dtype=complex)
+    if rho_qubits.shape != (4, 4):
+        raise ValueError("expected a 4x4 two-qubit density matrix")
+    d = n_max + 1
+    if d < 2:
+        raise ValueError("need n_max >= 1 to hold one photon per side")
+    occmap = []
+    for s_a in (0, 1):
+        for s_b in (0, 1):
+            occ = (1 - s_a, s_a, 1 - s_b, s_b)
+            occmap.append(np.ravel_multi_index(occ, (d, d, d, d)))
+    rho = np.zeros((d**4, d**4), dtype=complex)
+    for r in range(4):
+        for c in range(4):
+            rho[occmap[r], occmap[c]] = rho_qubits[r, c] * herald
+    return ConditionalState(labels=SURVIVING_MODES, n_max=n_max, rho=rho, herald_probability=herald)
+
+
+def fidelity_visibility(fidelity: float) -> float:
+    """Visibility of a Bell-diagonal isotropic state with Bell fraction F."""
+    if not 0.0 <= fidelity <= 1.0:
+        raise ValueError(f"fidelity {fidelity!r} outside [0, 1]")
+    return (4.0 * fidelity - 1.0) / 3.0
+
+
+def chsh(vis: float) -> float:
+    """CHSH parameter reachable with visibility V: S = 2 sqrt(2) V."""
+    if not 0.0 <= vis <= 1.0:
+        raise ValueError(f"visibility {vis!r} outside [0, 1]")
+    return 2.0 * math.sqrt(2.0) * vis
+
+
+def pair_factors(cond: ConditionalState) -> SwapResult:
+    """A dense state on (aH, aV, dH, dV) as the engine's pair factors.
+
+    The operator-Schmidt decomposition: rho[(ijkl),(IJKL)] realigned as a
+    matrix over H-pair indices (i,I,k,K) against V-pair indices (j,J,l,L),
+    then its SVD, keeping singular values above 1e-14 of the largest.
+    """
+    d = cond.n_max + 1
+    m = cond.rho.reshape((d,) * 8).transpose(0, 4, 2, 6, 1, 5, 3, 7).reshape(d**4, d**4)
+    u, s, vh = np.linalg.svd(m)
+    keep = s > 1e-14 * max(s[0], 1e-300)
+    th = (u[:, keep] * s[keep]).T.reshape(-1, d * d, d * d)
+    tv = vh[keep].reshape(-1, d * d, d * d)
+    return SwapResult(th, tv, cond.n_max, cond.herald_probability)
+
+
+def dense_probabilities(cond: ConditionalState, det: ThresholdDetector, theta_alice, theta_bob):
+    """{(Alice outcome, Bob outcome): tr[rho (E_A (x) E_B)]}, contracted on the dense rho."""
+    d2 = (cond.n_max + 1) ** 2
+    rho4 = cond.rho.reshape(d2, d2, d2, d2)
+    ea = _analyzer_povms(cond.n_max, det.eta, det.p_dc, float(theta_alice))
+    eb = _analyzer_povms(cond.n_max, det.eta, det.p_dc, float(theta_bob))
+    probs = {}
+    for ka in _OUTCOMES:
+        half = np.einsum("abAB,Aa->bB", rho4, ea[ka])
+        for kb in _OUTCOMES:
+            probs[(ka, kb)] = float(np.real(np.einsum("bB,Bb->", half, eb[kb])))
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +496,9 @@ def dense_swap_state(
 def dense_state(result: SwapResult) -> ConditionalState:
     """The engine's heralded state as a dense matrix: sum_p th_p (x) tv_p."""
     d = result.n_max + 1
-    total = None
-    for th, tv in result.factors:
-        rho8 = np.einsum("ikIK,jlJL->ijklIJKL", th, tv, optimize=True)
-        rho = rho8.reshape(d ** 4, d ** 4)
-        rho = 0.5 * (rho + rho.conj().T)
-        total = rho if total is None else total + rho
-    return ConditionalState(SURVIVING_MODES, result.n_max, total, result.herald_probability)
+    th = result.th.reshape((-1,) + (d,) * 4)  # [p, i, I, k, K]
+    tv = result.tv.reshape((-1,) + (d,) * 4)  # [p, j, J, l, L]
+    rho8 = np.einsum("piIkK,pjJlL->ijklIJKL", th, tv, optimize=True)
+    rho = rho8.reshape(d**4, d**4)
+    rho = 0.5 * (rho + rho.conj().T)
+    return ConditionalState(SURVIVING_MODES, result.n_max, rho, result.herald_probability)

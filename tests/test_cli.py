@@ -263,6 +263,29 @@ def test_compare_decoy_fixed_parameters(tmp_path):
         assert float(row["r_decoy"]) > float(row["r_es"])
 
 
+@pytest.mark.parametrize("n_max", ["2", "4"])
+def test_compare_decoy_runs_the_pipeline_once_per_row(n_max, tmp_path, monkeypatch):
+    """Each row's brightness search runs on the QBER polynomial; only the
+    reported point goes through the swap pipeline.  The CSV bytes at these
+    cutoffs are pinned by the compare_decoy golden cases."""
+    runs = []
+    swap = optimize_module.swap_conditional_state
+
+    def counting(*args, **kwargs):
+        runs.append(kwargs["chi"])
+        return swap(*args, **kwargs)
+
+    monkeypatch.setattr(optimize_module, "swap_conditional_state", counting)
+    out = str(tmp_path)
+    code = main(
+        ["compare-decoy", "--alpha-d-grid", "5,25", "--eta0", "0.2", "--pdc", "1e-6",
+         "--n-max", n_max, "--output-dir", out]
+    )
+    assert code == 0
+    _, rows = read_csv(os.path.join(out, "compare_decoy.csv"))
+    assert runs == pytest.approx([float(row["chi_used"]) for row in rows], rel=1e-11)
+
+
 def test_crossover_optimizes_each_grid_distance_once(tmp_path, monkeypatch):
     calls = Counter()
     es_optimal_rate = optimize_module.es_optimal_rate

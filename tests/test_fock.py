@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dense_reference import (
+    ConditionalState,
     ModeRegister,
     apply_polarization_rotation,
     apply_two_mode_mixer,
@@ -16,7 +17,6 @@ from dense_reference import (
 from swapkd.detectors import ThresholdDetector
 from swapkd.errors import TruncationError
 from swapkd.fock import (
-    ConditionalState,
     TruncationPolicy,
     annihilation_matrix,
     rotated_pair_povm,

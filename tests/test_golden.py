@@ -34,6 +34,8 @@ CASES = {
                        "--workers", "1"] + SMALL,
     "compare_decoy": ["compare-decoy", "--alpha-d-grid", "10", "--eta0", "0.2",
                       "--pdc", "1.8e-5"] + SMALL,
+    "compare_decoy_n4": ["compare-decoy", "--alpha-d-grid", "5,25,45", "--eta0", "0.2",
+                         "--pdc", "1e-6", "--n-max", "4"],
     "compare_decoy_fixed": ["compare-decoy", "--alpha-d-grid", "10", "--eta0", "0.2",
                             "--pdc", "1.8e-5", "--mu", "0.7", "--chi", "0.1"] + SMALL,
     "crossover": ["crossover", "--eta0", "0.2", "--pdc", "1.8e-5", "--alpha-min", "20",

@@ -1,39 +1,54 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swapkd.metrics as metrics_module
 import swapkd.swap as swap_module
-from conftest import singlet_state, werner_state
-from dense_reference import bell_psi_minus, dense_state, pair_mixer_unitary
+from conftest import SINGLET_QUBITS, singlet_state, werner_state
+from dense_reference import (
+    ConditionalState,
+    bell_psi_minus,
+    chsh,
+    dense_probabilities,
+    dense_state,
+    embed_qubit_pair,
+    fidelity_visibility,
+    pair_factors,
+    pair_mixer_unitary,
+)
 from swapkd.detectors import ThresholdDetector
 from swapkd.errors import NoCoincidenceError, UndefinedVisibilityError
-from swapkd.fock import ConditionalState, TruncationPolicy
+from swapkd.fock import TruncationPolicy
 from swapkd.metrics import (
+    _OUTCOMES,
     X_BASIS,
     Z_BASIS,
     AnalyzerSetting,
-    CoincidenceTable,
     _analyzer_povms,
     _bob_angle_curve,
-    chsh,
-    embed_qubit_pair,
-    fidelity_visibility,
+    _sector_table,
     fourfold_coincidence,
     qber,
+    qber_polynomial,
     visibility,
     visibility_scan,
 )
-from swapkd.swap import _balanced_pair_povm, bsm_detector, swap_conditional_state
+from swapkd.swap import (
+    _balanced_pair_povm,
+    bsm_detector,
+    graded_swap_state,
+    swap_conditional_state,
+)
 
 
-def vacuum_conditional(n_max: int = 2) -> ConditionalState:
+def vacuum_conditional(n_max: int = 2):
     d = (n_max + 1) ** 4
     rho = np.zeros((d, d), dtype=complex)
     rho[0, 0] = 1.0
-    return ConditionalState(("aH", "aV", "dH", "dV"), n_max, rho, 1.0)
+    return pair_factors(ConditionalState(("aH", "aV", "dH", "dV"), n_max, rho, 1.0))
 
 
 def test_basis_settings():
@@ -195,8 +210,10 @@ def test_embed_qubit_pair_and_bell_state_agree():
     policy = TruncationPolicy(n_max=2)
     reg = bell_psi_minus(policy)
     psi = reg.amplitudes.reshape(-1)
-    cond = singlet_state(n_max=2)
+    cond = embed_qubit_pair(np.outer(SINGLET_QUBITS, SINGLET_QUBITS.conj()), 2)
     assert np.abs(cond.rho - np.outer(psi, psi.conj())).max() < 1e-14
+    # the singlet's pair factors rebuild the dense state
+    assert np.abs(dense_state(singlet_state(n_max=2)).rho - cond.rho).max() < 1e-14
     scaled = embed_qubit_pair(np.eye(4) / 4.0, 2, herald=0.3)
     assert scaled.herald_probability == pytest.approx(0.3)
     assert np.trace(scaled.rho).real == pytest.approx(0.3)
@@ -221,26 +238,33 @@ OFF_AXIS = AnalyzerSetting(0.3, 1.1, "off")
 
 @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
 def test_factored_contraction_matches_dense_state(n_max):
-    """Tables and scans from the pair factors equal those from the materialized rho."""
+    """Tables and scan extrema from the pair factors equal dense contractions of rho."""
     for chi in (0.01, 0.15, 0.3):
         for p_dc in (0.0, 1e-4):
             res, det = swap_case(n_max, chi, p_dc)
             cond = dense_state(res)
             for setting in (Z_BASIS, X_BASIS, OFF_AXIS):
-                tf = fourfold_coincidence(res, setting, det)
-                td = fourfold_coincidence(cond, setting, det)
-                for field in fields(CoincidenceTable):
-                    want = getattr(td, field.name)
-                    got = getattr(tf, field.name)
-                    if isinstance(want, float):
-                        assert got == pytest.approx(want, rel=1e-9, abs=1e-20), field.name
-                    else:
-                        assert got == want
-                sf = visibility_scan(res, det, theta_alice=setting.theta_alice)
-                sd = visibility_scan(cond, det, theta_alice=setting.theta_alice)
-                for name in ("visibility", "p_max", "p_min"):
-                    want = getattr(sd, name)
-                    assert getattr(sf, name) == pytest.approx(want, rel=1e-9, abs=1e-20), name
+                table = fourfold_coincidence(res, setting, det)
+                probs = dense_probabilities(cond, det, setting.theta_alice, setting.theta_bob)
+                want = {
+                    "p_hh": probs[("h", "h")],
+                    "p_hv": probs[("h", "v")],
+                    "p_vh": probs[("v", "h")],
+                    "p_vv": probs[("v", "v")],
+                    "p_double_alice": sum(probs[("both", kb)] for kb in _OUTCOMES),
+                    "p_double_bob": sum(probs[(ka, "both")] for ka in _OUTCOMES),
+                }
+                for name, value in want.items():
+                    assert getattr(table, name) == pytest.approx(value, rel=1e-9, abs=1e-20), name
+                assert table.herald_probability == cond.herald_probability
+                scan = visibility_scan(res, det, theta_alice=setting.theta_alice)
+                extrema = [
+                    max(dense_probabilities(cond, det, setting.theta_alice, theta)[("h", "h")], 0.0)
+                    for theta in (scan.theta_max, scan.theta_min)
+                ]
+                assert [scan.p_max, scan.p_min] == pytest.approx(extrema, rel=1e-9, abs=1e-20)
+                vis = (extrema[0] - extrema[1]) / (extrema[0] + extrema[1])
+                assert scan.visibility == pytest.approx(vis, rel=1e-9, abs=1e-20)
 
 
 def brute_force_bob_curve(cond: ConditionalState, det: ThresholdDetector, theta_alice, thetas):
@@ -271,7 +295,48 @@ def test_fourier_curve_matches_brute_force():
         cases.append((res, swap_det, 0.0))
         cases.append((res, swap_det, math.pi / 4.0))
     for state, d, theta_alice in cases:
-        cond = state if isinstance(state, ConditionalState) else dense_state(state)
-        want = brute_force_bob_curve(cond, d, theta_alice, thetas)
+        want = brute_force_bob_curve(dense_state(state), d, theta_alice, thetas)
         got = _bob_angle_curve(state, d, theta_alice)(thetas)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-20)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_max=st.integers(1, 4),
+    eta0=st.floats(0.05, 1.0),
+    alpha_d=st.floats(0.0, 40.0),
+    p_dc=st.floats(0.0, 1e-2),
+    setting=st.sampled_from([Z_BASIS, X_BASIS, OFF_AXIS]),
+)
+def test_sector_coefficients_are_bounded(n_max, eta0, alpha_d, p_dc, setting):
+    """Sector N of the brightness-free state holds C(N+3,3) unit-weight
+    photon configurations, so its coincidences lie in [0, C(N+3,3)]; wrong
+    coincidences never exceed the total."""
+    graded = graded_swap_state(eta0, alpha_d, p_dc, TruncationPolicy(n_max=n_max))
+    det = bsm_detector(eta0, alpha_d, p_dc)
+    sectors = _sector_table(graded, det, setting).sum(axis=(0, 2))  # [N_A, N_B]
+    n_blocks = 2 * n_max + 1
+    for n in range(2 * n_blocks - 1):
+        a_n = sum(sectors[n_a, n - n_a] for n_a in range(n_blocks) if 0 <= n - n_a < n_blocks)
+        bound = math.comb(n + 3, 3)
+        assert -1e-14 * bound <= a_n <= bound * (1.0 + 1e-12), n
+    wrong, total = qber_polynomial(graded, det)
+    assert np.all(wrong >= -1e-14 * np.abs(total).max())
+    assert np.all(wrong <= total + 1e-14 * np.abs(total).max())
+
+
+@pytest.mark.parametrize("n_max", [2, 4, 6])
+def test_sector_table_sums_to_coincidence_table(n_max):
+    """The graded sectors, weighted (1-t)^4 t^(N_A+N_B), rebuild the tables at chi."""
+    det = bsm_detector(0.3, 10.0, 1e-4)
+    graded = graded_swap_state(0.3, 10.0, 1e-4, TruncationPolicy(n_max=n_max))
+    n = np.arange(2 * n_max + 1)
+    for chi in (0.01, 0.15, 0.3):
+        t = math.tanh(chi) ** 2
+        weight = (1.0 - t) ** 4 * t ** np.add.outer(n, n)
+        res, _ = swap_case(n_max, chi, 1e-4)
+        for setting in (Z_BASIS, X_BASIS, OFF_AXIS):
+            p = (_sector_table(graded, det, setting) * weight[None, :, None, :]).sum(axis=(1, 3))
+            table = fourfold_coincidence(res, setting, det)
+            want = np.array([[table.p_hh, table.p_hv], [table.p_vh, table.p_vv]])
+            assert np.allclose(p, want, rtol=1e-12, atol=0.0)

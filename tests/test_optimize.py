@@ -1,6 +1,8 @@
 import math
+import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import swapkd.optimize as optimize_module
@@ -14,6 +16,8 @@ from swapkd.optimize import (
     evaluate,
     max_positive_alpha,
     optimize_chi,
+    optimize_joint,
+    ordered_map,
     sweep,
 )
 from swapkd.rates import decoy_inputs, decoy_secret_rate, golden_max
@@ -181,3 +185,81 @@ def test_max_positive_alpha_synthetic():
 
 def test_decoy_rate_positive_at_short_range():
     assert decoy_secret_rate(decoy_inputs(0.48, 0.2, 0.0, 1.8e-5)) > 1e-2
+
+
+def _blas_threads(_):
+    return os.environ.get("OPENBLAS_NUM_THREADS")
+
+
+def test_ordered_map_pins_blas_threads_in_workers():
+    before = os.environ.get("OPENBLAS_NUM_THREADS")
+    assert ordered_map(_blas_threads, [0, 1, 2, 3], workers=2) == ["1"] * 4
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == before
+
+
+def _record_calls(monkeypatch, name):
+    """Wrap optimize.<name>; returns the list of (positional args, result) pairs."""
+    calls = []
+    real = getattr(optimize_module, name)
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(optimize_module, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
+def test_polynomial_rate_matches_pipeline(n_max, monkeypatch):
+    """optimize_chi's rate(chi) equals the single-cutoff pipeline at every grid chi."""
+    searched = []
+
+    def spy(f, lo, hi, tol):
+        searched.append(f)
+        return golden_max(f, lo, hi, tol)
+
+    monkeypatch.setattr(optimize_module, "golden_max", spy)
+    policy = TruncationPolicy(n_max=n_max)
+    grid = np.logspace(math.log10(CHI_SEARCH_MIN), math.log10(CHI_SEARCH_MAX), 25)
+    cases = (
+        (0.3, 10.0, {"p_dc": 1e-4}),
+        (0.2, 25.0, {"p_dc": 1.8e-5}),
+        (0.6, 0.0, {"p_dc": 0.0}),
+        (0.15, 5.0, {"constraint": DEFAULT_CONSTRAINT}),
+        (0.3, 20.0, {"constraint": DEFAULT_CONSTRAINT}),
+    )
+    for eta0, alpha_d, dark in cases:
+        searched.clear()
+        optimize_chi(alpha_d, eta0, policy=policy, full_final=False, **dark)
+        rate = searched[0]
+        for chi in grid:
+            s = Scenario(alpha_d_db=alpha_d, chi=float(chi), eta0=eta0, policy=policy, **dark)
+            want = evaluate(s, with_visibility=False, escalate=False).r_sec
+            assert rate(float(chi)) == pytest.approx(want, rel=1e-12, abs=0.0), (eta0, chi)
+
+
+def test_optimize_chi_runs_the_pipeline_once(monkeypatch):
+    runs = _record_calls(monkeypatch, "swap_conditional_state")
+    builds = _record_calls(monkeypatch, "graded_swap_state")
+    pt = optimize_chi(10.0, 0.2, p_dc=1e-5, full_final=False)
+    assert pt.positive
+    assert len(runs) == 1
+    assert len(builds) == 1
+
+
+def test_optimize_joint_builds_once_per_eta0(monkeypatch):
+    policy = TruncationPolicy(n_max=2)
+    runs = _record_calls(monkeypatch, "swap_conditional_state")
+    builds = _record_calls(monkeypatch, "graded_swap_state")
+    searches = _record_calls(monkeypatch, "optimize_chi")
+    pt = optimize_joint(10.0, policy=policy)
+    eta0s = [args[1] for args, _ in searches]
+    assert sorted(args[0] for args, _ in builds) == sorted(eta0s)
+    # the final full-resolution search revisits the winning eta0
+    assert len(set(eta0s)) == len(eta0s) - 1
+    # an inner search ends in one single-cutoff run when its rate is
+    # positive; the final search escalates from n_max to n_max_used
+    inner_runs = sum(point.positive for _, point in searches[:-1])
+    assert len(runs) == inner_runs + pt.report.n_max_used - policy.n_max + 1

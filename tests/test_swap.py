@@ -157,7 +157,9 @@ def test_swap_result_shape_and_validity():
     policy = TruncationPolicy(n_max=2)
     res = swap_conditional_state(0.1, 0.5, 5.0, 1e-5, policy)
     assert res.n_max == 2
-    assert len(res.factors) == len(accepted_patterns())
+    # one factor pair per H click pair of the accepted heralds
+    h_clicks = {(p.clicks[0], p.clicks[2]) for p in accepted_patterns()}
+    assert res.th.shape == res.tv.shape == (len(h_clicks), 9, 9)
     cond = dense_state(res)
     assert cond.labels == SURVIVING_MODES
     cond.validate()
