@@ -5,7 +5,7 @@ Every run writes one or more CSV files plus a JSON manifest that echoes the
 fully resolved configuration; re-running a command with --config pointed at
 the manifest reproduces the CSVs byte for byte.  Values in CSVs use
 scientific notation with 12 significant digits.  Exit codes: 0 success, 2
-invalid configuration, 3 numerical failure.
+invalid configuration, 3 numerical failure; any other exception propagates.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .detectors import DEFAULT_CONSTRAINT, DetectorConstraint
-from .errors import ConstraintViolationError
+from .errors import NUMERICAL_ERRORS, ConstraintViolationError
 from .fock import TruncationPolicy
 from .optimize import (
     CROSSOVER_TOL_DB,
@@ -30,6 +30,7 @@ from .optimize import (
     Scenario,
     SweepRow,
     _crossover_scan,
+    _rate_curve,
     decoy_optimal_rate,
     es_optimal_rate,
     evaluate,
@@ -415,7 +416,7 @@ def _compare_rows(
                 alpha_d_db=alpha, chi=fixed_chi, eta0=eta0, p_dc=p_dc,
                 kappa=kappa, policy=policy,
             )
-            r_es = evaluate(s, with_visibility=False, escalate=False).r_sec
+            r_es = _rate_curve(s)(fixed_chi)
         if fixed_mu is None:
             mu_used, r_dk = decoy_optimal_rate(alpha, eta0, p_dc, nu=nu, kappa=kappa)
         else:
@@ -759,7 +760,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ConstraintViolationError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2
-    except Exception as exc:  # numerical failures and anything unexpected
+    # ArithmeticError comes from fock.rotation_eigensystem; any other
+    # exception is a bug and propagates with its traceback
+    except NUMERICAL_ERRORS + (ArithmeticError,) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 3
 

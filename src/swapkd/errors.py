@@ -2,8 +2,7 @@
 
 
 class TruncationError(RuntimeError):
-    """Occupation-cutoff projection dropped more weight than the policy tolerates,
-    or observables failed to converge under n_max escalation."""
+    """evaluate()'s observables failed to converge under n_max escalation."""
 
     def __init__(self, message, values=None):
         super().__init__(message)
@@ -20,3 +19,7 @@ class NoCoincidenceError(RuntimeError):
 
 class UndefinedVisibilityError(RuntimeError):
     """Max+Min of the coincidence scan is zero; visibility is undefined."""
+
+
+# A point whose physics is undefined or unconverged.
+NUMERICAL_ERRORS = (TruncationError, NoCoincidenceError, UndefinedVisibilityError)

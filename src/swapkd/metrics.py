@@ -15,8 +15,8 @@ trace, so no renormalization happens between the swap and the coincidences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -285,17 +285,18 @@ class QberReport:
     qber pools wrong and total coincidences over the two key bases; qber_z
     and qber_x are the per-basis fractions.  visibility is the fringe
     visibility averaged over the same two bases, so qber_from_v and qber
-    track each other even when the bases disagree slightly.  All underlying
-    counts stay available through the two tables.
+    track each other even when the bases disagree slightly; the fringes are
+    scanned on first read, from the result and detector the report holds.
+    All underlying counts stay available through the two tables.
     """
 
     qber: float
     qber_z: float
     qber_x: float
-    qber_from_v: float
-    visibility: float
     table_z: CoincidenceTable
     table_x: CoincidenceTable
+    result: object = field(repr=False, compare=False)
+    det_ab: ThresholdDetector = field(repr=False, compare=False)
 
     @property
     def p_total_z(self) -> float:
@@ -310,8 +311,20 @@ class QberReport:
         """Per-pulse probability of a sifted coincidence (basis match = 1/2)."""
         return 0.25 * (self.p_total_z + self.p_total_x)
 
+    @cached_property
+    def visibility(self) -> float:
+        # fringe visibility per key basis (the module-level visibility());
+        # the mean pairs with the pooled error fraction via QBER = (1 - V)/2
+        vis_z = visibility(self.result, self.det_ab, theta_alice=Z_BASIS.theta_alice)
+        vis_x = visibility(self.result, self.det_ab, theta_alice=X_BASIS.theta_alice)
+        return 0.5 * (vis_z + vis_x)
 
-def qber(result, det_ab: ThresholdDetector, compute_visibility: bool = True) -> QberReport:
+    @property
+    def qber_from_v(self) -> float:
+        return 0.5 * (1.0 - self.visibility)
+
+
+def qber(result, det_ab: ThresholdDetector) -> QberReport:
     """Error fraction of the sifted key, averaged over the Z and X bases.
 
     The corrected swap output is anticorrelated in every basis, so the wrong
@@ -323,27 +336,16 @@ def qber(result, det_ab: ThresholdDetector, compute_visibility: bool = True) -> 
     if total <= 0.0:
         raise NoCoincidenceError("no coincidences in either basis; QBER undefined")
     wrong = table_z.p_wrong + table_x.p_wrong
-    qber_direct = wrong / total
     qber_z = table_z.p_wrong / table_z.p_coincidence if table_z.p_coincidence > 0 else float("nan")
     qber_x = table_x.p_wrong / table_x.p_coincidence if table_x.p_coincidence > 0 else float("nan")
-    if compute_visibility:
-        # fringe visibility per key basis; the mean is the value that pairs
-        # with the pooled error fraction via QBER = (1 - V)/2
-        vis_z = visibility(result, det_ab, theta_alice=Z_BASIS.theta_alice)
-        vis_x = visibility(result, det_ab, theta_alice=X_BASIS.theta_alice)
-        vis = 0.5 * (vis_z + vis_x)
-        qber_from_v = 0.5 * (1.0 - vis)
-    else:
-        vis = float("nan")
-        qber_from_v = float("nan")
     return QberReport(
-        qber=qber_direct,
+        qber=wrong / total,
         qber_z=qber_z,
         qber_x=qber_x,
-        qber_from_v=qber_from_v,
-        visibility=vis,
         table_z=table_z,
         table_x=table_x,
+        result=result,
+        det_ab=det_ab,
     )
 
 

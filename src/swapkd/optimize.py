@@ -3,9 +3,11 @@
 A Scenario bundles one operating point of the swapping link.  evaluate() runs
 the full sources -> swap -> metrics -> rates pipeline at increasing Fock
 cutoffs until two consecutive cutoffs agree, so every reported number carries
-a convergence verdict.  The optimizers are nested 1-D golden-section searches
-seeded by coarse grids, with an explicit unimodality guard.  The brightness
-search runs on the QBER polynomial of one chi-free build, not the pipeline.
+a convergence verdict; the visibility fringes are scanned once, at the
+accepted cutoff.  Brightness searches run on the rate curve of one chi-free
+build (the QBER polynomial), not on the pipeline: a coarse grid, golden-section
+refinement and an explicit unimodality guard.  Searches that only need the
+best rate report the curve's value; optimize_chi evaluates its winner.
 """
 
 from __future__ import annotations
@@ -14,18 +16,13 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .detectors import DEFAULT_CONSTRAINT, DetectorConstraint
-from .errors import (
-    ConstraintViolationError,
-    NoCoincidenceError,
-    TruncationError,
-    UndefinedVisibilityError,
-)
+from .errors import NUMERICAL_ERRORS, ConstraintViolationError, NoCoincidenceError, TruncationError
 from .fock import TruncationPolicy
 from .metrics import QberReport, qber, qber_polynomial
 from .rates import (
@@ -60,6 +57,9 @@ __all__ = [
 CHI_SEARCH_MAX = 0.3
 CHI_SEARCH_MIN = 1e-3
 ETA0_SEARCH_RANGE = (0.05, 0.6)
+# Coarse chi grid and golden-section tolerance of a brightness search.
+CHI_GRID_POINTS = 25
+CHI_TOL = 1e-4
 # Joint search: eta0 seed grid and golden-section tolerance, and the coarse
 # chi grid and tolerance of each inner search.
 ETA0_SEED_POINTS = 12
@@ -107,9 +107,7 @@ class Scenario:
         return self.p_dc
 
 
-def _pipeline_once(
-    s: Scenario, n_max: int, with_visibility: bool
-) -> Tuple[SwapResult, QberReport]:
+def _pipeline_once(s: Scenario, n_max: int) -> Tuple[SwapResult, QberReport]:
     policy = TruncationPolicy(n_max=n_max, convergence_tol=s.policy.convergence_tol)
     p_dc = s.resolved_p_dc
     result = swap_conditional_state(
@@ -118,8 +116,7 @@ def _pipeline_once(
     # Alice's and Bob's detectors sit at the far ends of the two outer arms,
     # so they see the same quarter-link loss as each BSM detector.
     arm_detector = bsm_detector(s.eta0, s.alpha_d_db, p_dc)
-    report = qber(result, arm_detector, compute_visibility=with_visibility)
-    return result, report
+    return result, qber(result, arm_detector)
 
 
 def _observables(result: SwapResult, report: QberReport) -> Tuple[float, ...]:
@@ -167,29 +164,24 @@ def _assemble(
     )
 
 
-def evaluate(s: Scenario, with_visibility: bool = True, escalate: bool = True) -> KeyRateReport:
+def evaluate(s: Scenario) -> KeyRateReport:
     """Run the full pipeline for one scenario.
 
-    With escalate=True (the default) the pipeline runs at the scenario's
-    n_max and again at n_max+1; if the error rate, coincidence probability,
-    and herald probability all agree to the policy's convergence tolerance,
-    the higher-cutoff values are reported with converged=True.  Otherwise the
-    cutoff keeps climbing (up to three extra steps) and a truncation error
-    carrying the two disagreeing value sets is raised if agreement never
-    happens.  escalate=False runs a single cutoff and reports converged=False;
-    it exists for optimizer inner loops that only need relative comparisons.
+    The pipeline runs at the scenario's n_max and again at n_max+1; if the
+    error rate, coincidence probability, and herald probability all agree to
+    the policy's convergence tolerance, the higher-cutoff values are reported
+    with converged=True, and the visibility is scanned at that cutoff only.
+    Otherwise the cutoff keeps climbing (up to three extra steps) and a
+    truncation error carrying the two disagreeing value sets is raised if
+    agreement never happens.
     """
-    if not escalate:
-        result, report = _pipeline_once(s, s.policy.n_max, with_visibility)
-        return _assemble(s, result, report, s.policy.n_max, converged=False)
-
     tol = s.policy.convergence_tol
     n = s.policy.n_max
-    prev_obs = _observables(*_pipeline_once(s, n, with_visibility))
+    prev_obs = _observables(*_pipeline_once(s, n))
     disagreement = None
     for step in range(1, _ESCALATION_STEPS + 1):
         n_hi = n + step
-        cur = _pipeline_once(s, n_hi, with_visibility)
+        cur = _pipeline_once(s, n_hi)
         cur_obs = _observables(*cur)
         if all(_close(a, b, tol) for a, b in zip(prev_obs, cur_obs)):
             return _assemble(s, cur[0], cur[1], n_hi, converged=True)
@@ -214,13 +206,7 @@ class SweepRow:
 # Failures that belong to one grid point: the physics at that point is
 # undefined or unconverged, or its parameters are out of range.  Anything
 # else is a programming error and aborts the sweep.
-_ROW_ERRORS = (
-    TruncationError,
-    NoCoincidenceError,
-    UndefinedVisibilityError,
-    ConstraintViolationError,
-    ValueError,
-)
+_ROW_ERRORS = NUMERICAL_ERRORS + (ConstraintViolationError, ValueError)
 
 
 def _evaluate_row(s: Scenario) -> SweepRow:
@@ -278,39 +264,23 @@ class OptimumPoint:
     report: Optional[KeyRateReport] = None
 
 
-def optimize_chi(
-    alpha_d_db: float,
-    eta0: float,
-    p_dc: Optional[float] = None,
-    constraint: Optional[DetectorConstraint] = None,
-    kappa: float = KAPPA_DEFAULT,
-    policy: TruncationPolicy = TruncationPolicy(),
-    grid_points: int = 25,
-    refine_tol: float = 1e-4,
-    full_final: bool = True,
-) -> OptimumPoint:
-    """Maximize the secret rate over chi at fixed distance and detectors.
+def _not_positive(alpha_d_db: float, eta0: float, p_dc: float) -> OptimumPoint:
+    """The point reported when no searched brightness gives a positive rate."""
+    nan = float("nan")
+    return OptimumPoint(alpha_d_db, nan, eta0, p_dc, 0.0, nan, converged=False, positive=False)
 
-    The rate at each chi is the analytic sifted rate with the QBER of one
-    graded build at the fixed detectors.  Coarse search on a log-spaced
-    grid, golden-section refinement inside the bracketing grid cell, and a
-    pipeline evaluation at the winner (convergence-checked when full_final
-    is set) for the reported point.  If refinement lands below the best grid
-    value the function falls back to a fine linear scan of the bracket and
-    flags the point, so a non-unimodal rate curve cannot silently win.
+
+def _rate_curve(s: Scenario) -> Callable[[float], float]:
+    """Secret rate as a function of chi at the distance and detectors of s.
+
+    One chi-free build gives Q(t) = sum W_N t^N / sum T_N t^N at
+    t = tanh^2 chi (the (1-t)^4 of both sums cancels), with the arm detectors
+    of _pipeline_once; s.chi is not used.  It equals the single-cutoff
+    pipeline at s.policy.n_max.
     """
-
-    def at(chi: float) -> Scenario:
-        return Scenario(
-            alpha_d_db=alpha_d_db, chi=chi, eta0=eta0,
-            p_dc=p_dc, constraint=constraint, kappa=kappa, policy=policy,
-        )
-
-    # One chi-free build gives Q(t) = sum W_N t^N / sum T_N t^N at t = tanh^2 chi
-    # (the (1-t)^4 of both sums cancels), with the arm detectors of _pipeline_once.
-    p_dc_used = at(CHI_SEARCH_MIN).resolved_p_dc
-    graded = graded_swap_state(eta0, alpha_d_db, p_dc_used, policy)
-    wrong, total = qber_polynomial(graded, bsm_detector(eta0, alpha_d_db, p_dc_used))
+    p_dc = s.resolved_p_dc
+    graded = graded_swap_state(s.eta0, s.alpha_d_db, p_dc, s.policy)
+    wrong, total = qber_polynomial(graded, bsm_detector(s.eta0, s.alpha_d_db, p_dc))
 
     def rate(chi: float) -> float:
         t = math.tanh(chi) ** 2
@@ -318,26 +288,31 @@ def optimize_chi(
         if den <= 0.0:
             raise NoCoincidenceError("no coincidences in either basis; QBER undefined")
         qber_t = np.polyval(wrong[::-1], t) / den
-        return secret_rate(sifted_rate(chi, eta0, alpha_d_db), min(qber_t, 0.5), kappa)[1]
+        return secret_rate(sifted_rate(chi, s.eta0, s.alpha_d_db), min(qber_t, 0.5), s.kappa)[1]
 
+    return rate
+
+
+def _search_chi(
+    rate: Callable[[float], float], grid_points: int, tol: float
+) -> Tuple[float, float, bool]:
+    """(chi_opt, r_opt, guard_flag) maximizing rate on [CHI_SEARCH_MIN, CHI_SEARCH_MAX].
+
+    Coarse search on a log-spaced grid, then golden-section refinement inside
+    the bracketing grid cell.  If refinement lands below the best grid value
+    the search falls back to a fine linear scan of the bracket and raises the
+    guard flag, so a non-unimodal rate curve cannot silently win.  chi_opt is
+    nan and r_opt 0 when no grid point has a positive rate.
+    """
     grid = np.logspace(math.log10(CHI_SEARCH_MIN), math.log10(CHI_SEARCH_MAX), grid_points)
     values = [rate(c) for c in grid]
     i_best = int(np.argmax(values))
     if values[i_best] <= 0.0:
-        return OptimumPoint(
-            alpha_d_db=alpha_d_db,
-            chi_opt=float("nan"),
-            eta0_opt=eta0,
-            p_dc_at_opt=p_dc_used,
-            r_sec_at_opt=0.0,
-            qber_at_opt=float("nan"),
-            converged=False,
-            positive=False,
-        )
+        return float("nan"), 0.0, False
 
     lo = grid[max(0, i_best - 1)]
     hi = grid[min(grid_points - 1, i_best + 1)]
-    chi_opt, r_opt = golden_max(rate, lo, hi, refine_tol)
+    chi_opt, r_opt = golden_max(rate, lo, hi, tol)
     guard_flag = False
     if r_opt < values[i_best]:
         guard_flag = True
@@ -347,20 +322,48 @@ def optimize_chi(
         chi_opt, r_opt = float(fine[j]), fine_vals[j]
         if r_opt < values[i_best]:
             chi_opt, r_opt = float(grid[i_best]), values[i_best]
+    return float(chi_opt), r_opt, guard_flag
 
-    s_opt = at(float(chi_opt))
-    report = evaluate(s_opt, with_visibility=full_final, escalate=full_final)
+
+def _optimum_on_curve(base: Scenario, rate: Callable[[float], float]) -> OptimumPoint:
+    """Search rate (the curve of base) over chi and evaluate the winner."""
+    chi_opt, _, guard_flag = _search_chi(rate, CHI_GRID_POINTS, CHI_TOL)
+    if math.isnan(chi_opt):
+        return _not_positive(base.alpha_d_db, base.eta0, base.resolved_p_dc)
+    report = evaluate(replace(base, chi=chi_opt))
     return OptimumPoint(
-        alpha_d_db=alpha_d_db,
-        chi_opt=float(chi_opt),
-        eta0_opt=eta0,
-        p_dc_at_opt=s_opt.resolved_p_dc,
+        alpha_d_db=base.alpha_d_db,
+        chi_opt=chi_opt,
+        eta0_opt=base.eta0,
+        p_dc_at_opt=base.resolved_p_dc,
         r_sec_at_opt=report.r_sec,
         qber_at_opt=report.qber,
         converged=report.converged,
         guard_flag=guard_flag,
         report=report,
     )
+
+
+def optimize_chi(
+    alpha_d_db: float,
+    eta0: float,
+    p_dc: Optional[float] = None,
+    constraint: Optional[DetectorConstraint] = None,
+    kappa: float = KAPPA_DEFAULT,
+    policy: TruncationPolicy = TruncationPolicy(),
+) -> OptimumPoint:
+    """Maximize the secret rate over chi at fixed distance and detectors.
+
+    The search runs on the rate curve of one graded build (_rate_curve):
+    a CHI_GRID_POINTS log-spaced grid, golden-section refinement to CHI_TOL
+    and the unimodality guard of _search_chi.  The winner is then evaluated
+    once, with escalation and visibility, for the reported point.
+    """
+    base = Scenario(
+        alpha_d_db=alpha_d_db, chi=CHI_SEARCH_MIN, eta0=eta0,
+        p_dc=p_dc, constraint=constraint, kappa=kappa, policy=policy,
+    )
+    return _optimum_on_curve(base, _rate_curve(base))
 
 
 def optimize_joint(
@@ -372,32 +375,29 @@ def optimize_joint(
     """Maximize the rate over (chi, eta0) with dark counts tied to eta0.
 
     Outer golden-section over eta0 around a coarse seed; each outer value
-    runs a cheap inner chi optimization.  The returned point re-runs the
-    inner search at full resolution and re-evaluates the winner with the
-    truncation escalation enabled.
+    runs a coarse chi search on that eta0's rate curve.  The returned point
+    searches the winning eta0's curve at full resolution and evaluates the
+    winner.  Each distinct eta0 builds its curve once.
     """
+    curves = {}
+
+    def curve(eta0: float) -> Tuple[Scenario, Callable[[float], float]]:
+        if eta0 not in curves:
+            base = Scenario(
+                alpha_d_db=alpha_d_db, chi=CHI_SEARCH_MIN, eta0=eta0,
+                constraint=constraint, kappa=kappa, policy=policy,
+            )
+            curves[eta0] = base, _rate_curve(base)
+        return curves[eta0]
 
     def inner_rate(eta0: float) -> float:
-        point = optimize_chi(
-            alpha_d_db, eta0, constraint=constraint, kappa=kappa, policy=policy,
-            grid_points=INNER_CHI_GRID_POINTS, refine_tol=INNER_CHI_TOL, full_final=False,
-        )
-        return point.r_sec_at_opt
+        return _search_chi(curve(eta0)[1], INNER_CHI_GRID_POINTS, INNER_CHI_TOL)[1]
 
     seeds = np.linspace(*ETA0_SEARCH_RANGE, ETA0_SEED_POINTS)
-    seed_vals = [inner_rate(e) for e in seeds]
+    seed_vals = [inner_rate(float(e)) for e in seeds]
     i_best = int(np.argmax(seed_vals))
     if seed_vals[i_best] <= 0.0:
-        return OptimumPoint(
-            alpha_d_db=alpha_d_db,
-            chi_opt=float("nan"),
-            eta0_opt=float("nan"),
-            p_dc_at_opt=float("nan"),
-            r_sec_at_opt=0.0,
-            qber_at_opt=float("nan"),
-            converged=False,
-            positive=False,
-        )
+        return _not_positive(alpha_d_db, float("nan"), float("nan"))
     lo = seeds[max(0, i_best - 1)]
     hi = seeds[min(ETA0_SEED_POINTS - 1, i_best + 1)]
     eta_opt, r_outer = golden_max(inner_rate, float(lo), float(hi), ETA0_TOL)
@@ -406,21 +406,8 @@ def optimize_joint(
         guard_flag = True
         eta_opt = float(seeds[i_best])
 
-    final = optimize_chi(
-        alpha_d_db, float(eta_opt), constraint=constraint, kappa=kappa, policy=policy,
-    )
-    return OptimumPoint(
-        alpha_d_db=alpha_d_db,
-        chi_opt=final.chi_opt,
-        eta0_opt=float(eta_opt),
-        p_dc_at_opt=final.p_dc_at_opt,
-        r_sec_at_opt=final.r_sec_at_opt,
-        qber_at_opt=final.qber_at_opt,
-        converged=final.converged,
-        positive=final.positive,
-        guard_flag=guard_flag or final.guard_flag,
-        report=final.report,
-    )
+    final = _optimum_on_curve(*curve(float(eta_opt)))
+    return replace(final, guard_flag=guard_flag or final.guard_flag)
 
 
 def es_optimal_rate(
@@ -430,11 +417,14 @@ def es_optimal_rate(
     kappa: float = KAPPA_DEFAULT,
     policy: TruncationPolicy = TruncationPolicy(),
 ) -> Tuple[float, float]:
-    """Best chi and its rate for the swapping scheme at one distance."""
-    point = optimize_chi(
-        alpha_d_db, eta0, p_dc=p_dc, kappa=kappa, policy=policy, full_final=False
+    """Best chi and its rate for the swapping scheme at one distance.
+
+    Both come from the rate curve at the policy's n_max; no pipeline runs.
+    """
+    base = Scenario(
+        alpha_d_db=alpha_d_db, chi=CHI_SEARCH_MIN, eta0=eta0, p_dc=p_dc, kappa=kappa, policy=policy
     )
-    return point.chi_opt, point.r_sec_at_opt
+    return _search_chi(_rate_curve(base), CHI_GRID_POINTS, CHI_TOL)[:2]
 
 
 def decoy_optimal_rate(

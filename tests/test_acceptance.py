@@ -91,14 +91,14 @@ def test_criterion_04_rate_scaling():
     joint = []
     for chi in chis:
         s = Scenario(alpha_d_db=0.0, chi=chi, eta0=0.3, p_dc=0.0)
-        joint.append(evaluate(s, with_visibility=False).coincidence_probability)
+        joint.append(evaluate(s).coincidence_probability)
     slope_chi = np.polyfit(np.log(chis), np.log(joint), 1)[0]
 
     alphas = (0.0, 5.0, 10.0)
     joint_a = []
     for alpha in alphas:
         s = Scenario(alpha_d_db=alpha, chi=0.02, eta0=0.3, p_dc=0.0)
-        joint_a.append(evaluate(s, with_visibility=False).coincidence_probability)
+        joint_a.append(evaluate(s).coincidence_probability)
     slope_db = np.polyfit(alphas, np.log10(joint_a), 1)[0]
 
     ok = abs(slope_chi - 4.0) <= 0.02 and abs(slope_db + 0.1) <= 0.001
@@ -198,7 +198,7 @@ def test_criterion_10_oracle_equivalence():
     gaps = []
     for eta0, alpha, p_dc in ((0.5, 2.0, 1e-5), (1.0, 0.0, 1e-4)):
         s = Scenario(alpha_d_db=alpha, chi=0.05, eta0=eta0, p_dc=p_dc)
-        q_engine = evaluate(s, with_visibility=False).qber
+        q_engine = evaluate(s).qber
         q_oracle = oracle.qber_oracle(0.05, eta0, alpha, p_dc)
         gaps.append(abs(q_engine - q_oracle))
     ok = max(gaps) < 5e-3

@@ -137,6 +137,18 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert err["error"]["type"] == "TruncationError"
 
 
+def test_programming_errors_propagate(tmp_path, monkeypatch):
+    """Exit 3 is for numerical failures; a TypeError keeps its traceback."""
+
+    def broken(s):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli_module, "evaluate", broken)
+    with pytest.raises(TypeError):
+        main(["evaluate", "--chi", "0.05", "--eta0", "0.3", "--alpha-d", "5",
+              "--pdc", "1e-5", "--output-dir", str(tmp_path)])
+
+
 # ---------------------------------------------------------------------------
 # sweep and manifest round-trip
 
@@ -264,26 +276,33 @@ def test_compare_decoy_fixed_parameters(tmp_path):
 
 
 @pytest.mark.parametrize("n_max", ["2", "4"])
-def test_compare_decoy_runs_the_pipeline_once_per_row(n_max, tmp_path, monkeypatch):
-    """Each row's brightness search runs on the QBER polynomial; only the
-    reported point goes through the swap pipeline.  The CSV bytes at these
+@pytest.mark.parametrize("fixed_chi", [[], ["--chi", "0.12"]], ids=["search", "fixed"])
+def test_compare_decoy_builds_one_polynomial_per_row(n_max, fixed_chi, tmp_path, monkeypatch):
+    """Each row reads the swap rate off one QBER polynomial, searched or at
+    the fixed chi; no row runs the swap pipeline.  The CSV bytes at these
     cutoffs are pinned by the compare_decoy golden cases."""
-    runs = []
-    swap = optimize_module.swap_conditional_state
+    runs, builds = [], []
+    swap, graded = optimize_module.swap_conditional_state, optimize_module.graded_swap_state
 
-    def counting(*args, **kwargs):
-        runs.append(kwargs["chi"])
-        return swap(*args, **kwargs)
+    def counting(calls, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(optimize_module, "swap_conditional_state", counting)
+        return wrapper
+
+    monkeypatch.setattr(optimize_module, "swap_conditional_state", counting(runs, swap))
+    monkeypatch.setattr(optimize_module, "graded_swap_state", counting(builds, graded))
     out = str(tmp_path)
     code = main(
         ["compare-decoy", "--alpha-d-grid", "5,25", "--eta0", "0.2", "--pdc", "1e-6",
-         "--n-max", n_max, "--output-dir", out]
+         "--n-max", n_max, "--output-dir", out] + fixed_chi
     )
     assert code == 0
     _, rows = read_csv(os.path.join(out, "compare_decoy.csv"))
-    assert runs == pytest.approx([float(row["chi_used"]) for row in rows], rel=1e-11)
+    assert len(rows) == 2
+    assert runs == []
+    assert [args[1] for args in builds] == [float(row["alpha_d_db"]) for row in rows]
 
 
 def test_crossover_optimizes_each_grid_distance_once(tmp_path, monkeypatch):

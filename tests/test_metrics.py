@@ -186,7 +186,7 @@ def test_swap_state_rotational_covariance():
     policy = TruncationPolicy(n_max=3)
     res = swap_conditional_state(0.05, 0.8, 0.0, 0.0, policy)
     det = bsm_detector(0.8, 0.0, 0.0)
-    base = qber(res, det, compute_visibility=False).qber
+    base = qber(res, det).qber
     for delta in (0.17, 0.61, 1.03):
         tz = fourfold_coincidence(res, AnalyzerSetting(delta, delta, "Z"), det)
         tx = fourfold_coincidence(

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import swapkd.metrics as metrics_module
 import swapkd.optimize as optimize_module
 from swapkd.detectors import DEFAULT_CONSTRAINT, DetectorConstraint
 from swapkd.errors import TruncationError
@@ -13,6 +14,8 @@ from swapkd.optimize import (
     CHI_SEARCH_MAX,
     CHI_SEARCH_MIN,
     Scenario,
+    _pipeline_once,
+    es_optimal_rate,
     evaluate,
     max_positive_alpha,
     optimize_chi,
@@ -20,7 +23,7 @@ from swapkd.optimize import (
     ordered_map,
     sweep,
 )
-from swapkd.rates import decoy_inputs, decoy_secret_rate, golden_max
+from swapkd.rates import decoy_inputs, decoy_secret_rate, golden_max, secret_rate, sifted_rate
 
 
 def test_scenario_requires_exactly_one_dark_count_source():
@@ -58,7 +61,7 @@ def test_evaluate_is_deterministic():
     assert a.converged and b.converged
 
 
-def test_evaluate_fast_path_skips_escalation():
+def test_evaluate_escalates_past_the_base_cutoff():
     s = Scenario(
         alpha_d_db=5.0,
         chi=0.1,
@@ -66,15 +69,27 @@ def test_evaluate_fast_path_skips_escalation():
         p_dc=1e-5,
         policy=TruncationPolicy(n_max=3),
     )
-    rep = evaluate(s, with_visibility=False, escalate=False)
-    assert rep.n_max_used == 3
-    assert not rep.converged
-    assert math.isnan(rep.visibility)
-    assert math.isnan(rep.qber_from_v)
-    full = evaluate(s, with_visibility=True, escalate=True)
+    single = _pipeline_once(s, 3)[1]
+    full = evaluate(s)
     assert full.converged
     assert full.n_max_used > 3
-    assert full.qber == pytest.approx(rep.qber, rel=1e-3)
+    assert full.qber == pytest.approx(single.qber, rel=1e-3)
+
+
+def test_evaluate_scans_the_fringe_once(monkeypatch):
+    """Visibility is scanned in Z and X at the accepted cutoff only; this
+    point escalates from n_max 4 to 6."""
+    scanned = []
+    scan = metrics_module.visibility_scan
+
+    def counting(result, *args, **kwargs):
+        scanned.append(result.n_max)
+        return scan(result, *args, **kwargs)
+
+    monkeypatch.setattr(metrics_module, "visibility_scan", counting)
+    rep = evaluate(Scenario(alpha_d_db=10.0, chi=0.25, eta0=0.3, p_dc=1e-4))
+    assert rep.n_max_used == 6
+    assert scanned == [rep.n_max_used] * 2
 
 
 def test_evaluate_reports_truncation_failure():
@@ -86,7 +101,7 @@ def test_evaluate_reports_truncation_failure():
         policy=TruncationPolicy(n_max=1, convergence_tol=1e-10),
     )
     with pytest.raises(TruncationError) as err:
-        evaluate(s, with_visibility=False)
+        evaluate(s)
     assert err.value.values is not None
     prev_obs, cur_obs = err.value.values
     assert len(prev_obs) == len(cur_obs) == 3
@@ -106,12 +121,12 @@ def test_optimize_chi_finds_local_maximum():
     assert pt.r_sec_at_opt == pt.report.r_sec
     for d in (-0.005, 0.005):
         s = Scenario(alpha_d_db=10.0, chi=pt.chi_opt + d, eta0=0.2, p_dc=1e-5)
-        r = evaluate(s, with_visibility=False).r_sec
+        r = evaluate(s).r_sec
         assert r <= pt.r_sec_at_opt * (1.0 + 1e-9)
 
 
 def test_optimize_chi_no_positive_rate():
-    pt = optimize_chi(40.0, 0.1, p_dc=0.05, grid_points=8)
+    pt = optimize_chi(40.0, 0.1, p_dc=0.05)
     assert not pt.positive
     assert math.isnan(pt.chi_opt)
     assert pt.r_sec_at_opt == 0.0
@@ -212,15 +227,9 @@ def _record_calls(monkeypatch, name):
 
 
 @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
-def test_polynomial_rate_matches_pipeline(n_max, monkeypatch):
-    """optimize_chi's rate(chi) equals the single-cutoff pipeline at every grid chi."""
-    searched = []
-
-    def spy(f, lo, hi, tol):
-        searched.append(f)
-        return golden_max(f, lo, hi, tol)
-
-    monkeypatch.setattr(optimize_module, "golden_max", spy)
+def test_polynomial_rate_matches_pipeline(n_max):
+    """The rate curve the brightness searches use equals the single-cutoff
+    pipeline at every grid chi."""
     policy = TruncationPolicy(n_max=n_max)
     grid = np.logspace(math.log10(CHI_SEARCH_MIN), math.log10(CHI_SEARCH_MAX), 25)
     cases = (
@@ -231,35 +240,40 @@ def test_polynomial_rate_matches_pipeline(n_max, monkeypatch):
         (0.3, 20.0, {"constraint": DEFAULT_CONSTRAINT}),
     )
     for eta0, alpha_d, dark in cases:
-        searched.clear()
-        optimize_chi(alpha_d, eta0, policy=policy, full_final=False, **dark)
-        rate = searched[0]
+        rate = optimize_module._rate_curve(
+            Scenario(alpha_d_db=alpha_d, chi=CHI_SEARCH_MIN, eta0=eta0, policy=policy, **dark)
+        )
         for chi in grid:
             s = Scenario(alpha_d_db=alpha_d, chi=float(chi), eta0=eta0, policy=policy, **dark)
-            want = evaluate(s, with_visibility=False, escalate=False).r_sec
+            q = _pipeline_once(s, n_max)[1].qber
+            want = secret_rate(sifted_rate(s.chi, eta0, alpha_d), min(q, 0.5), s.kappa)[1]
             assert rate(float(chi)) == pytest.approx(want, rel=1e-12, abs=0.0), (eta0, chi)
 
 
 def test_optimize_chi_runs_the_pipeline_once(monkeypatch):
+    """The search runs on one graded build; only optimize_chi's reported
+    point goes through the pipeline, and es_optimal_rate runs none."""
     runs = _record_calls(monkeypatch, "swap_conditional_state")
     builds = _record_calls(monkeypatch, "graded_swap_state")
-    pt = optimize_chi(10.0, 0.2, p_dc=1e-5, full_final=False)
-    assert pt.positive
-    assert len(runs) == 1
+    evaluations = _record_calls(monkeypatch, "evaluate")
+    chi, r = es_optimal_rate(10.0, 0.2, 1e-5)
+    assert r > 0.0
+    assert len(runs) == 0
     assert len(builds) == 1
+    pt = optimize_chi(10.0, 0.2, p_dc=1e-5)
+    assert (pt.chi_opt, pt.report.chi) == (chi, chi)
+    assert len(builds) == 2
+    assert len(evaluations) == 1
+    assert len(runs) == pt.report.n_max_used - TruncationPolicy().n_max + 1
 
 
 def test_optimize_joint_builds_once_per_eta0(monkeypatch):
     policy = TruncationPolicy(n_max=2)
     runs = _record_calls(monkeypatch, "swap_conditional_state")
     builds = _record_calls(monkeypatch, "graded_swap_state")
-    searches = _record_calls(monkeypatch, "optimize_chi")
     pt = optimize_joint(10.0, policy=policy)
-    eta0s = [args[1] for args, _ in searches]
-    assert sorted(args[0] for args, _ in builds) == sorted(eta0s)
-    # the final full-resolution search revisits the winning eta0
-    assert len(set(eta0s)) == len(eta0s) - 1
-    # an inner search ends in one single-cutoff run when its rate is
-    # positive; the final search escalates from n_max to n_max_used
-    inner_runs = sum(point.positive for _, point in searches[:-1])
-    assert len(runs) == inner_runs + pt.report.n_max_used - policy.n_max + 1
+    eta0s = [args[0] for args, _ in builds]
+    assert len(set(eta0s)) == len(eta0s)
+    assert pt.eta0_opt in eta0s
+    # only the reported point runs the pipeline, escalating from n_max
+    assert len(runs) == pt.report.n_max_used - policy.n_max + 1

@@ -15,7 +15,7 @@ from swapkd.optimize import Scenario, evaluate
 
 def engine_qber(chi, eta0, alpha_d_db, p_dc):
     s = Scenario(alpha_d_db=alpha_d_db, chi=chi, eta0=eta0, p_dc=p_dc)
-    return evaluate(s, with_visibility=False).qber
+    return evaluate(s).qber
 
 
 @pytest.mark.parametrize(
