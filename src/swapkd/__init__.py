@@ -34,7 +34,6 @@ from .optimize import (
     Scenario,
     SweepRow,
     es_optimal_rate,
-    decoy_optimal_rate,
     evaluate,
     find_crossover,
     max_positive_alpha,
@@ -57,9 +56,7 @@ from .rates import (
 )
 from .sources import pair_amplitudes
 from .swap import (
-    HeraldPattern,
     SwapResult,
-    accepted_patterns,
     bsm_detector,
     graded_swap_state,
     swap_conditional_state,
@@ -74,7 +71,6 @@ __all__ = [
     "DecoyRateReport",
     "DEFAULT_CONSTRAINT",
     "DetectorConstraint",
-    "HeraldPattern",
     "KeyRateReport",
     "NoCoincidenceError",
     "OptimumPoint",
@@ -88,11 +84,9 @@ __all__ = [
     "UndefinedVisibilityError",
     "X_BASIS",
     "Z_BASIS",
-    "accepted_patterns",
     "bsm_detector",
     "constraint_pdc",
     "decoy_inputs",
-    "decoy_optimal_rate",
     "decoy_rate_report",
     "decoy_secret_rate",
     "es_optimal_rate",

@@ -31,7 +31,6 @@ from .optimize import (
     SweepRow,
     _crossover_scan,
     _rate_curve,
-    decoy_optimal_rate,
     es_optimal_rate,
     evaluate,
     optimize_chi,
@@ -44,6 +43,7 @@ from .rates import (
     NU_DEFAULT,
     decoy_inputs,
     decoy_rate_report,
+    optimal_mu,
 )
 
 SCHEMA_VERSION = 1
@@ -418,7 +418,7 @@ def _compare_rows(
             )
             r_es = _rate_curve(s)(fixed_chi)
         if fixed_mu is None:
-            mu_used, r_dk = decoy_optimal_rate(alpha, eta0, p_dc, nu=nu, kappa=kappa)
+            mu_used, r_dk = optimal_mu(eta0, alpha, p_dc, nu=nu, kappa=kappa)
         else:
             mu_used = fixed_mu
             r_dk = decoy_rate_report(

@@ -175,13 +175,9 @@ def fourfold_coincidence(result, setting: AnalyzerSetting, det_ab: ThresholdDete
 
 
 def _bob_angle_curve(
-    result,
-    det_ab: ThresholdDetector,
-    theta_alice: float,
-    pattern_alice: str = "h",
-    pattern_bob: str = "h",
+    result, det_ab: ThresholdDetector, theta_alice: float
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Coincidence probability as a function of Bob's analyzer angle.
+    """Probability of the (h, h) coincidence as a function of Bob's analyzer angle.
 
     Contracting Alice's POVM first leaves an operator M on Bob's pair space.
     In the eigenbasis of the rotation generator, p(theta) = tr[M U(theta)^dag
@@ -191,14 +187,14 @@ def _bob_angle_curve(
     """
     n_max = result.n_max
     d = n_max + 1
-    ea = _analyzer_povms(n_max, det_ab.eta, det_ab.p_dc, float(theta_alice))[pattern_alice]
+    ea = _analyzer_povms(n_max, det_ab.eta, det_ab.p_dc, float(theta_alice))["h"]
     m = _bob_operators(result, realign(ea[None]))[0]
     m = m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)  # [(k,l),(K,L)]
 
     w, v, sub, _, _ = rotation_eigensystem(n_max)
     v_sub = v[sub]
     a = v_sub.conj().T @ m @ v_sub
-    c = rotation_basis_weights(n_max, *_outcome_weights(det_ab, n_max, pattern_bob))
+    c = rotation_basis_weights(n_max, *_outcome_weights(det_ab, n_max, "h"))
     k = (a * c.T).reshape(-1)
     f_max = 4 * n_max
     bins = (w[None, :] - w[:, None] + f_max).reshape(-1)  # w_q - w_p, shifted to >= 0

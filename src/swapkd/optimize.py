@@ -47,7 +47,6 @@ __all__ = [
     "optimize_chi",
     "optimize_joint",
     "es_optimal_rate",
-    "decoy_optimal_rate",
     "find_crossover",
     "max_positive_alpha",
 ]
@@ -427,17 +426,6 @@ def es_optimal_rate(
     return _search_chi(_rate_curve(base), CHI_GRID_POINTS, CHI_TOL)[:2]
 
 
-def decoy_optimal_rate(
-    alpha_d_db: float,
-    eta0: float,
-    p_dc: float,
-    nu: float = NU_DEFAULT,
-    kappa: float = KAPPA_DEFAULT,
-) -> Tuple[float, float]:
-    """Best signal intensity and its rate for the decoy baseline."""
-    return optimal_mu(eta0, alpha_d_db, p_dc, nu=nu, kappa=kappa)
-
-
 def _crossover_scan(
     eta0: float,
     p_dc: float,
@@ -452,7 +440,7 @@ def _crossover_scan(
 
     def rates(alpha: float) -> Tuple[float, float, float]:
         r_es = es_optimal_rate(alpha, eta0, p_dc, kappa=kappa, policy=policy)[1]
-        r_dk = decoy_optimal_rate(alpha, eta0, p_dc, nu=nu, kappa=kappa)[1]
+        r_dk = optimal_mu(eta0, alpha, p_dc, nu=nu, kappa=kappa)[1]
         return alpha, r_es, r_dk
 
     def difference(row: Tuple[float, float, float]) -> Optional[float]:

@@ -39,6 +39,8 @@ E0_BACKGROUND = 0.5
 DETECTORS_AT_BOB = 2
 # Golden-section tolerance of the signal-intensity search.
 MU_REFINE_TOL = 1e-5
+# Bisection width of the QBER threshold.
+QBER_THRESHOLD_TOL = 1e-10
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> Tuple[float, float]:
@@ -83,24 +85,24 @@ def secret_rate(r_sift: float, qber: float, kappa: float = KAPPA_DEFAULT) -> Tup
     """Secret key rate (raw, clamped): r_sift * [1 - kappa*h2(Q) - h2(Q)]."""
     if r_sift < 0.0:
         raise ValueError(f"r_sift {r_sift!r} negative")
-    if kappa < 1.0:
-        raise ValueError(f"kappa {kappa!r} below 1")
+    if not kappa >= 1.0:
+        raise ValueError(f"kappa {kappa!r} must be >= 1")
     if not 0.0 <= qber <= 0.5:
         raise ValueError(f"qber {qber!r} outside [0, 0.5]")
     raw = r_sift * (1.0 - (1.0 + kappa) * h2(qber))
     return raw, max(0.0, raw)
 
 
-def qber_threshold(kappa: float = KAPPA_DEFAULT, tol: float = 1e-10) -> float:
+def qber_threshold(kappa: float = KAPPA_DEFAULT) -> float:
     """Largest tolerable QBER: the root of 1 - (1 + kappa) h2(Q) on (0, 1/2).
 
     The left side is strictly decreasing in Q on this interval, so plain
     bisection suffices.
     """
-    if kappa < 1.0:
-        raise ValueError(f"kappa {kappa!r} below 1")
+    if not kappa >= 1.0:
+        raise ValueError(f"kappa {kappa!r} must be >= 1")
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > QBER_THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if 1.0 - (1.0 + kappa) * h2(mid) > 0.0:
             lo = mid
@@ -134,8 +136,8 @@ class DecoyInputs:
             raise ValueError(f"y0 {self.y0!r} outside [0, 1]")
         if not 0.0 <= self.e0 <= 0.5:
             raise ValueError(f"e0 {self.e0!r} outside [0, 0.5]")
-        if self.kappa < 1.0:
-            raise ValueError(f"kappa {self.kappa!r} below 1")
+        if not self.kappa >= 1.0:
+            raise ValueError(f"kappa {self.kappa!r} must be >= 1")
 
 
 def decoy_inputs(

@@ -7,7 +7,8 @@ Exactly-two-click patterns with one H and one V detector are accepted:
 Accepted psi+ outcomes are rotated into the psi- frame by a V -> -V phase on
 mode d, so the aggregate conditional state targets the singlet.  Each
 beamsplitter with its two detectors is the rotation POVM of fock at pi/4
-(fock.rotated_pair_povm), cached per click pair in _balanced_pair_povm.
+(fock.rotated_pair_povm), cached per click pair in _balanced_pair_povm;
+the four heralds use only two of its click pairs (see _heralded_state).
 
 The two-source state factorizes over the pairs (aH,bH), (aV,bV), (cH,dH),
 (cV,dV), and the BSM mixes H with H and V with V, so each herald's state on
@@ -21,42 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
 
 import numpy as np
 
 from .detectors import ThresholdDetector
 from .fock import DEFAULT_POLICY, TruncationPolicy, realign, rotated_pair_povm
 from .sources import pair_amplitudes
-
-PSI_MINUS = "psi_minus"
-PSI_PLUS = "psi_plus"
-
-SURVIVING_MODES = ("aH", "aV", "dH", "dV")
-
-
-@dataclass(frozen=True)
-class HeraldPattern:
-    """Click/no-click tuple over (b'H, b'V, c'H, c'V) and the Bell state it heralds."""
-
-    clicks: Tuple[bool, bool, bool, bool]
-    target: str
-
-    def __post_init__(self):
-        if len(self.clicks) != 4:
-            raise ValueError("clicks must have four entries")
-        if self.target not in (PSI_MINUS, PSI_PLUS):
-            raise ValueError(f"unknown target {self.target!r}")
-
-
-def accepted_patterns() -> Tuple[HeraldPattern, ...]:
-    """The four accepted two-click heralds."""
-    return (
-        HeraldPattern((True, False, False, True), PSI_MINUS),
-        HeraldPattern((False, True, True, False), PSI_MINUS),
-        HeraldPattern((True, True, False, False), PSI_PLUS),
-        HeraldPattern((False, False, True, True), PSI_PLUS),
-    )
 
 
 @dataclass(frozen=True)
@@ -99,47 +70,31 @@ def _balanced_pair_povm(
     )
 
 
-def _pattern_factors(
-    c: np.ndarray,
-    det_bsm: ThresholdDetector,
-    pattern: HeraldPattern,
-    n_max: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pair factors (th, tv) of one herald's conditional state on (aH, aV, dH, dV).
+def _heralded_state(c: np.ndarray, det_bsm: ThresholdDetector, n_max: int) -> SwapResult:
+    """Pair factors over all accepted heralds for pair amplitudes c.
 
-    The two-source state factorizes over the pairs (aH,bH), (aV,bV), (cH,dH),
-    (cV,dV), so tracing the BSM POVM gives
-    rho[(ijkl),(IJKL)] = th[(i,I),(k,K)] * tv[(j,J),(l,L)] with
+    Tracing the BSM from the two-source state gives, per herald,
     th[(i,I),(k,K)] = c_i c_k conj(c_I c_K) * E_H[(I,K),(i,k)] and tv the
-    same with E_V, where i=n_aH(=n_bH), j=n_aV, k=n_dH(=n_cH), l=n_dV and c
-    holds the pair amplitudes.  psi+ heralds carry the V -> -V phase on
-    mode d in tv as (-1)^(l+L).
+    same with E_V, where i=n_aH(=n_bH), j=n_aV, k=n_dH(=n_cH), l=n_dV.
+    Every accepted herald clicks exactly one output of each mixer, and both
+    mixers see the same detectors, so only two elements occur: e1, only the
+    b' output clicks, and e2, only the c' output clicks.  psi- clicks
+    opposite outputs on the H and V mixers, psi+ the same output and carries
+    the frame phase (-1)^(l+L) in tv; heralds sharing an H element add their
+    tv.  The herald probability is sum_p tr(th_p) tr(tv_p), the traces
+    running over i = I.
     """
     d = n_max + 1
-    eh = _balanced_pair_povm(n_max, det_bsm.eta, det_bsm.p_dc, pattern.clicks[0], pattern.clicks[2])
-    ev = _balanced_pair_povm(n_max, det_bsm.eta, det_bsm.p_dc, pattern.clicks[1], pattern.clicks[3])
-
     s = np.outer(c, c.conj()).reshape(-1)  # s[(i,I)] = c_i conj(c_I)
     weight = np.outer(s, s)
-    th = weight * realign(eh)
-    tv = weight * realign(ev)
-    if pattern.target == PSI_PLUS:
-        parity = (-1.0) ** np.arange(d)
-        tv = tv * np.outer(parity, parity).reshape(-1)[None, :]
-    return th, tv
-
-
-def _heralded_state(c: np.ndarray, det_bsm: ThresholdDetector, n_max: int) -> SwapResult:
-    """Pair factors over all accepted heralds for pair amplitudes c; the herald
-    probability is sum_p tr(th_p) tr(tv_p), the traces running over i = I."""
-    # Heralds with the same H click pair share th, so their tv add up.
-    merged = {}
-    for pattern in accepted_patterns():
-        th, tv = _pattern_factors(c, det_bsm, pattern, n_max)
-        key = (pattern.clicks[0], pattern.clicks[2])
-        merged[key] = (th, merged[key][1] + tv) if key in merged else (th, tv)
-    th, tv = (np.stack(f) for f in zip(*merged.values()))
-    d = n_max + 1
+    e1, e2 = (
+        weight * realign(_balanced_pair_povm(n_max, det_bsm.eta, det_bsm.p_dc, *clicks))
+        for clicks in ((True, False), (False, True))
+    )
+    parity = (-1.0) ** np.arange(d)
+    flip = np.outer(parity, parity).reshape(-1)[None, :]
+    th = np.stack([e1, e2])
+    tv = np.stack([e2 + e1 * flip, e1 + e2 * flip])
     traces = [np.einsum("piikk->p", f.reshape(-1, d, d, d, d)) for f in (th, tv)]
     return SwapResult(th, tv, n_max, float(np.real(traces[0] @ traces[1])))
 

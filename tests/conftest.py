@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dense_reference import embed_qubit_pair, pair_factors
+from dense_reference import HERALDS, embed_qubit_pair, pair_factors
 from swapkd.detectors import ThresholdDetector
 from swapkd.fock import TruncationPolicy
-from swapkd.swap import SwapResult, _balanced_pair_povm, accepted_patterns
+from swapkd.swap import SwapResult, _balanced_pair_povm
 
 SINGLET_QUBITS = np.zeros(4, dtype=complex)
 SINGLET_QUBITS[1] = 1.0 / math.sqrt(2.0)
@@ -33,9 +33,9 @@ def single_pair_herald_budget(eta: float) -> float:
     engine's single-pair (n_max = 1) BSM POVMs, indexed n_b * 2 + n_c.
     """
     total = 0.0
-    for p in accepted_patterns():
-        e_h = _balanced_pair_povm(1, eta, 0.0, p.clicks[0], p.clicks[2])
-        e_v = _balanced_pair_povm(1, eta, 0.0, p.clicks[1], p.clicks[3])
+    for clicks, _ in HERALDS:
+        e_h = _balanced_pair_povm(1, eta, 0.0, clicks[0], clicks[2])
+        e_v = _balanced_pair_povm(1, eta, 0.0, clicks[1], clicks[3])
         for n_bh in (0, 1):
             for n_ch in (0, 1):
                 i_h = 2 * n_bh + n_ch

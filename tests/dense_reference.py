@@ -5,7 +5,9 @@ tensor on (aH aV bH bV cH cV dH dV), passive mixers applied to it mode pair
 by mode pair, and a photon-number-diagonal POVM conditioning that leaves an
 unnormalized density operator on the surviving modes.  It costs
 O((n_max+1)^8) in time and memory, which is why the package contracts pair
-tensors instead (swapkd.swap); the tests compare the two.  Textbook states
+tensors instead (swapkd.swap); the tests compare the two.  The reference
+lists the four accepted heralds itself (HERALDS), so a wrong herald in the
+engine cannot also be wrong here.  Textbook states
 (singlet, Werner) are built here as dense ConditionalStates too, and enter
 the package's metrics as pair factors (pair_factors); dense_probabilities
 contracts a dense state with the analyzer POVMs directly.
@@ -30,16 +32,20 @@ from swapkd.errors import TruncationError
 from swapkd.fock import DEFAULT_POLICY, TruncationPolicy, annihilation_matrix
 from swapkd.metrics import _OUTCOMES, _analyzer_povms
 from swapkd.sources import CHI_CAP, pair_amplitudes
-from swapkd.swap import (
-    PSI_PLUS,
-    SURVIVING_MODES,
-    HeraldPattern,
-    SwapResult,
-    accepted_patterns,
-    bsm_detector,
-)
+from swapkd.swap import SwapResult, bsm_detector
 
 MODE_ORDER = ("aH", "aV", "bH", "bV", "cH", "cV", "dH", "dV")
+SURVIVING_MODES = ("aH", "aV", "dH", "dV")
+
+# The accepted heralds of the linear-optics BSM: exactly one H and one V
+# detector click.  Clicks on (b'H, b'V, c'H, c'V), and whether the herald is
+# psi+ (else psi-).
+HERALDS = (
+    ((True, False, False, True), False),  # b'H c'V: psi-
+    ((False, True, True, False), False),  # b'V c'H: psi-
+    ((True, True, False, False), True),  # b'H b'V: psi+
+    ((False, False, True, True), True),  # c'H c'V: psi+
+)
 
 WeightFn = Union[Callable[[tuple], float], np.ndarray]
 
@@ -442,17 +448,17 @@ def pattern_weight_table(
 def perform_bsm(
     state: ModeRegister,
     det_bsm: ThresholdDetector,
-    pattern: HeraldPattern,
+    clicks: Sequence[bool],
 ) -> ConditionalState:
     """Run the BSM on an eight-mode register; no psi+ frame correction.
 
     Applies balanced mixers to (bH, cH) and (bV, cV), then conditions on the
-    four-detector click pattern.
+    click pattern of the detectors (b'H, b'V, c'H, c'V).
     """
     s = apply_two_mode_mixer(state, "bH", "cH", math.pi / 4.0)
     s = apply_two_mode_mixer(s, "bV", "cV", math.pi / 4.0)
     # Measured in order (bH, bV, cH, cV) = detectors (b'H, b'V, c'H, c'V).
-    w = pattern_weight_table([det_bsm] * 4, pattern.clicks, s.n_max)
+    w = pattern_weight_table([det_bsm] * 4, clicks, s.n_max)
     return condition_on_diagonal_povm(s, ["bH", "bV", "cH", "cV"], w)
 
 
@@ -484,9 +490,9 @@ def dense_swap_state(
     det = bsm_detector(eta0, alpha_d_db, p_dc)
     total = None
     herald = 0.0
-    for pattern in accepted_patterns():
-        cond = perform_bsm(state, det, pattern)
-        if correction and pattern.target == PSI_PLUS:
+    for clicks, psi_plus in HERALDS:
+        cond = perform_bsm(state, det, clicks)
+        if correction and psi_plus:
             cond = apply_psi_plus_correction(cond)
         herald += cond.herald_probability
         total = cond.rho if total is None else total + cond.rho

@@ -20,11 +20,10 @@ from swapkd.optimize import (
     evaluate,
     find_crossover,
     es_optimal_rate,
-    decoy_optimal_rate,
     max_positive_alpha,
     optimize_joint,
 )
-from swapkd.rates import decoy_inputs, decoy_rate_report, qber_threshold
+from swapkd.rates import decoy_inputs, decoy_rate_report, optimal_mu, qber_threshold
 
 FIG3_ALPHAS = (0.0, 5.0, 10.0, 25.0, 50.0)
 FIG3_CHIS = np.geomspace(1e-4, 0.25, 11)
@@ -177,11 +176,11 @@ def test_criterion_09_crossover_behavior():
     range_ok = False
     if exists:
         probe = a1 - 5.0
-        r_dk = decoy_optimal_rate(probe, 0.2, 1.8e-5)[1]
+        r_dk = optimal_mu(0.2, probe, 1.8e-5)[1]
         r_es = es_optimal_rate(probe, 0.2, 1.8e-5)[1]
         below_ok = r_dk > r_es > 0.0
         decoy_edge = max_positive_alpha(
-            lambda a: decoy_optimal_rate(a, 0.2, 1.8e-5)[1], alpha_hi=60.0
+            lambda a: optimal_mu(0.2, a, 1.8e-5)[1], alpha_hi=60.0
         )
         es_beyond = es_optimal_rate(decoy_edge + 5.0, 0.2, 1.8e-5)[1]
         range_ok = es_beyond > 0.0

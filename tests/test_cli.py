@@ -126,6 +126,21 @@ def test_evaluate_rejects_both_dark_count_modes(tmp_path, capsys):
     assert "not both" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["evaluate", "--chi", "0.1", "--eta0", "0.3", "--alpha-d", "10", "--constraint"],
+        ["compare-decoy", "--alpha-d-grid", "10", "--eta0", "0.2", "--pdc", "1.8e-5"],
+    ],
+    ids=["evaluate", "compare-decoy"],
+)
+def test_nan_kappa_is_a_configuration_error(tmp_path, capsys, command):
+    code = main(command + ["--kappa", "nan", "--output-dir", str(tmp_path)] + FAST)
+    assert code == 2
+    assert "kappa nan" in capsys.readouterr().out
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     code = main(
         ["evaluate", "--chi", "0.2", "--eta0", "1.0", "--alpha-d", "0",

@@ -13,8 +13,10 @@ from swapkd.fock import TruncationPolicy
 from swapkd.optimize import (
     CHI_SEARCH_MAX,
     CHI_SEARCH_MIN,
+    CHI_TOL,
     Scenario,
     _pipeline_once,
+    _search_chi,
     es_optimal_rate,
     evaluate,
     max_positive_alpha,
@@ -130,6 +132,46 @@ def test_optimize_chi_no_positive_rate():
     assert not pt.positive
     assert math.isnan(pt.chi_opt)
     assert pt.r_sec_at_opt == 0.0
+
+
+# Synthetic rate curves for the unimodality guard of _search_chi: a 5-point
+# grid whose middle point is the best, bracketed by grid points 1 and 3.
+GUARD_GRID = np.logspace(math.log10(CHI_SEARCH_MIN), math.log10(CHI_SEARCH_MAX), 5)
+GUARD_FINE = np.linspace(GUARD_GRID[1], GUARD_GRID[3], 201)
+
+
+def spikes(points):
+    """Rate 0 everywhere except the exact chi values in points."""
+    return lambda chi: points.get(float(chi), 0.0)
+
+
+def test_search_chi_guard_takes_fine_scan_winner():
+    # Golden-section refinement never lands on either spike, so it ends below
+    # the grid's best value; the fine scan finds the higher spike.
+    rate = spikes({float(GUARD_GRID[2]): 1.0, float(GUARD_FINE[37]): 2.0})
+    chi, r, guard = _search_chi(rate, 5, CHI_TOL)
+    assert guard
+    assert (chi, r) == (float(GUARD_FINE[37]), 2.0)
+
+
+def test_search_chi_guard_falls_back_to_grid_point():
+    rate = spikes({float(GUARD_GRID[2]): 1.0})
+    chi, r, guard = _search_chi(rate, 5, CHI_TOL)
+    assert guard
+    assert (chi, r) == (float(GUARD_GRID[2]), 1.0)
+
+
+def test_search_chi_unimodal_curve_raises_no_guard():
+    chi, r, guard = _search_chi(lambda c: 1.0 - math.log(c / 0.02) ** 2, 5, CHI_TOL)
+    assert not guard
+    assert chi == pytest.approx(0.02, abs=1e-4)
+    assert r == pytest.approx(1.0, abs=1e-5)
+
+
+def test_search_chi_no_positive_grid_value():
+    chi, r, guard = _search_chi(lambda c: -c, 5, CHI_TOL)
+    assert math.isnan(chi)
+    assert (r, guard) == (0.0, False)
 
 
 def test_sweep_preserves_order_and_captures_errors():

@@ -49,6 +49,14 @@ def test_secret_rate_clamps():
     assert raw_lo > 0.0 > raw_hi
 
 
+@pytest.mark.parametrize("kappa", [0.9, math.nan])
+def test_kappa_validation(kappa):
+    with pytest.raises(ValueError):
+        secret_rate(1e-6, 0.05, kappa)
+    with pytest.raises(ValueError):
+        qber_threshold(kappa)
+
+
 def test_qber_threshold_frozen_values():
     assert qber_threshold(1.22) == pytest.approx(0.0942351659577642, abs=1e-9)
     assert qber_threshold(1.0) == pytest.approx(0.1100278644383596, abs=1e-9)
@@ -59,6 +67,8 @@ def test_decoy_inputs_validation():
         DecoyInputs(mu=0.05, eta_bob=0.2, y0=1e-5, nu=0.1)
     with pytest.raises(ValueError):
         DecoyInputs(mu=0.5, eta_bob=1.5, y0=1e-5)
+    with pytest.raises(ValueError):
+        DecoyInputs(mu=0.5, eta_bob=0.2, y0=1e-5, kappa=math.nan)
     d = decoy_inputs(0.7, 0.2, 10.0, 1.8e-5)
     assert d.eta_bob == pytest.approx(0.02, rel=1e-12)
     assert d.y0 == pytest.approx(3.6e-5, rel=1e-12)

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import single_pair_herald_budget
 from dense_reference import (
+    HERALDS,
     MODE_ORDER,
+    SURVIVING_MODES,
     ModeRegister,
     apply_psi_plus_correction,
     bell_psi_minus,
@@ -16,14 +18,7 @@ from dense_reference import (
 )
 from swapkd.detectors import ThresholdDetector
 from swapkd.fock import TruncationPolicy
-from swapkd.swap import (
-    PSI_MINUS,
-    PSI_PLUS,
-    SURVIVING_MODES,
-    accepted_patterns,
-    bsm_detector,
-    swap_conditional_state,
-)
+from swapkd.swap import bsm_detector, swap_conditional_state
 
 
 def single_pair_per_source_register(policy: TruncationPolicy) -> ModeRegister:
@@ -49,12 +44,13 @@ def one_photon_per_side_indices(n_max: int):
 
 
 def test_accepted_patterns_enumeration():
-    pats = accepted_patterns()
-    assert len(pats) == 4
-    assert sum(1 for p in pats if p.target == PSI_MINUS) == 2
-    assert sum(1 for p in pats if p.target == PSI_PLUS) == 2
-    for p in pats:
-        assert sum(p.clicks) == 2
+    """The reference's heralds: every pattern with one H and one V click."""
+    assert len({clicks for clicks, _ in HERALDS}) == len(HERALDS) == 4
+    assert sum(1 for _, psi_plus in HERALDS if psi_plus) == 2
+    for (bh, bv, ch, cv), psi_plus in HERALDS:
+        assert bh + ch == 1 and bv + cv == 1
+        # psi+ clicks the same mixer output for H and V, psi- opposite ones
+        assert psi_plus == (bh == bv)
 
 
 def test_bsm_detector_folds_quarter_span_loss():
@@ -76,7 +72,7 @@ def test_bsm_herald_budget_half_eta_squared(eta):
     policy = TruncationPolicy(n_max=1, convergence_tol=0.6)
     reg = single_pair_per_source_register(policy)
     det = ThresholdDetector(eta, 0.0)
-    total = sum(perform_bsm(reg, det, p).herald_probability for p in accepted_patterns())
+    total = sum(perform_bsm(reg, det, clicks).herald_probability for clicks, _ in HERALDS)
     assert abs(total - 0.5 * eta * eta) < 1e-8
 
 
@@ -158,7 +154,7 @@ def test_swap_result_shape_and_validity():
     res = swap_conditional_state(0.1, 0.5, 5.0, 1e-5, policy)
     assert res.n_max == 2
     # one factor pair per H click pair of the accepted heralds
-    h_clicks = {(p.clicks[0], p.clicks[2]) for p in accepted_patterns()}
+    h_clicks = {(clicks[0], clicks[2]) for clicks, _ in HERALDS}
     assert res.th.shape == res.tv.shape == (len(h_clicks), 9, 9)
     cond = dense_state(res)
     assert cond.labels == SURVIVING_MODES
