@@ -4,12 +4,7 @@ BB84 baseline for comparison."""
 
 __version__ = "0.1.0"
 
-from .detectors import (
-    DEFAULT_CONSTRAINT,
-    DetectorConstraint,
-    ThresholdDetector,
-    constraint_pdc,
-)
+from .detectors import DEFAULT_CONSTRAINT, DetectorConstraint, ThresholdDetector
 from .errors import (
     ConstraintViolationError,
     NoCoincidenceError,
@@ -47,7 +42,6 @@ from .rates import (
     KeyRateReport,
     decoy_inputs,
     decoy_rate_report,
-    decoy_secret_rate,
     h2,
     optimal_mu,
     qber_threshold,
@@ -85,10 +79,8 @@ __all__ = [
     "X_BASIS",
     "Z_BASIS",
     "bsm_detector",
-    "constraint_pdc",
     "decoy_inputs",
     "decoy_rate_report",
-    "decoy_secret_rate",
     "es_optimal_rate",
     "evaluate",
     "find_crossover",

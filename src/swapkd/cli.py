@@ -11,6 +11,7 @@ invalid configuration, 3 numerical failure; any other exception propagates.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -31,6 +32,7 @@ from .optimize import (
     SweepRow,
     _crossover_scan,
     _rate_curve,
+    _step_grid,
     es_optimal_rate,
     evaluate,
     optimize_chi,
@@ -230,8 +232,7 @@ def parse_grid(spec: GridLike) -> List[float]:
             start, stop, step = (float(p) for p in parts)
             if step <= 0.0 or stop < start:
                 raise ConfigError(f"bad grid {text!r}: need start <= stop, step > 0")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
-            return [start + step * i for i in range(count)]
+            return _step_grid(start, stop, step)
         if len(parts) == 4:
             start, stop = float(parts[0]), float(parts[1])
             n = int(parts[2])
@@ -703,6 +704,7 @@ _FLAGS: Dict[str, Tuple[str, Dict]] = {
 }
 
 
+@functools.lru_cache(maxsize=1)  # one parse tree per process; parse_args does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swapkd",

@@ -66,8 +66,3 @@ class DetectorConstraint:
 
 
 DEFAULT_CONSTRAINT = DetectorConstraint()
-
-
-def constraint_pdc(eta0: float, constraint: DetectorConstraint = DEFAULT_CONSTRAINT) -> float:
-    """Dark-count probability implied by the detector constraint at intrinsic efficiency eta0."""
-    return constraint.p_dc(eta0)

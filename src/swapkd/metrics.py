@@ -10,13 +10,15 @@ fringe in Bob's angle is a Fourier series over the rotation generator's
 integer eigenvalues.  All probabilities reported here are absolute (per
 pump pulse): the conditional state carries the herald probability as its
 trace, so no renormalization happens between the swap and the coincidences.
+The records returned here hold numbers only: qber() reads the two key-basis
+tables, and the fringes are scanned only when a caller asks visibility().
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -43,15 +45,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnalyzerSetting:
-    """Analyzer angles for the two sides, with an optional basis tag."""
+    """Analyzer angles for the two sides."""
 
     theta_alice: float
     theta_bob: float
-    basis_label: str = ""
 
 
-Z_BASIS = AnalyzerSetting(0.0, 0.0, "Z")
-X_BASIS = AnalyzerSetting(math.pi / 4.0, math.pi / 4.0, "X")
+Z_BASIS = AnalyzerSetting(0.0, 0.0)
+X_BASIS = AnalyzerSetting(math.pi / 4.0, math.pi / 4.0)
 
 # Bob-angle grid over one period of the fringe, and the golden-section
 # tolerance (radians) to which each extremum is refined.
@@ -81,26 +82,12 @@ class CoincidenceTable:
     separate so the exclusive-coincidence convention stays auditable.
     """
 
-    theta_alice: float
-    theta_bob: float
-    basis_label: str
     p_hh: float
     p_hv: float
     p_vh: float
     p_vv: float
     p_double_alice: float
     p_double_bob: float
-    herald_probability: float
-
-    @property
-    def p_same(self) -> float:
-        """Correlated pair with Alice's analyzer fixed to its H output."""
-        return self.p_hh
-
-    @property
-    def p_diff(self) -> float:
-        """Anticorrelated pair with Alice's analyzer fixed to its H output."""
-        return self.p_hv
 
     @property
     def p_coincidence(self) -> float:
@@ -161,16 +148,12 @@ def fourfold_coincidence(result, setting: AnalyzerSetting, det_ab: ThresholdDete
         _realigned_povms(result.n_max, det_ab, setting.theta_bob),
     )  # rows Alice, columns Bob, both in _OUTCOMES order: h, v, both, none
     return CoincidenceTable(
-        theta_alice=setting.theta_alice,
-        theta_bob=setting.theta_bob,
-        basis_label=setting.basis_label,
         p_hh=float(p[0, 0]),
         p_hv=float(p[0, 1]),
         p_vh=float(p[1, 0]),
         p_vv=float(p[1, 1]),
         p_double_alice=float(p[2].sum()),
         p_double_bob=float(p[:, 2].sum()),
-        herald_probability=result.herald_probability,
     )
 
 
@@ -214,13 +197,10 @@ class VisibilityScan:
     """Extrema of the coincidence-vs-angle curve and the visibility they give."""
 
     visibility: float
-    theta_alice: float
     theta_max: float
     theta_min: float
     p_max: float
     p_min: float
-    grid_thetas: np.ndarray
-    grid_values: np.ndarray
 
 
 def visibility_scan(
@@ -257,33 +237,29 @@ def visibility_scan(
             "coincidence rate vanishes at every analyzer angle; visibility undefined"
         )
     vis = (p_max - p_min) / (p_max + p_min)
-    return VisibilityScan(
-        visibility=vis,
-        theta_alice=theta_alice,
-        theta_max=theta_max,
-        theta_min=theta_min,
-        p_max=p_max,
-        p_min=p_min,
-        grid_thetas=thetas,
-        grid_values=values,
-    )
+    return VisibilityScan(vis, theta_max, theta_min, p_max, p_min)
 
 
-def visibility(result, det_ab: ThresholdDetector, theta_alice: float = 0.0) -> float:
-    """(Max - Min)/(Max + Min) of the four-fold coincidence rate."""
-    return visibility_scan(result, det_ab, theta_alice).visibility
+def visibility(result, det_ab: ThresholdDetector) -> float:
+    """Fringe visibility averaged over the Z and X key bases.
+
+    Each basis scans Bob's angle with Alice's analyzer at that basis's angle
+    (visibility_scan); the mean pairs with the pooled error fraction of
+    qber() through QBER = (1 - V)/2, even when the bases disagree slightly.
+    """
+    vis_z = visibility_scan(result, det_ab, Z_BASIS.theta_alice).visibility
+    vis_x = visibility_scan(result, det_ab, X_BASIS.theta_alice).visibility
+    return 0.5 * (vis_z + vis_x)
 
 
 @dataclass(frozen=True)
 class QberReport:
-    """Direct error fraction plus the (1 - V)/2 consistency value.
+    """Error fractions of the sifted key and the two tables they come from.
 
     qber pools wrong and total coincidences over the two key bases; qber_z
-    and qber_x are the per-basis fractions.  visibility is the fringe
-    visibility averaged over the same two bases, so qber_from_v and qber
-    track each other even when the bases disagree slightly; the fringes are
-    scanned on first read, from the result and detector the report holds.
-    All underlying counts stay available through the two tables.
+    and qber_x are the per-basis fractions.  All underlying counts stay
+    available through the two tables.  The fringe visibility is not part of
+    the report: visibility() scans it on request.
     """
 
     qber: float
@@ -291,8 +267,6 @@ class QberReport:
     qber_x: float
     table_z: CoincidenceTable
     table_x: CoincidenceTable
-    result: object = field(repr=False, compare=False)
-    det_ab: ThresholdDetector = field(repr=False, compare=False)
 
     @property
     def p_total_z(self) -> float:
@@ -306,18 +280,6 @@ class QberReport:
     def sifted_coincidence_probability(self) -> float:
         """Per-pulse probability of a sifted coincidence (basis match = 1/2)."""
         return 0.25 * (self.p_total_z + self.p_total_x)
-
-    @cached_property
-    def visibility(self) -> float:
-        # fringe visibility per key basis (the module-level visibility());
-        # the mean pairs with the pooled error fraction via QBER = (1 - V)/2
-        vis_z = visibility(self.result, self.det_ab, theta_alice=Z_BASIS.theta_alice)
-        vis_x = visibility(self.result, self.det_ab, theta_alice=X_BASIS.theta_alice)
-        return 0.5 * (vis_z + vis_x)
-
-    @property
-    def qber_from_v(self) -> float:
-        return 0.5 * (1.0 - self.visibility)
 
 
 def qber(result, det_ab: ThresholdDetector) -> QberReport:
@@ -340,8 +302,6 @@ def qber(result, det_ab: ThresholdDetector) -> QberReport:
         qber_x=qber_x,
         table_z=table_z,
         table_x=table_x,
-        result=result,
-        det_ab=det_ab,
     )
 
 

@@ -3,11 +3,12 @@
 A Scenario bundles one operating point of the swapping link.  evaluate() runs
 the full sources -> swap -> metrics -> rates pipeline at increasing Fock
 cutoffs until two consecutive cutoffs agree, so every reported number carries
-a convergence verdict; the visibility fringes are scanned once, at the
-accepted cutoff.  Brightness searches run on the rate curve of one chi-free
-build (the QBER polynomial), not on the pipeline: a coarse grid, golden-section
-refinement and an explicit unimodality guard.  Searches that only need the
-best rate report the curve's value; optimize_chi evaluates its winner.
+a convergence verdict; evaluate() scans the visibility fringes itself, once,
+at the accepted cutoff.  Brightness searches run on the rate curve of one
+chi-free build (the QBER polynomial), not on the pipeline: a coarse grid,
+golden-section refinement and an explicit unimodality guard.  Searches that
+only need the best rate report the curve's value; optimize_chi evaluates its
+winner.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .detectors import DEFAULT_CONSTRAINT, DetectorConstraint
+from .detectors import DEFAULT_CONSTRAINT, DetectorConstraint, ThresholdDetector
 from .errors import NUMERICAL_ERRORS, ConstraintViolationError, NoCoincidenceError, TruncationError
 from .fock import TruncationPolicy
-from .metrics import QberReport, qber, qber_polynomial
+from .metrics import QberReport, qber, qber_polynomial, visibility
 from .rates import (
     KAPPA_DEFAULT,
     KeyRateReport,
@@ -106,16 +107,18 @@ class Scenario:
         return self.p_dc
 
 
+def _arm_detector(s: Scenario) -> ThresholdDetector:
+    """Alice's or Bob's detector: at the far end of an outer arm, it sees the
+    same quarter-link loss as each BSM detector."""
+    return bsm_detector(s.eta0, s.alpha_d_db, s.resolved_p_dc)
+
+
 def _pipeline_once(s: Scenario, n_max: int) -> Tuple[SwapResult, QberReport]:
     policy = TruncationPolicy(n_max=n_max, convergence_tol=s.policy.convergence_tol)
-    p_dc = s.resolved_p_dc
     result = swap_conditional_state(
-        chi=s.chi, eta0=s.eta0, alpha_d_db=s.alpha_d_db, p_dc=p_dc, policy=policy
+        chi=s.chi, eta0=s.eta0, alpha_d_db=s.alpha_d_db, p_dc=s.resolved_p_dc, policy=policy
     )
-    # Alice's and Bob's detectors sit at the far ends of the two outer arms,
-    # so they see the same quarter-link loss as each BSM detector.
-    arm_detector = bsm_detector(s.eta0, s.alpha_d_db, p_dc)
-    return result, qber(result, arm_detector)
+    return result, qber(result, _arm_detector(s))
 
 
 def _observables(result: SwapResult, report: QberReport) -> Tuple[float, ...]:
@@ -136,17 +139,18 @@ def _assemble(
     r_sift = sifted_rate(s.chi, s.eta0, s.alpha_d_db)
     qber_for_rate = min(report.qber, 0.5)
     r_raw, r_sec = secret_rate(r_sift, qber_for_rate, s.kappa)
+    vis = visibility(result, _arm_detector(s))
     return KeyRateReport(
         chi=s.chi,
         eta0=s.eta0,
         alpha_d_db=s.alpha_d_db,
         p_dc=s.resolved_p_dc,
         kappa=s.kappa,
-        visibility=report.visibility,
+        visibility=vis,
         qber=report.qber,
         qber_z=report.qber_z,
         qber_x=report.qber_x,
-        qber_from_v=report.qber_from_v,
+        qber_from_v=0.5 * (1.0 - vis),
         r_sift=r_sift,
         r_sec_raw=r_raw,
         r_sec=r_sec,
@@ -169,10 +173,11 @@ def evaluate(s: Scenario) -> KeyRateReport:
     The pipeline runs at the scenario's n_max and again at n_max+1; if the
     error rate, coincidence probability, and herald probability all agree to
     the policy's convergence tolerance, the higher-cutoff values are reported
-    with converged=True, and the visibility is scanned at that cutoff only.
-    Otherwise the cutoff keeps climbing (up to three extra steps) and a
-    truncation error carrying the two disagreeing value sets is raised if
-    agreement never happens.
+    with converged=True.  Otherwise the cutoff keeps climbing (up to three
+    extra steps) and a truncation error carrying the two disagreeing value
+    sets is raised if agreement never happens.  The visibility fringes are
+    scanned here, in the Z and X bases at the accepted cutoff only, for the
+    report's visibility and its (1 - V)/2 consistency value qber_from_v.
     """
     tol = s.policy.convergence_tol
     n = s.policy.n_max
@@ -277,9 +282,8 @@ def _rate_curve(s: Scenario) -> Callable[[float], float]:
     of _pipeline_once; s.chi is not used.  It equals the single-cutoff
     pipeline at s.policy.n_max.
     """
-    p_dc = s.resolved_p_dc
-    graded = graded_swap_state(s.eta0, s.alpha_d_db, p_dc, s.policy)
-    wrong, total = qber_polynomial(graded, bsm_detector(s.eta0, s.alpha_d_db, p_dc))
+    graded = graded_swap_state(s.eta0, s.alpha_d_db, s.resolved_p_dc, s.policy)
+    wrong, total = qber_polynomial(graded, _arm_detector(s))
 
     def rate(chi: float) -> float:
         t = math.tanh(chi) ** 2
@@ -426,6 +430,16 @@ def es_optimal_rate(
     return _search_chi(_rate_curve(base), CHI_GRID_POINTS, CHI_TOL)[:2]
 
 
+def _step_grid(start: float, stop: float, step: float) -> List[float]:
+    """start, start + step, ... up to stop, included when it lands on the lattice.
+
+    Nothing past stop is sampled; the 1e-9 step of slack absorbs the rounding
+    of (stop - start) / step.
+    """
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return [start + step * i for i in range(count)]
+
+
 def _crossover_scan(
     eta0: float,
     p_dc: float,
@@ -496,9 +510,10 @@ def find_crossover(
     both rates are positive this is the same point as the sign change of
     the log-rate difference.  Bisection narrows it to tol dB.  Returns None
     when one scheme's rate stays on the same side of the other's over the
-    whole positive-rate region (p_dc = 0 behaves this way).
+    whole positive-rate region (p_dc = 0 behaves this way).  The distances
+    sampled are alpha_lo + k*step up to alpha_hi (_step_grid).
     """
-    alphas = np.arange(alpha_lo, alpha_hi + 0.5 * step, step)
+    alphas = _step_grid(alpha_lo, alpha_hi, step)
     return _crossover_scan(eta0, p_dc, alphas, tol, kappa, policy, nu)[0]
 
 
@@ -511,11 +526,12 @@ def max_positive_alpha(
 ) -> Optional[float]:
     """Largest distance with positive rate, to tol dB; None if never positive.
 
-    Scans from alpha_lo for the last positive sample, then bisects the
-    positive-to-zero boundary.  Returns alpha_hi itself if the rate is still
-    positive at the end of the scan window.
+    Scans alpha_lo + k*step up to alpha_hi (_step_grid) for the last positive
+    sample, then bisects the positive-to-zero boundary.  Returns the last
+    sampled distance, the largest alpha_lo + k*step <= alpha_hi, if the rate
+    is still positive there.
     """
-    alphas = np.arange(alpha_lo, alpha_hi + 0.5 * step, step)
+    alphas = _step_grid(alpha_lo, alpha_hi, step)
     rates = [rate_fn(float(a)) for a in alphas]
     positive = [i for i, r in enumerate(rates) if r > 0.0]
     if not positive:

@@ -26,7 +26,6 @@ __all__ = [
     "decoy_inputs",
     "DecoyRateReport",
     "decoy_rate_report",
-    "decoy_secret_rate",
     "optimal_mu",
     "KeyRateReport",
 ]
@@ -74,6 +73,12 @@ def h2(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def _check_kappa(kappa: float) -> None:
+    """Reject an error-correction inefficiency that is not a finite number >= 1."""
+    if not (math.isfinite(kappa) and kappa >= 1.0):
+        raise ValueError(f"kappa {kappa!r} must be finite and >= 1")
+
+
 def sifted_rate(chi: float, eta0: float, alpha_d_db: float) -> float:
     """Leading-order sifted key rate per pump pulse: (1/4) chi^4 eta0^4 10^(-ad/10)."""
     if chi < 0.0 or not 0.0 <= eta0 <= 1.0 or alpha_d_db < 0.0:
@@ -85,8 +90,7 @@ def secret_rate(r_sift: float, qber: float, kappa: float = KAPPA_DEFAULT) -> Tup
     """Secret key rate (raw, clamped): r_sift * [1 - kappa*h2(Q) - h2(Q)]."""
     if r_sift < 0.0:
         raise ValueError(f"r_sift {r_sift!r} negative")
-    if not kappa >= 1.0:
-        raise ValueError(f"kappa {kappa!r} must be >= 1")
+    _check_kappa(kappa)
     if not 0.0 <= qber <= 0.5:
         raise ValueError(f"qber {qber!r} outside [0, 0.5]")
     raw = r_sift * (1.0 - (1.0 + kappa) * h2(qber))
@@ -99,8 +103,7 @@ def qber_threshold(kappa: float = KAPPA_DEFAULT) -> float:
     The left side is strictly decreasing in Q on this interval, so plain
     bisection suffices.
     """
-    if not kappa >= 1.0:
-        raise ValueError(f"kappa {kappa!r} must be >= 1")
+    _check_kappa(kappa)
     lo, hi = 0.0, 0.5
     while hi - lo > QBER_THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
@@ -136,8 +139,7 @@ class DecoyInputs:
             raise ValueError(f"y0 {self.y0!r} outside [0, 1]")
         if not 0.0 <= self.e0 <= 0.5:
             raise ValueError(f"e0 {self.e0!r} outside [0, 0.5]")
-        if not self.kappa >= 1.0:
-            raise ValueError(f"kappa {self.kappa!r} must be >= 1")
+        _check_kappa(self.kappa)
 
 
 def decoy_inputs(
@@ -227,10 +229,6 @@ def decoy_rate_report(d: DecoyInputs) -> DecoyRateReport:
     )
 
 
-def decoy_secret_rate(d: DecoyInputs) -> float:
-    return decoy_rate_report(d).r_sec
-
-
 def optimal_mu(
     eta0: float,
     alpha_d_db: float,
@@ -246,7 +244,7 @@ def optimal_mu(
     """
 
     def rate(mu: float) -> float:
-        return decoy_secret_rate(decoy_inputs(mu, eta0, alpha_d_db, p_dc, nu=nu, kappa=kappa))
+        return decoy_rate_report(decoy_inputs(mu, eta0, alpha_d_db, p_dc, nu=nu, kappa=kappa)).r_sec
 
     best_mu, best_r = float("nan"), -1.0
     n_steps = int(round((1.0 - 0.05) / 0.005))

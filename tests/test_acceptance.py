@@ -14,7 +14,7 @@ import pytest
 
 import oracle
 from conftest import single_pair_herald_budget
-from swapkd.detectors import DEFAULT_CONSTRAINT, constraint_pdc
+from swapkd.detectors import DEFAULT_CONSTRAINT
 from swapkd.optimize import (
     Scenario,
     evaluate,
@@ -51,7 +51,7 @@ def fig3_rows():
 
 def test_criterion_01_constraint_values():
     targets = {0.1: 3e-6, 0.2: 1.8e-5, 0.3: 1e-4}
-    devs = {e: abs(constraint_pdc(e) - t) / t for e, t in targets.items()}
+    devs = {e: abs(DEFAULT_CONSTRAINT.p_dc(e) - t) / t for e, t in targets.items()}
     ok = all(d <= 0.15 for d in devs.values())
     verdict(
         1,

@@ -126,18 +126,28 @@ def test_evaluate_rejects_both_dark_count_modes(tmp_path, capsys):
     assert "not both" in capsys.readouterr().out
 
 
+EVALUATE_AT_10_DB = [
+    "evaluate", "--chi", "0.1", "--eta0", "0.3", "--alpha-d", "10", "--constraint"
+]
+COMPARE_DECOY_AT_10_DB = [
+    "compare-decoy", "--alpha-d-grid", "10", "--eta0", "0.2", "--pdc", "1.8e-5"
+]
+
+
 @pytest.mark.parametrize(
-    "command",
+    "command, kappa",
     [
-        ["evaluate", "--chi", "0.1", "--eta0", "0.3", "--alpha-d", "10", "--constraint"],
-        ["compare-decoy", "--alpha-d-grid", "10", "--eta0", "0.2", "--pdc", "1.8e-5"],
+        pytest.param(EVALUATE_AT_10_DB, "nan", id="evaluate"),
+        pytest.param(COMPARE_DECOY_AT_10_DB, "nan", id="compare-decoy"),
+        pytest.param(EVALUATE_AT_10_DB, "inf", id="evaluate-inf"),
+        pytest.param(COMPARE_DECOY_AT_10_DB, "inf", id="compare-decoy-inf"),
     ],
-    ids=["evaluate", "compare-decoy"],
 )
-def test_nan_kappa_is_a_configuration_error(tmp_path, capsys, command):
-    code = main(command + ["--kappa", "nan", "--output-dir", str(tmp_path)] + FAST)
+def test_nan_kappa_is_a_configuration_error(tmp_path, capsys, command, kappa):
+    """A kappa that is not a finite number >= 1 exits 2 and writes no CSV."""
+    code = main(command + ["--kappa", kappa, "--output-dir", str(tmp_path)] + FAST)
     assert code == 2
-    assert "kappa nan" in capsys.readouterr().out
+    assert f"kappa {kappa}" in capsys.readouterr().out
     assert not list(tmp_path.glob("*.csv"))
 
 

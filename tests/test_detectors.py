@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from dense_reference import pattern_weight, pattern_weight_table, with_extra_loss
-from swapkd.detectors import (
-    DEFAULT_CONSTRAINT,
-    DetectorConstraint,
-    ThresholdDetector,
-    constraint_pdc,
-)
+from swapkd.detectors import DEFAULT_CONSTRAINT, DetectorConstraint, ThresholdDetector
 from swapkd.errors import ConstraintViolationError
 
 
@@ -42,9 +37,9 @@ def test_detector_validation():
 
 def test_constraint_frozen_values():
     """Dark-count floor at the three working-point efficiencies."""
-    assert constraint_pdc(0.1) == pytest.approx(3.339107908953592e-06, rel=1e-12)
-    assert constraint_pdc(0.2) == pytest.approx(1.827810102891218e-05, rel=1e-12)
-    assert constraint_pdc(0.3) == pytest.approx(1.000533634529401e-04, rel=1e-12)
+    assert DEFAULT_CONSTRAINT.p_dc(0.1) == pytest.approx(3.339107908953592e-06, rel=1e-12)
+    assert DEFAULT_CONSTRAINT.p_dc(0.2) == pytest.approx(1.827810102891218e-05, rel=1e-12)
+    assert DEFAULT_CONSTRAINT.p_dc(0.3) == pytest.approx(1.000533634529401e-04, rel=1e-12)
 
 
 def test_constraint_violation():

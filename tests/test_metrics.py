@@ -64,32 +64,32 @@ def test_singlet_coincidence_table(ideal_detector):
     assert table.p_vh == pytest.approx(0.5, abs=1e-12)
     assert table.p_hh == pytest.approx(0.0, abs=1e-12)
     assert table.p_vv == pytest.approx(0.0, abs=1e-12)
-    assert table.p_diff == pytest.approx(0.5, abs=1e-12)
-    assert table.p_same == pytest.approx(0.0, abs=1e-12)
+    assert table.p_hv == pytest.approx(0.5, abs=1e-12)
+    assert table.p_hh == pytest.approx(0.0, abs=1e-12)
     assert table.p_coincidence == pytest.approx(1.0, abs=1e-12)
     assert table.p_double_alice == pytest.approx(0.0, abs=1e-12)
     # the singlet looks the same in any rotated product basis
-    rotated = fourfold_coincidence(
-        cond, AnalyzerSetting(0.3, 0.3, "rot"), ideal_detector
-    )
+    rotated = fourfold_coincidence(cond, AnalyzerSetting(0.3, 0.3), ideal_detector)
     assert rotated.p_hv == pytest.approx(0.5, abs=1e-10)
     assert rotated.p_hh == pytest.approx(0.0, abs=1e-10)
 
 
 def test_singlet_qber_and_visibility(ideal_detector):
     rep = qber(singlet_state(n_max=2), ideal_detector)
+    vis = visibility(singlet_state(n_max=2), ideal_detector)
     assert rep.qber == pytest.approx(0.0, abs=1e-12)
-    assert rep.visibility == pytest.approx(1.0, abs=1e-9)
-    assert rep.qber_from_v == pytest.approx(0.0, abs=1e-9)
+    assert vis == pytest.approx(1.0, abs=1e-9)
+    assert 0.5 * (1.0 - vis) == pytest.approx(0.0, abs=1e-9)
     assert rep.sifted_coincidence_probability == pytest.approx(0.25 * 2.0, abs=1e-12)
 
 
 def test_werner_state_qber_visibility(ideal_detector):
     """F = 0.925 gives lambda = 0.9, so V = 0.9 and QBER = 0.05."""
     rep = qber(werner_state(0.925), ideal_detector)
+    vis = visibility(werner_state(0.925), ideal_detector)
     assert rep.qber == pytest.approx(0.05, abs=1e-12)
-    assert rep.visibility == pytest.approx(0.9, abs=1e-9)
-    assert rep.qber_from_v == pytest.approx(0.05, abs=1e-9)
+    assert vis == pytest.approx(0.9, abs=1e-9)
+    assert 0.5 * (1.0 - vis) == pytest.approx(0.05, abs=1e-9)
     assert fidelity_visibility(0.925) == pytest.approx(0.9, abs=1e-12)
 
 
@@ -138,7 +138,7 @@ def test_dark_counts_only_give_random_outcomes():
     det = ThresholdDetector(eta=0.5, p_dc=1e-3)
     rep = qber(vacuum_conditional(), det)
     assert rep.qber == pytest.approx(0.5, abs=1e-12)
-    assert abs(rep.visibility) < 1e-6
+    assert abs(visibility(vacuum_conditional(), det)) < 1e-6
 
 
 def test_no_coincidence_raises():
@@ -165,11 +165,12 @@ def test_visibility_scan_extrema_for_singlet(ideal_detector):
 def test_visibility_scan_matches_direct_contraction(ideal_detector):
     """Spot-check the fast angle curve against fourfold_coincidence."""
     cond = werner_state(0.85)
-    scan = visibility_scan(cond, ideal_detector, theta_alice=0.2)
+    curve = _bob_angle_curve(cond, ideal_detector, 0.2)
+    grid = np.linspace(0.0, math.pi, metrics_module.SCAN_GRID_POINTS, endpoint=False)
     for k in (0, 40, 110):
-        theta = float(scan.grid_thetas[k])
-        table = fourfold_coincidence(cond, AnalyzerSetting(0.2, theta, "chk"), ideal_detector)
-        assert scan.grid_values[k] == pytest.approx(table.p_hh, rel=1e-10)
+        theta = float(grid[k])
+        table = fourfold_coincidence(cond, AnalyzerSetting(0.2, theta), ideal_detector)
+        assert curve(theta)[0] == pytest.approx(table.p_hh, rel=1e-10)
 
 
 def test_swap_state_hv_symmetry():
@@ -188,10 +189,8 @@ def test_swap_state_rotational_covariance():
     det = bsm_detector(0.8, 0.0, 0.0)
     base = qber(res, det).qber
     for delta in (0.17, 0.61, 1.03):
-        tz = fourfold_coincidence(res, AnalyzerSetting(delta, delta, "Z"), det)
-        tx = fourfold_coincidence(
-            res, AnalyzerSetting(math.pi / 4 + delta, math.pi / 4 + delta, "X"), det
-        )
+        tz = fourfold_coincidence(res, AnalyzerSetting(delta, delta), det)
+        tx = fourfold_coincidence(res, AnalyzerSetting(math.pi / 4 + delta, math.pi / 4 + delta), det)
         rotated = (tz.p_wrong + tx.p_wrong) / (tz.p_coincidence + tx.p_coincidence)
         assert rotated == pytest.approx(base, abs=5e-7)
 
@@ -224,7 +223,6 @@ def test_joint_probability_weight_is_herald(ideal_detector):
     cond = singlet_state(n_max=2, herald=0.01)
     table = fourfold_coincidence(cond, Z_BASIS, ideal_detector)
     assert table.p_hv == pytest.approx(0.005, abs=1e-12)
-    assert table.herald_probability == pytest.approx(0.01)
 
 
 def swap_case(n_max: int, chi: float, p_dc: float):
@@ -233,7 +231,7 @@ def swap_case(n_max: int, chi: float, p_dc: float):
     return res, bsm_detector(0.3, 10.0, p_dc)
 
 
-OFF_AXIS = AnalyzerSetting(0.3, 1.1, "off")
+OFF_AXIS = AnalyzerSetting(0.3, 1.1)
 
 
 @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
@@ -256,7 +254,6 @@ def test_factored_contraction_matches_dense_state(n_max):
                 }
                 for name, value in want.items():
                     assert getattr(table, name) == pytest.approx(value, rel=1e-9, abs=1e-20), name
-                assert table.herald_probability == cond.herald_probability
                 scan = visibility_scan(res, det, theta_alice=setting.theta_alice)
                 extrema = [
                     max(dense_probabilities(cond, det, setting.theta_alice, theta)[("h", "h")], 0.0)

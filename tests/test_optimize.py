@@ -19,13 +19,14 @@ from swapkd.optimize import (
     _search_chi,
     es_optimal_rate,
     evaluate,
+    find_crossover,
     max_positive_alpha,
     optimize_chi,
     optimize_joint,
     ordered_map,
     sweep,
 )
-from swapkd.rates import decoy_inputs, decoy_secret_rate, golden_max, secret_rate, sifted_rate
+from swapkd.rates import decoy_inputs, decoy_rate_report, golden_max, secret_rate, sifted_rate
 
 
 def test_scenario_requires_exactly_one_dark_count_source():
@@ -240,8 +241,32 @@ def test_max_positive_alpha_synthetic():
     assert edge == pytest.approx(17.3, abs=0.05)
 
 
+def test_distance_scans_stop_at_alpha_hi(monkeypatch):
+    """Both scans sample alpha_lo + k*step only up to an off-lattice alpha_hi."""
+    sampled = []
+
+    def always_positive(alpha):
+        sampled.append(alpha)
+        return 1.0
+
+    assert max_positive_alpha(always_positive, 0.0, 11.0, 3.0) == 9.0
+    assert sampled == [0.0, 3.0, 6.0, 9.0]
+
+    sampled.clear()
+    es_optimal_rate = optimize_module.es_optimal_rate
+
+    def recording(alpha, *args, **kwargs):
+        sampled.append(alpha)
+        return es_optimal_rate(alpha, *args, **kwargs)
+
+    monkeypatch.setattr(optimize_module, "es_optimal_rate", recording)
+    find_crossover(0.2, 1.8e-5, 0.0, 11.0, 3.0, policy=TruncationPolicy(n_max=2))
+    assert sampled[:4] == [0.0, 3.0, 6.0, 9.0]
+    assert max(sampled) <= 11.0
+
+
 def test_decoy_rate_positive_at_short_range():
-    assert decoy_secret_rate(decoy_inputs(0.48, 0.2, 0.0, 1.8e-5)) > 1e-2
+    assert decoy_rate_report(decoy_inputs(0.48, 0.2, 0.0, 1.8e-5)).r_sec > 1e-2
 
 
 def _blas_threads(_):

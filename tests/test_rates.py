@@ -6,7 +6,6 @@ from swapkd.rates import (
     DecoyInputs,
     decoy_inputs,
     decoy_rate_report,
-    decoy_secret_rate,
     h2,
     optimal_mu,
     qber_threshold,
@@ -49,7 +48,7 @@ def test_secret_rate_clamps():
     assert raw_lo > 0.0 > raw_hi
 
 
-@pytest.mark.parametrize("kappa", [0.9, math.nan])
+@pytest.mark.parametrize("kappa", [0.9, math.nan, math.inf])
 def test_kappa_validation(kappa):
     with pytest.raises(ValueError):
         secret_rate(1e-6, 0.05, kappa)
@@ -67,8 +66,9 @@ def test_decoy_inputs_validation():
         DecoyInputs(mu=0.05, eta_bob=0.2, y0=1e-5, nu=0.1)
     with pytest.raises(ValueError):
         DecoyInputs(mu=0.5, eta_bob=1.5, y0=1e-5)
-    with pytest.raises(ValueError):
-        DecoyInputs(mu=0.5, eta_bob=0.2, y0=1e-5, kappa=math.nan)
+    for kappa in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            DecoyInputs(mu=0.5, eta_bob=0.2, y0=1e-5, kappa=kappa)
     d = decoy_inputs(0.7, 0.2, 10.0, 1.8e-5)
     assert d.eta_bob == pytest.approx(0.02, rel=1e-12)
     assert d.y0 == pytest.approx(3.6e-5, rel=1e-12)
@@ -91,12 +91,12 @@ def test_decoy_degenerate_no_dark_counts():
     assert rep.e_mu == 0.0
     assert rep.e1_upper == 0.0
     assert rep.r_sec == rep.q1_lower / 2.0
-    assert rep.r_sec == decoy_secret_rate(decoy_inputs(0.5, 0.3, 15.0, 0.0))
+    assert rep.r_sec == decoy_rate_report(decoy_inputs(0.5, 0.3, 15.0, 0.0)).r_sec
 
 
 def test_decoy_log_rate_affine_in_loss_without_dark_counts():
     rates = [
-        decoy_secret_rate(decoy_inputs(0.5, 0.3, a, 0.0)) for a in (10.0, 20.0, 30.0)
+        decoy_rate_report(decoy_inputs(0.5, 0.3, a, 0.0)).r_sec for a in (10.0, 20.0, 30.0)
     ]
     slopes = [
         (math.log10(rates[i + 1]) - math.log10(rates[i])) / 10.0 for i in range(2)
@@ -106,7 +106,7 @@ def test_decoy_log_rate_affine_in_loss_without_dark_counts():
 
 
 def test_decoy_rate_monotone_in_loss():
-    rates = [decoy_secret_rate(decoy_inputs(0.5, 0.2, a, 1e-6)) for a in (0, 10, 20, 30)]
+    rates = [decoy_rate_report(decoy_inputs(0.5, 0.2, a, 1e-6)).r_sec for a in (0, 10, 20, 30)]
     assert all(rates[i] > rates[i + 1] for i in range(3))
 
 
@@ -122,7 +122,7 @@ def test_optimal_mu_is_local_maximum():
     assert 0.05 <= mu_star <= 1.0
     assert mu_star > 0.1
     for d in (-0.01, 0.01):
-        r = decoy_secret_rate(decoy_inputs(mu_star + d, 0.2, 10.0, 1.8e-5))
+        r = decoy_rate_report(decoy_inputs(mu_star + d, 0.2, 10.0, 1.8e-5)).r_sec
         assert r <= r_star + 1e-15
 
 
