@@ -220,34 +220,33 @@ def parse_grid(spec: GridLike) -> List[float]:
         return [float(spec)]
     if isinstance(spec, (list, tuple)):
         values = [float(v) for v in spec]
-        if not values:
-            raise ConfigError("empty grid")
-        return values
-    text = str(spec).strip()
-    if not text:
+    else:
+        text = str(spec).strip()
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) == 3:
+                start, stop, step = (float(p) for p in parts)
+                if step <= 0.0 or stop < start:
+                    raise ConfigError(f"bad grid {text!r}: need start <= stop, step > 0")
+                return _step_grid(start, stop, step)
+            if len(parts) == 4:
+                start, stop = float(parts[0]), float(parts[1])
+                n = int(parts[2])
+                kind = parts[3].lower()
+                if n < 1:
+                    raise ConfigError(f"bad grid {text!r}: need at least one point")
+                if kind == "log":
+                    if start <= 0.0 or stop <= 0.0:
+                        raise ConfigError(f"bad grid {text!r}: log spacing needs positive bounds")
+                    return list(np.logspace(math.log10(start), math.log10(stop), n))
+                if kind == "lin":
+                    return list(np.linspace(start, stop, n))
+                raise ConfigError(f"bad grid {text!r}: spacing must be 'log' or 'lin'")
+            raise ConfigError(f"bad grid {text!r}: expected 3 or 4 ':'-separated fields")
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
+    if not values:
         raise ConfigError("empty grid")
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) == 3:
-            start, stop, step = (float(p) for p in parts)
-            if step <= 0.0 or stop < start:
-                raise ConfigError(f"bad grid {text!r}: need start <= stop, step > 0")
-            return _step_grid(start, stop, step)
-        if len(parts) == 4:
-            start, stop = float(parts[0]), float(parts[1])
-            n = int(parts[2])
-            kind = parts[3].lower()
-            if n < 1:
-                raise ConfigError(f"bad grid {text!r}: need at least one point")
-            if kind == "log":
-                if start <= 0.0 or stop <= 0.0:
-                    raise ConfigError(f"bad grid {text!r}: log spacing needs positive bounds")
-                return list(np.logspace(math.log10(start), math.log10(stop), n))
-            if kind == "lin":
-                return list(np.linspace(start, stop, n))
-            raise ConfigError(f"bad grid {text!r}: spacing must be 'log' or 'lin'")
-        raise ConfigError(f"bad grid {text!r}: expected 3 or 4 ':'-separated fields")
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+    return values
 
 
 def _load_config_file(path: str, command: str) -> Dict:
@@ -281,7 +280,7 @@ def _resolve(args: argparse.Namespace, defaults: Dict) -> Dict:
     return config
 
 
-def _resolve_pdc_mode(config: Dict, require_eta0: bool = True) -> Tuple[Optional[float], Optional[DetectorConstraint]]:
+def _resolve_pdc_mode(config: Dict) -> Tuple[Optional[float], Optional[DetectorConstraint]]:
     """Translate the p_dc/constraint pair of config keys into Scenario inputs."""
     use_constraint = bool(config.get("constraint"))
     p_dc = config.get("p_dc")
@@ -289,8 +288,6 @@ def _resolve_pdc_mode(config: Dict, require_eta0: bool = True) -> Tuple[Optional
         raise ConfigError("give either p_dc or constraint, not both")
     if not use_constraint and p_dc is None:
         raise ConfigError("one of p_dc or constraint is required")
-    if require_eta0 and config.get("eta0") is None:
-        raise ConfigError("eta0 is required")
     if use_constraint:
         return None, DetectorConstraint(
             a=config.get("constraint_a", DEFAULT_CONSTRAINT.a),
@@ -326,10 +323,20 @@ def _out_path(config: Dict, name: str) -> str:
 # A command's run(config) returns its CSV files as (suffix, columns, rows),
 # each written to <stem><suffix>.csv, and the manifest's "results" entry
 # (None for none).  It may replace config values by their parsed form, which
-# the manifest then records.
+# the manifest then records.  figure-data runs these same functions with each
+# figure's settings, so a figure file is the CSV its command would write.
 
 Output = Tuple[str, Sequence[str], List[Dict]]
 RunResult = Tuple[List[Output], Optional[Dict]]
+
+
+class _Command(NamedTuple):
+    help: str
+    defaults: Dict
+    required: Tuple[str, ...]
+    run: Callable[[Dict], RunResult]
+    stem_key: str = "output_prefix"  # config key naming the output files
+    flag_help: Dict[str, str] = {}
 
 
 def _run_evaluate(config: Dict) -> RunResult:
@@ -350,7 +357,7 @@ def _run_evaluate(config: Dict) -> RunResult:
 
 
 def _run_sweep(config: Dict) -> RunResult:
-    p_dc, constraint = _resolve_pdc_mode(config, require_eta0=False)
+    p_dc, constraint = _resolve_pdc_mode(config)
     for key in ("alpha_d_grid", "eta0_grid", "chi_grid"):
         config[key] = parse_grid(config[key])
     policy = _policy(config)
@@ -380,16 +387,11 @@ def _optimize_one_alpha(task: Tuple) -> OptimumPoint:
 def _run_optimize(config: Dict) -> RunResult:
     config["alpha_d_grid"] = parse_grid(config["alpha_d_grid"])
     eta0 = config["eta0"]
-    if eta0 is None:
+    if eta0 is None and not config.get("constraint"):
         # joint (chi, eta0) optimization needs the dark-count constraint
-        if not config.get("constraint"):
-            raise ConfigError("joint optimization requires constraint mode (or give eta0)")
-        p_dc, constraint = None, DetectorConstraint(
-            a=config["constraint_a"], b=config["constraint_b"]
-        )
-    else:
-        eta0 = float(eta0)
-        p_dc, constraint = _resolve_pdc_mode(config)
+        raise ConfigError("joint optimization requires constraint mode (or give eta0)")
+    p_dc, constraint = _resolve_pdc_mode(config)
+    eta0 = None if eta0 is None else float(eta0)
     policy = _policy(config)
     kappa = float(config["kappa"])
     tasks = [(a, eta0, p_dc, constraint, kappa, policy) for a in config["alpha_d_grid"]]
@@ -397,18 +399,13 @@ def _run_optimize(config: Dict) -> RunResult:
     return [("", OPTIMIZE_COLUMNS, [_optimum_row(pt) for pt in points])], {"points": len(points)}
 
 
-def _compare_rows(
-    alpha_values: Sequence[float],
-    eta0: float,
-    p_dc: float,
-    nu: float,
-    kappa: float,
-    policy: TruncationPolicy,
-    fixed_mu: Optional[float],
-    fixed_chi: Optional[float],
-) -> List[Dict]:
+def _run_compare_decoy(config: Dict) -> RunResult:
+    config["alpha_d_grid"] = parse_grid(config["alpha_d_grid"])
+    eta0, p_dc = float(config["eta0"]), float(config["p_dc"])
+    nu, kappa, policy = float(config["nu"]), float(config["kappa"]), _policy(config)
+    fixed_mu, fixed_chi = config["mu"], config["chi"]
     rows = []
-    for alpha in alpha_values:
+    for alpha in config["alpha_d_grid"]:
         if fixed_chi is None:
             chi_used, r_es = es_optimal_rate(alpha, eta0, p_dc, kappa=kappa, policy=policy)
         else:
@@ -438,21 +435,6 @@ def _compare_rows(
                 "log10_r_decoy": _log10_or_none(r_dk),
             }
         )
-    return rows
-
-
-def _run_compare_decoy(config: Dict) -> RunResult:
-    config["alpha_d_grid"] = parse_grid(config["alpha_d_grid"])
-    rows = _compare_rows(
-        config["alpha_d_grid"],
-        float(config["eta0"]),
-        float(config["p_dc"]),
-        float(config["nu"]),
-        float(config["kappa"]),
-        _policy(config),
-        config["mu"],
-        config["chi"],
-    )
     return [("", COMPARE_COLUMNS, rows)], {"points": len(rows)}
 
 
@@ -468,6 +450,20 @@ def _run_crossover(config: Dict) -> RunResult:
     )
     rows = [dict(zip(CROSSOVER_COLUMNS, row)) for row in rows]
     return [("", CROSSOVER_COLUMNS, rows)], {"alpha_crossover": alpha_star}
+
+
+def _run_decoy_curve(config: Dict) -> RunResult:
+    """The decoy bound chain per distance at the fixed intensity mu."""
+    eta0, p_dc, mu = float(config["eta0"]), float(config["p_dc"]), float(config["mu"])
+    rows = [
+        _decoy_row(a, eta0, p_dc, decoy_rate_report(decoy_inputs(mu, eta0, a, p_dc)))
+        for a in parse_grid(config["alpha_d_grid"])
+    ]
+    return [("", DECOY_COLUMNS, rows)], None
+
+
+# fig8's decoy curves; no subcommand writes these rows
+_DECOY_CURVE = _Command("decoy bound chain at fixed mu", {}, (), _run_decoy_curve)
 
 
 # ---------------------------------------------------------------------------
@@ -522,69 +518,44 @@ _FIGURES = {
 }
 
 
-def _es_rows(
-    alphas: Sequence[float],
-    chis: Sequence[float],
-    eta0: float,
-    policy: TruncationPolicy,
-    workers: int,
-    p_dc: Optional[float] = None,
-) -> List[Dict]:
-    """Swap-link rows over alphas x chis; constraint dark counts unless p_dc is given."""
-    constraint = DEFAULT_CONSTRAINT if p_dc is None else None
-    scenarios = [
-        Scenario(alpha_d_db=a, chi=c, eta0=eta0, p_dc=p_dc, constraint=constraint, policy=policy)
-        for a in alphas
-        for c in chis
-    ]
-    return [_report_row(sr) for sr in sweep(scenarios, workers=workers)]
-
-
-def _figure_files(
-    config: Dict, figure: str, variant: str, policy: TruncationPolicy, workers: int
-) -> List[Output]:
-    alpha_grid, chi_grid = config["alpha_d_grid"], config["chi_grid"]
-    if figure == "fig6":
-        alphas = parse_grid(alpha_grid or _ALPHA_SCAN)
-        tasks = [(a, None, None, DEFAULT_CONSTRAINT, KAPPA_DEFAULT, policy) for a in alphas]
-        points = ordered_map(_optimize_one_alpha, tasks, workers)
-        return [("_optima", OPTIMIZE_COLUMNS, [_optimum_row(pt) for pt in points])]
-    if variant not in _FIGURES[figure]:
-        raise ConfigError(f"unknown variant {variant!r} for {figure}")
+def _figure_runs(
+    figure: str, variant: str, alpha_grid: Optional[GridLike], chi_grid: Optional[GridLike]
+) -> List[Tuple[str, _Command, Dict]]:
+    """The (file suffix, command, settings) that write one figure variant."""
     preset = _FIGURES[figure][variant]
-
+    sweep_cmd = COMMANDS["sweep"]
     if figure in ("fig3", "fig5"):
         eta0, chi_scan = preset
-        chis = parse_grid(chi_grid or chi_scan)
         return [
-            (f"{variant}_ad{_num_label(a)}", ROW_COLUMNS,
-             _es_rows([a], chis, eta0, policy, workers))
+            (f"{variant}_ad{_num_label(a)}", sweep_cmd,
+             {"alpha_d_grid": [a], "eta0_grid": [eta0], "chi_grid": chi_grid or chi_scan,
+              "constraint": True})
             for a in parse_grid(alpha_grid or _FIG3_ALPHAS)
         ]
     if figure == "fig4":
-        alphas = parse_grid(alpha_grid or _ALPHA_SCAN)
         return [
-            (f"{variant}_chi{_num_label(c)}", ROW_COLUMNS,
-             _es_rows(alphas, [c], preset, policy, workers))
+            (f"{variant}_chi{_num_label(c)}", sweep_cmd,
+             {"alpha_d_grid": alpha_grid or _ALPHA_SCAN, "eta0_grid": [preset], "chi_grid": [c],
+              "constraint": True})
             for c in parse_grid(chi_grid or _FIG4_CHIS)
         ]
-
-    alphas = parse_grid(alpha_grid or _ALPHA_SCAN_LONG)
+    if figure == "fig6":
+        settings = {"alpha_d_grid": alpha_grid or _ALPHA_SCAN, "constraint": True}
+        return [("_optima", COMMANDS["optimize"], settings)]
+    alphas = alpha_grid or _ALPHA_SCAN_LONG
     if figure == "fig7":
-        rows = _compare_rows(
-            alphas, _FIG7_ETA0, preset, NU_DEFAULT, KAPPA_DEFAULT, policy, None, None
-        )
-        return [(f"{variant}_es_vs_decoy", COMPARE_COLUMNS, rows)]
-    files = []
+        settings = {"alpha_d_grid": alphas, "eta0": _FIG7_ETA0, "p_dc": preset}
+        return [(f"{variant}_es_vs_decoy", COMMANDS["compare-decoy"], settings)]
+    runs = []
     for scheme, label, eta0, x in preset:
+        settings = {"alpha_d_grid": alphas, "p_dc": _FIG8_PDC}
         if scheme == "decoy":
-            reports = [decoy_rate_report(decoy_inputs(x, eta0, a, _FIG8_PDC)) for a in alphas]
-            rows = [_decoy_row(a, eta0, _FIG8_PDC, r) for a, r in zip(alphas, reports)]
-            files.append((f"{variant}_decoy_{label}", DECOY_COLUMNS, rows))
+            settings.update(eta0=eta0, mu=x)
+            runs.append((f"{variant}_decoy_{label}", _DECOY_CURVE, settings))
         else:
-            rows = _es_rows(alphas, [x], eta0, policy, workers, p_dc=_FIG8_PDC)
-            files.append((f"{variant}_es_{label}", ROW_COLUMNS, rows))
-    return files
+            settings.update(eta0_grid=[eta0], chi_grid=[x])
+            runs.append((f"{variant}_es_{label}", sweep_cmd, settings))
+    return runs
 
 
 def _run_figure_data(config: Dict) -> RunResult:
@@ -592,25 +563,21 @@ def _run_figure_data(config: Dict) -> RunResult:
     if figure not in _FIGURES:
         raise ConfigError(f"unknown figure {figure!r}")
     variants = (config["variant"],) if config["variant"] else tuple(_FIGURES[figure])
-    workers = _workers(config)
-    policy = _policy(config)
+    shared = {key: config[key] for key in ("n_max", "convergence_tol", "workers")}
     files: List[Output] = []
     for variant in variants:
-        files.extend(_figure_files(config, figure, variant, policy, workers))
+        if variant not in _FIGURES[figure]:
+            raise ConfigError(f"unknown variant {variant!r} for {figure}")
+        for suffix, command, settings in _figure_runs(
+            figure, variant, config["alpha_d_grid"], config["chi_grid"]
+        ):
+            [(_, columns, rows)], _ = command.run({**command.defaults, **shared, **settings})
+            files.append((suffix, columns, rows))
     return files, None
 
 
 # ---------------------------------------------------------------------------
 # command table, argument parsing and the runner
-
-
-class _Command(NamedTuple):
-    help: str
-    defaults: Dict
-    required: Tuple[str, ...]
-    run: Callable[[Dict], RunResult]
-    stem_key: str = "output_prefix"  # config key naming the output files
-    flag_help: Dict[str, str] = {}
 
 
 _COMMON_DEFAULTS: Dict = {"n_max": 4, "convergence_tol": 1e-4, "output_dir": "."}

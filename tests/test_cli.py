@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import swapkd
@@ -20,6 +21,8 @@ from swapkd.cli import (
     main,
     parse_grid,
 )
+from swapkd.detectors import DEFAULT_CONSTRAINT
+from swapkd.optimize import SweepRow
 
 FAST = ["--n-max", "2"]
 
@@ -67,7 +70,7 @@ def test_parse_grid_lists_and_scalars():
 
 
 def test_parse_grid_rejects_bad_specs():
-    for bad in ("5:1:1", "1:2:0", "1:2:3:cubic", "1:2:3:4:5", "", "1e-4:1e-2:0:log"):
+    for bad in ("5:1:1", "1:2:0", "1:2:3:cubic", "1:2:3:4:5", "", ",", " , ", "1e-4:1e-2:0:log"):
         with pytest.raises(ConfigError):
             parse_grid(bad)
     with pytest.raises(ConfigError):
@@ -282,6 +285,30 @@ def test_optimize_joint_requires_constraint(tmp_path, capsys):
     assert "constraint" in capsys.readouterr().out
 
 
+def test_optimize_joint_rejects_both_dark_count_modes(tmp_path, capsys):
+    code = main(["optimize", "--alpha-d-grid", "10", "--constraint", "--pdc", "1e-5",
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "not both" in capsys.readouterr().out
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["optimize", "--constraint"],
+        ["compare-decoy", "--eta0", "0.2", "--pdc", "1.8e-5"],
+        ["figure-data", "--figure", "fig3"],
+    ],
+    ids=["optimize", "compare-decoy", "figure-data"],
+)
+def test_comma_only_grid_is_a_configuration_error(args, tmp_path, capsys):
+    code = main(args + ["--alpha-d-grid", ",", "--output-dir", str(tmp_path)] + FAST)
+    assert code == 2
+    assert "empty grid" in capsys.readouterr().out
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_compare_decoy_fixed_parameters(tmp_path):
     out = str(tmp_path)
     code = main(
@@ -378,11 +405,88 @@ def test_figure_data_fig4_naming(tmp_path):
     assert len(rows) == 2
 
 
-def test_figure_data_rejects_unknown_variant(tmp_path, capsys):
-    code = main(["figure-data", "--figure", "fig4", "--variant", "z",
+@pytest.mark.parametrize("figure", ["fig4", "fig6"])
+def test_figure_data_rejects_unknown_variant(figure, tmp_path, capsys):
+    code = main(["figure-data", "--figure", figure, "--variant", "z",
                  "--output-dir", str(tmp_path)])
     assert code == 2
     assert "variant" in capsys.readouterr().out
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def _log_grid(lo, hi):
+    return list(np.logspace(math.log10(lo), math.log10(hi), 25))
+
+
+def _alpha_scan(hi):
+    return [2.5 * i for i in range(int(hi / 2.5) + 1)]
+
+
+def _constraint_curve(alphas, eta0, chis):
+    return [(a, eta0, c, DEFAULT_CONSTRAINT.p_dc(eta0)) for a in alphas for c in chis]
+
+
+def _fig8_curve(eta0, chi):
+    return [(a, eta0, chi, 1e-12) for a in _alpha_scan(60)]
+
+
+# (alpha_d_db, eta0, chi, p_dc) per file at the preset grids; fig8's decoy
+# files carry no chi
+_FIG3_ALPHAS = [0, 5, 10, 25, 50]
+_ZOOM, _FULL = _log_grid(1e-4, 1e-2), _log_grid(1e-4, 0.3)
+PRESET_FILES = {
+    "fig3": {
+        f"fig3{v}_ad{a}.csv": _constraint_curve([a], eta0, chis)
+        for v, eta0, chis in (("a", 0.1, _ZOOM), ("b", 0.1, _FULL),
+                              ("c", 0.3, _ZOOM), ("d", 0.3, _FULL))
+        for a in _FIG3_ALPHAS
+    },
+    "fig4": {
+        f"fig4{v}_chi{label}.csv": _constraint_curve(_alpha_scan(50), eta0, [chi])
+        for v, eta0 in (("a", 0.1), ("b", 0.3))
+        for label, chi in (("0.0001", 1e-4), ("0.001", 1e-3), ("0.01", 1e-2),
+                           ("0.1", 0.1), ("0.2", 0.2))
+    },
+    "fig5": {
+        f"fig5{v}_ad{a}.csv": _constraint_curve([a], eta0, _FULL)
+        for v, eta0 in (("a", 0.1), ("b", 0.3))
+        for a in _FIG3_ALPHAS
+    },
+    "fig8": {
+        "fig8a_decoy_mu0.8.csv": _fig8_curve(0.2, None),
+        "fig8a_decoy_mu0.4.csv": _fig8_curve(0.2, None),
+        "fig8a_es_chi0.174.csv": _fig8_curve(0.2, 0.174),
+        "fig8a_es_chi0.172.csv": _fig8_curve(0.2, 0.172),
+        "fig8a_es_chi0.12.csv": _fig8_curve(0.2, 0.12),
+        "fig8b_decoy_eta0.9.csv": _fig8_curve(0.9, None),
+        "fig8b_es_eta0.9.csv": _fig8_curve(0.9, 0.12),
+        "fig8b_decoy_eta0.1.csv": _fig8_curve(0.1, None),
+        "fig8b_es_eta0.1.csv": _fig8_curve(0.1, 0.12),
+    },
+}
+
+
+@pytest.mark.parametrize("figure", sorted(PRESET_FILES))
+def test_figure_data_preset_grids(figure, tmp_path, monkeypatch):
+    """The preset grids of every swap-link curve, with the swap pipeline
+    stubbed out; the golden cases run the figures on overridden grids."""
+    def stub_sweep(scenarios, workers=None):
+        return [SweepRow(s, None, "stub") for s in scenarios]
+
+    monkeypatch.setattr(cli_module, "sweep", stub_sweep)
+    code = main(["figure-data", "--figure", figure, "--workers", "1",
+                 "--output-dir", str(tmp_path)] + FAST)
+    assert code == 0
+    manifest = json.load(open(tmp_path / f"{figure}_manifest.json"))
+    assert manifest["outputs"] == list(PRESET_FILES[figure])
+    for name, want in PRESET_FILES[figure].items():
+        _, rows = read_csv(tmp_path / name)
+        got = [
+            (float(r["alpha_d_db"]), float(r["eta0"]),
+             float(r["chi"]) if "chi" in r else None, float(r["p_dc"]))
+            for r in rows
+        ]
+        assert got == [pytest.approx(w, rel=1e-10) for w in want], name
 
 
 def test_console_script_version():
