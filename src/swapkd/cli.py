@@ -502,6 +502,10 @@ _FIG8_CURVES = {
     ],
 }
 
+# The figures whose brightness grid chi_grid overrides; the others choose
+# their brightness per distance or per curve.
+_CHI_GRID_FIGURES = ("fig3", "fig4", "fig5")
+
 # Variants of each figure, in default order; fig6 has one unnamed variant.
 _FIGURES = {
     "fig3": {
@@ -562,6 +566,8 @@ def _run_figure_data(config: Dict) -> RunResult:
     figure = config["figure"]
     if figure not in _FIGURES:
         raise ConfigError(f"unknown figure {figure!r}")
+    if config["chi_grid"] is not None and figure not in _CHI_GRID_FIGURES:
+        raise ConfigError(f"chi_grid applies to {', '.join(_CHI_GRID_FIGURES)} only, not {figure}")
     variants = (config["variant"],) if config["variant"] else tuple(_FIGURES[figure])
     shared = {key: config[key] for key in ("n_max", "convergence_tol", "workers")}
     files: List[Output] = []
@@ -635,7 +641,7 @@ COMMANDS: Dict[str, _Command] = {
         stem_key="figure",
         flag_help={
             "alpha_d_grid": "override the preset grid",
-            "chi_grid": "override the preset grid",
+            "chi_grid": "override the preset grid (fig3, fig4, fig5)",
         },
     ),
 }

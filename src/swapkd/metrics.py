@@ -3,13 +3,15 @@
 Alice holds the (aH, aV) pair and Bob the (dH, dV) pair of the conditional
 state produced by the swap.  Each side passes its two modes through a
 polarization rotation by the analyzer angle and then through one threshold
-detector per output: the same rotation POVM (fock.rotated_pair_povm) as a
-BSM beamsplitter.  Every table is one stacked contraction of the realigned
-pair factors and POVMs; qber_polynomial grades it by photon number.  The
-fringe in Bob's angle is a Fourier series over the rotation generator's
-integer eigenvalues.  All probabilities reported here are absolute (per
-pump pulse): the conditional state carries the herald probability as its
-trace, so no renormalization happens between the swap and the coincidences.
+detector per output: the same four outcomes (fock.detector_pair_povms, on
+blocks cached per cutoff and angle) as a BSM beamsplitter.  Every table is
+one stacked contraction of the realigned pair factors and POVMs;
+qber_polynomial grades it by photon number.  The fringe in Bob's angle is a
+Fourier series over the rotation generator's integer eigenvalues, whose
+extrema Newton steps on its analytic derivatives refine.  All
+probabilities reported here are absolute (per pump pulse): the conditional
+state carries the herald probability as its trace, so no renormalization
+happens between the swap and the coincidences.
 The records returned here hold numbers only: qber() reads the two key-basis
 tables, and the fringes are scanned only when a caller asks visibility().
 """
@@ -18,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Dict, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .detectors import ThresholdDetector
 from .errors import NoCoincidenceError, UndefinedVisibilityError
-from .fock import realign, rotated_pair_povm, rotation_basis_weights, rotation_eigensystem
+from .fock import detector_pair_povms, realign, rotation_basis_weights, rotation_eigensystem
 from .rates import golden_max
 
 __all__ = [
@@ -54,22 +55,18 @@ class AnalyzerSetting:
 Z_BASIS = AnalyzerSetting(0.0, 0.0)
 X_BASIS = AnalyzerSetting(math.pi / 4.0, math.pi / 4.0)
 
-# Bob-angle grid over one period of the fringe, and the golden-section
-# tolerance (radians) to which each extremum is refined.
+# Bob-angle grid over one period of the fringe; each extremum is refined
+# until a Newton step, or the golden-section fallback's bracket, is below
+# SCAN_REFINE_TOL radians.  From the grid point, Newton takes one or two
+# steps on the engine's fringes; NEWTON_MAX_STEPS only bounds the loop.
 SCAN_GRID_POINTS = 181
 SCAN_REFINE_TOL = 1e-6
+NEWTON_MAX_STEPS = 20
 
-# Exclusive outcomes of one analyzer: exactly the H detector, exactly the V
-# detector, both, or neither, as (H detector, V detector) click demands.
+# Exclusive outcomes of one analyzer, in fock.detector_pair_povms order:
+# exactly the H detector, exactly the V detector, both, or neither, as
+# (H detector, V detector) click demands.
 _OUTCOMES = {"h": (True, False), "v": (False, True), "both": (True, True), "none": (False, False)}
-
-
-def _outcome_weights(
-    det: ThresholdDetector, n_max: int, outcome: str
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-detector weights of one analyzer outcome over occupations 0..2*n_max."""
-    click_h, click_v = _OUTCOMES[outcome]
-    return det.weight_vector(click_h, 2 * n_max), det.weight_vector(click_v, 2 * n_max)
 
 
 @dataclass(frozen=True)
@@ -99,22 +96,15 @@ class CoincidenceTable:
         return self.p_hh + self.p_vv
 
 
-@lru_cache(maxsize=32)  # keyed on float eta, so only recent detectors recur
-def _analyzer_povms(
-    n_max: int, eta: float, p_dc: float, theta: float
-) -> Dict[str, np.ndarray]:
-    """POVM elements of one rotated two-detector analyzer, on the (H, V) pair."""
-    det = ThresholdDetector(eta=eta, p_dc=p_dc)
-    return {
-        key: rotated_pair_povm(n_max, theta, *_outcome_weights(det, n_max, key))
-        for key in _OUTCOMES
-    }
-
-
-def _realigned_povms(n_max: int, det: ThresholdDetector, theta: float) -> np.ndarray:
-    """The four analyzer outcomes, in _OUTCOMES order, realigned (fock.realign)."""
-    povms = _analyzer_povms(n_max, det.eta, det.p_dc, float(theta))
-    return realign(np.stack([povms[key] for key in _OUTCOMES]))
+def _setting_povms(
+    n_max: int, det: ThresholdDetector, setting: AnalyzerSetting
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's four analyzer outcomes, in _OUTCOMES order, realigned
+    (fock.realign); one stack serves both sides when their angles agree."""
+    ra = realign(detector_pair_povms(n_max, setting.theta_alice, det))
+    if setting.theta_bob == setting.theta_alice:
+        return ra, ra
+    return ra, realign(detector_pair_povms(n_max, setting.theta_bob, det))
 
 
 def _bob_operators(result, ra: np.ndarray) -> np.ndarray:
@@ -143,9 +133,7 @@ def fourfold_coincidence(result, setting: AnalyzerSetting, det_ab: ThresholdDete
     this routine applies no further attenuation.
     """
     p = _joint_probabilities(
-        result,
-        _realigned_povms(result.n_max, det_ab, setting.theta_alice),
-        _realigned_povms(result.n_max, det_ab, setting.theta_bob),
+        result, *_setting_povms(result.n_max, det_ab, setting)
     )  # rows Alice, columns Bob, both in _OUTCOMES order: h, v, both, none
     return CoincidenceTable(
         p_hh=float(p[0, 0]),
@@ -157,39 +145,74 @@ def fourfold_coincidence(result, setting: AnalyzerSetting, det_ab: ThresholdDete
     )
 
 
-def _bob_angle_curve(
-    result, det_ab: ThresholdDetector, theta_alice: float
-) -> Callable[[np.ndarray], np.ndarray]:
+def _bob_angle_curve(result, det_ab: ThresholdDetector, theta_alice: float) -> Callable:
     """Probability of the (h, h) coincidence as a function of Bob's analyzer angle.
 
     Contracting Alice's POVM first leaves an operator M on Bob's pair space.
     In the eigenbasis of the rotation generator, p(theta) = tr[M U(theta)^dag
     W U(theta)] = sum_pq K[p,q] exp(i theta (w_q - w_p)) with integer
     eigenvalues w, so the terms group into a Fourier series
-    p(theta) = Re sum_f C_f exp(i f theta) with |f| <= 4*n_max.
+    p(theta) = Re sum_f C_f exp(i f theta) with |f| <= 4*n_max.  The
+    returned curve(thetas, order) gives p (order 0) or its derivatives
+    p' = Re sum_f i f C_f e^{i f theta} (1) and p'' = Re sum_f -f^2 C_f
+    e^{i f theta} (2); a list of orders gives one column each.  The terms
+    +f and -f are summed as one, and the constant C_0 is added last, so a
+    fringe that is nearly flat keeps its oscillation to full precision and
+    rounds the same way at every angle.
     """
     n_max = result.n_max
     d = n_max + 1
-    ea = _analyzer_povms(n_max, det_ab.eta, det_ab.p_dc, float(theta_alice))["h"]
-    m = _bob_operators(result, realign(ea[None]))[0]
+    ea = detector_pair_povms(n_max, theta_alice, det_ab)[:1]  # Alice's h outcome
+    m = _bob_operators(result, realign(ea))[0]
     m = m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)  # [(k,l),(K,L)]
 
     w, v, sub, _, _ = rotation_eigensystem(n_max)
     v_sub = v[sub]
     a = v_sub.conj().T @ m @ v_sub
-    c = rotation_basis_weights(n_max, *_outcome_weights(det_ab, n_max, "h"))
+    c = rotation_basis_weights(
+        n_max, det_ab.weight_vector(True, 2 * n_max), det_ab.weight_vector(False, 2 * n_max)
+    )
     k = (a * c.T).reshape(-1)
     f_max = 4 * n_max
     bins = (w[None, :] - w[:, None] + f_max).reshape(-1)  # w_q - w_p, shifted to >= 0
     n_bins = 2 * f_max + 1
     coeffs = np.bincount(bins, k.real, n_bins) + 1j * np.bincount(bins, k.imag, n_bins)
-    freqs = np.arange(-f_max, f_max + 1)
+    freqs = np.arange(1, f_max + 1)
+    folded = coeffs[f_max + 1 :] + coeffs[f_max - 1 :: -1].conj()  # C_f + conj(C_-f)
+    series = np.stack([folded, 1j * freqs * folded, -(freqs**2) * folded])
+    offsets = np.array([coeffs[f_max].real, 0.0, 0.0])
 
-    def evaluate(thetas: np.ndarray) -> np.ndarray:
+    def evaluate(thetas: np.ndarray, order=0) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        return np.real(np.exp(1j * np.outer(thetas, freqs)) @ coeffs)
+        return np.real(np.exp(1j * np.outer(thetas, freqs)) @ series[order].T) + offsets[order]
 
     return evaluate
+
+
+def _newton_extremum(
+    curve: Callable, center: float, half_width: float, sign: float
+) -> Optional[float]:
+    """The extremum of sign * p in the cell |theta - center| <= half_width, by
+    Newton steps on p' from the grid point at its centre.
+
+    Returns None where Newton cannot be trusted: sign * p'' >= 0 (no
+    extremum of that kind), a step leaving the cell, or no step below
+    SCAN_REFINE_TOL within NEWTON_MAX_STEPS.  Newton converges
+    quadratically, so after a step below SCAN_REFINE_TOL the extremum is
+    far closer than that step.
+    """
+    theta = center
+    for _ in range(NEWTON_MAX_STEPS):
+        d1, d2 = curve(theta, [1, 2])[0]
+        if sign * d2 >= 0.0:
+            return None
+        delta = -d1 / d2
+        theta += delta
+        if abs(theta - center) > half_width:
+            return None
+        if abs(delta) <= SCAN_REFINE_TOL:
+            return theta
+    return None
 
 
 @dataclass(frozen=True)
@@ -210,8 +233,10 @@ def visibility_scan(
 ) -> VisibilityScan:
     """Scan Bob's analyzer angle and refine both extrema of the H-H rate.
 
-    The curve has period pi, so the grid covers [0, pi); golden-section
-    refinement shrinks each bracketed extremum to SCAN_REFINE_TOL radians.
+    The curve has period pi, so the grid covers [0, pi).  Each grid extremum
+    is refined within its grid cell by Newton steps on the series' analytic
+    derivatives (_newton_extremum); golden-section search over the cell, to
+    SCAN_REFINE_TOL radians, is the fallback where Newton cannot be trusted.
     """
     curve = _bob_angle_curve(result, det_ab, theta_alice)
     thetas = np.linspace(0.0, math.pi, SCAN_GRID_POINTS, endpoint=False)
@@ -219,14 +244,13 @@ def visibility_scan(
     step = math.pi / SCAN_GRID_POINTS
 
     def refine(index: int, sign: float) -> Tuple[float, float]:
-        center = thetas[index]
-        x, fx = golden_max(
-            lambda t: sign * float(curve(np.array([t]))[0]),
-            center - step,
-            center + step,
-            SCAN_REFINE_TOL,
-        )
-        return x % math.pi, sign * fx
+        center = float(thetas[index])
+        x = _newton_extremum(curve, center, step, sign)
+        if x is None:
+            x, _ = golden_max(
+                lambda t: sign * float(curve(t)[0]), center - step, center + step, SCAN_REFINE_TOL
+            )
+        return x % math.pi, float(curve(x)[0])
 
     theta_max, p_max = refine(int(np.argmax(values)), 1.0)
     theta_min, p_min = refine(int(np.argmin(values)), -1.0)
@@ -318,8 +342,8 @@ def _sector_table(result, det_ab: ThresholdDetector, setting: AnalyzerSetting) -
     sel = occ[None, :] == np.arange(n_blocks)[:, None]
     blocks = realign(sel[:, :, None] & sel[:, None, :])  # N block: I+J = i+j = N
     ra, rb = (
-        (_realigned_povms(result.n_max, det_ab, theta)[:2, None] * blocks).reshape(-1, d2, d2)
-        for theta in (setting.theta_alice, setting.theta_bob)
+        (povms[:2, None] * blocks).reshape(-1, d2, d2)
+        for povms in _setting_povms(result.n_max, det_ab, setting)
     )
     return _joint_probabilities(result, ra, rb).reshape(2, n_blocks, 2, n_blocks)
 

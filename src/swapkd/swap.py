@@ -7,8 +7,9 @@ Exactly-two-click patterns with one H and one V detector are accepted:
 Accepted psi+ outcomes are rotated into the psi- frame by a V -> -V phase on
 mode d, so the aggregate conditional state targets the singlet.  Each
 beamsplitter with its two detectors is the rotation POVM of fock at pi/4
-(fock.rotated_pair_povm), cached per click pair in _balanced_pair_povm;
-the four heralds use only two of its click pairs (see _heralded_state).
+(fock.detector_pair_povms, a polynomial in 1-eta over a basis cached per
+cutoff); the four heralds use only two of its outcomes (see
+_heralded_state).
 
 The two-source state factorizes over the pairs (aH,bH), (aV,bV), (cH,dH),
 (cV,dV), and the BSM mixes H with H and V with V, so each herald's state on
@@ -21,12 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .detectors import ThresholdDetector
-from .fock import DEFAULT_POLICY, TruncationPolicy, realign, rotated_pair_povm
+from .fock import DEFAULT_POLICY, TruncationPolicy, detector_pair_povms, realign
 from .sources import pair_amplitudes
 
 
@@ -51,25 +51,6 @@ def bsm_detector(eta0: float, alpha_d_db: float, p_dc: float) -> ThresholdDetect
     return ThresholdDetector(eta0 * 10.0 ** (-(alpha_d_db / 4.0) / 10.0), p_dc)
 
 
-@lru_cache(maxsize=32)  # keyed on float eta, so only recent detectors recur
-def _balanced_pair_povm(
-    n_max: int,
-    eta: float,
-    p_dc: float,
-    click_out1: bool,
-    click_out2: bool,
-) -> np.ndarray:
-    """POVM element on an input mode pair: balanced mixer, then one threshold
-    detector per output with the demanded click outcomes."""
-    det = ThresholdDetector(eta, p_dc)
-    return rotated_pair_povm(
-        n_max,
-        math.pi / 4.0,
-        det.weight_vector(click_out1, 2 * n_max),
-        det.weight_vector(click_out2, 2 * n_max),
-    )
-
-
 def _heralded_state(c: np.ndarray, det_bsm: ThresholdDetector, n_max: int) -> SwapResult:
     """Pair factors over all accepted heralds for pair amplitudes c.
 
@@ -87,10 +68,7 @@ def _heralded_state(c: np.ndarray, det_bsm: ThresholdDetector, n_max: int) -> Sw
     d = n_max + 1
     s = np.outer(c, c.conj()).reshape(-1)  # s[(i,I)] = c_i conj(c_I)
     weight = np.outer(s, s)
-    e1, e2 = (
-        weight * realign(_balanced_pair_povm(n_max, det_bsm.eta, det_bsm.p_dc, *clicks))
-        for clicks in ((True, False), (False, True))
-    )
+    e1, e2 = weight * realign(detector_pair_povms(n_max, math.pi / 4.0, det_bsm)[:2])
     parity = (-1.0) ** np.arange(d)
     flip = np.outer(parity, parity).reshape(-1)[None, :]
     th = np.stack([e1, e2])

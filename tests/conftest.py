@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dense_reference import HERALDS, embed_qubit_pair, pair_factors
+from dense_reference import HERALDS, embed_qubit_pair, mixer_povm, pair_factors
 from swapkd.detectors import ThresholdDetector
 from swapkd.fock import TruncationPolicy
-from swapkd.swap import SwapResult, _balanced_pair_povm
+from swapkd.swap import SwapResult
 
 SINGLET_QUBITS = np.zeros(4, dtype=complex)
 SINGLET_QUBITS[1] = 1.0 / math.sqrt(2.0)
@@ -30,12 +30,13 @@ def single_pair_herald_budget(eta: float) -> float:
     Each source puts its pair in H or V with amplitude 1/sqrt(2); the four
     placements leave orthogonal states on modes a and d, so the budget is
     1/4 sum_p sum_placements E_H^p[(n_bH, n_cH)] E_V^p[(n_bV, n_cV)] with the
-    engine's single-pair (n_max = 1) BSM POVMs, indexed n_b * 2 + n_c.
+    reference single-pair (n_max = 1) BSM POVMs, indexed n_b * 2 + n_c.
     """
+    det = ThresholdDetector(eta, 0.0)
     total = 0.0
     for clicks, _ in HERALDS:
-        e_h = _balanced_pair_povm(1, eta, 0.0, clicks[0], clicks[2])
-        e_v = _balanced_pair_povm(1, eta, 0.0, clicks[1], clicks[3])
+        e_h = mixer_povm(1, math.pi / 4.0, det, clicks[0], clicks[2])
+        e_v = mixer_povm(1, math.pi / 4.0, det, clicks[1], clicks[3])
         for n_bh in (0, 1):
             for n_ch in (0, 1):
                 i_h = 2 * n_bh + n_ch

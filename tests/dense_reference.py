@@ -10,7 +10,10 @@ lists the four accepted heralds itself (HERALDS), so a wrong herald in the
 engine cannot also be wrong here.  Textbook states
 (singlet, Werner) are built here as dense ConditionalStates too, and enter
 the package's metrics as pair factors (pair_factors); dense_probabilities
-contracts a dense state with the analyzer POVMs directly.
+contracts a dense state with the analyzer POVMs directly.  Its POVMs come
+from fock.rotated_pair_povm with the detector's click weights
+(mixer_povm, analyzer_povms), independent of the engine's rotation blocks
+(fock.detector_pair_povms).
 
 A mixer is evaluated on an occupancy embedding with per-mode cutoff 2*n_max,
 where every block reachable from the input is complete, and projected back;
@@ -29,8 +32,8 @@ import numpy as np
 
 from swapkd.detectors import ThresholdDetector
 from swapkd.errors import TruncationError
-from swapkd.fock import DEFAULT_POLICY, TruncationPolicy, annihilation_matrix
-from swapkd.metrics import _OUTCOMES, _analyzer_povms
+from swapkd.fock import DEFAULT_POLICY, TruncationPolicy, annihilation_matrix, rotated_pair_povm
+from swapkd.metrics import _OUTCOMES
 from swapkd.sources import CHI_CAP, pair_amplitudes
 from swapkd.swap import SwapResult, bsm_detector
 
@@ -149,12 +152,25 @@ def pair_factors(cond: ConditionalState) -> SwapResult:
     return SwapResult(th, tv, cond.n_max, cond.herald_probability)
 
 
+def mixer_povm(
+    n_max: int, theta: float, det: ThresholdDetector, click1: bool, click2: bool
+) -> np.ndarray:
+    """A rotation by theta, then det on each output with the demanded clicks."""
+    w1, w2 = (det.weight_vector(click, 2 * n_max) for click in (click1, click2))
+    return rotated_pair_povm(n_max, theta, w1, w2)
+
+
+def analyzer_povms(n_max: int, det: ThresholdDetector, theta: float) -> dict:
+    """{outcome: POVM element} of one analyzer, for the outcomes of metrics._OUTCOMES."""
+    return {key: mixer_povm(n_max, theta, det, *clicks) for key, clicks in _OUTCOMES.items()}
+
+
 def dense_probabilities(cond: ConditionalState, det: ThresholdDetector, theta_alice, theta_bob):
     """{(Alice outcome, Bob outcome): tr[rho (E_A (x) E_B)]}, contracted on the dense rho."""
     d2 = (cond.n_max + 1) ** 2
     rho4 = cond.rho.reshape(d2, d2, d2, d2)
-    ea = _analyzer_povms(cond.n_max, det.eta, det.p_dc, float(theta_alice))
-    eb = _analyzer_povms(cond.n_max, det.eta, det.p_dc, float(theta_bob))
+    ea = analyzer_povms(cond.n_max, det, theta_alice)
+    eb = analyzer_povms(cond.n_max, det, theta_bob)
     probs = {}
     for ka in _OUTCOMES:
         half = np.einsum("abAB,Aa->bB", rho4, ea[ka])

@@ -414,6 +414,17 @@ def test_figure_data_rejects_unknown_variant(figure, tmp_path, capsys):
     assert list(tmp_path.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("figure", ["fig6", "fig7", "fig8"])
+def test_figure_data_rejects_chi_grid_it_would_ignore(figure, tmp_path, capsys):
+    """These figures choose their own brightness, so an overriding chi grid
+    would be recorded in the manifest without reaching any row."""
+    code = main(["figure-data", "--figure", figure, "--chi-grid", "0.5",
+                 "--output-dir", str(tmp_path)] + FAST)
+    assert code == 2
+    assert "chi_grid" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
 def _log_grid(lo, hi):
     return list(np.logspace(math.log10(lo), math.log10(hi), 25))
 

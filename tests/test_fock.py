@@ -19,6 +19,7 @@ from swapkd.errors import TruncationError
 from swapkd.fock import (
     TruncationPolicy,
     annihilation_matrix,
+    detector_pair_povms,
     rotated_pair_povm,
 )
 
@@ -175,3 +176,20 @@ def test_rotated_pair_povm_matches_full_embedding(n_max):
                         want = (u.conj().T @ (np.kron(w1, w2)[:, None] * u))[np.ix_(sub, sub)]
                         got = rotated_pair_povm(n_max, theta, w1, w2)
                         assert np.abs(got - want).max() < 1e-12, (theta, eta, p_dc, click1, click2)
+
+
+def test_detector_pair_povms_match_rotated_pair_povm():
+    """The four outcomes built on the cached rotation blocks equal the
+    reference rotation of the detectors' click weights."""
+    clicks = ((True, False), (False, True), (True, True), (False, False))
+    for n_max in range(2, 7):
+        for theta in (0.0, math.pi / 4.0, 0.3):
+            for eta in (0.0, 0.01, 0.35, 1.0):
+                for p_dc in (0.0, 1e-4):
+                    det = ThresholdDetector(eta, p_dc)
+                    got = detector_pair_povms(n_max, theta, det)
+                    for e, (click1, click2) in zip(got, clicks):
+                        w1 = det.weight_vector(click1, 2 * n_max)
+                        w2 = det.weight_vector(click2, 2 * n_max)
+                        want = rotated_pair_povm(n_max, theta, w1, w2)
+                        assert np.abs(e - want).max() <= 1e-14, (n_max, theta, eta, p_dc)

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swapkd.metrics as metrics_module
-import swapkd.swap as swap_module
 from conftest import SINGLET_QUBITS, singlet_state, werner_state
 from dense_reference import (
     ConditionalState,
+    analyzer_povms,
     bell_psi_minus,
     chsh,
     dense_probabilities,
@@ -21,13 +21,13 @@ from dense_reference import (
 )
 from swapkd.detectors import ThresholdDetector
 from swapkd.errors import NoCoincidenceError, UndefinedVisibilityError
-from swapkd.fock import TruncationPolicy
+from swapkd.fock import TruncationPolicy, detector_pair_povms
 from swapkd.metrics import (
     _OUTCOMES,
     X_BASIS,
     Z_BASIS,
     AnalyzerSetting,
-    _analyzer_povms,
+    VisibilityScan,
     _bob_angle_curve,
     _sector_table,
     fourfold_coincidence,
@@ -36,8 +36,8 @@ from swapkd.metrics import (
     visibility,
     visibility_scan,
 )
+from swapkd.rates import golden_max
 from swapkd.swap import (
-    _balanced_pair_povm,
     bsm_detector,
     graded_swap_state,
     swap_conditional_state,
@@ -105,33 +105,15 @@ def test_fidelity_visibility_and_chsh():
 def test_analyzer_povm_completeness(n_max):
     """Analyzer and BSM POVMs: the four click outcomes resolve the identity,
     and each element is Hermitian and positive."""
-    analyzer = list(_analyzer_povms(n_max, 0.35, 1e-3, 0.27).values())
-    bsm = [
-        _balanced_pair_povm(n_max, 0.35, 1e-3, click1, click2)
-        for click1 in (True, False)
-        for click2 in (True, False)
-    ]
+    det = ThresholdDetector(0.35, 1e-3)
+    analyzer = detector_pair_povms(n_max, 0.27, det)
+    bsm = detector_pair_povms(n_max, math.pi / 4.0, det)
     for family in (analyzer, bsm):
         assert len(family) == 4
         assert np.abs(sum(family) - np.eye((n_max + 1) ** 2)).max() < 1e-12
         for e in family:
             assert np.abs(e - e.conj().T).max() < 1e-14
             assert np.linalg.eigvalsh(e).min() > -1e-12
-
-
-def test_povm_caches_keep_their_names():
-    """perfbench/child.py reads these two caches by name for its bsm_povm and
-    analyzer_povm hit ratios; a rename would make it report (0, 0)."""
-    cases = (
-        (swap_module, "_balanced_pair_povm", (2, 0.45, 1e-4, True, False)),
-        (metrics_module, "_analyzer_povms", (2, 0.45, 1e-4, 0.1)),
-    )
-    for module, name, args in cases:
-        cached = getattr(module, name)
-        cached(*args)
-        hits = cached.cache_info().hits
-        cached(*args)
-        assert cached.cache_info().hits == hits + 1, name
 
 
 def test_dark_counts_only_give_random_outcomes():
@@ -269,7 +251,7 @@ def brute_force_bob_curve(cond: ConditionalState, det: ThresholdDetector, theta_
     n_max = cond.n_max
     d = n_max + 1
     dbig = 2 * n_max + 1
-    ea = _analyzer_povms(n_max, det.eta, det.p_dc, float(theta_alice))["h"]
+    ea = analyzer_povms(n_max, det, theta_alice)["h"]
     rho4 = cond.rho.reshape(d * d, d * d, d * d, d * d)
     m = np.einsum("abAB,Aa->bB", rho4, ea)
     w = np.kron(det.weight_vector(True, dbig - 1), det.weight_vector(False, dbig - 1))
@@ -295,6 +277,56 @@ def test_fourier_curve_matches_brute_force():
         want = brute_force_bob_curve(dense_state(state), d, theta_alice, thetas)
         got = _bob_angle_curve(state, d, theta_alice)(thetas)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-20)
+
+
+def brute_force_visibility(curve, scan: VisibilityScan) -> float:
+    """V from the extreme values of the curve on 100001 angles within 1e-3 rad
+    of each extremum that the scan reports."""
+    offsets = np.linspace(-1e-3, 1e-3, 100001)
+    extremes = []
+    for theta, pick in ((scan.theta_max, np.max), (scan.theta_min, np.min)):
+        extremes.append(pick([pick(curve(c)) for c in np.array_split(theta + offsets, 20)]))
+    p_max, p_min = extremes
+    return (p_max - p_min) / (p_max + p_min)
+
+
+@pytest.fixture
+def golden_calls(monkeypatch):
+    """Counts the golden-section fallbacks of visibility_scan."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return golden_max(*args)
+
+    monkeypatch.setattr(metrics_module, "golden_max", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
+def test_newton_extrema_match_brute_force(n_max, golden_calls):
+    """Newton-refined extrema give the V of a dense scan around them, also on
+    a near-flat fringe dominated by dark counts (V ~ 1e-7, 40 dB, chi 1e-3),
+    where golden section to SCAN_REFINE_TOL was off by about 1e-9."""
+    cases = ((0.15, 10.0, 1e-4), (1e-3, 40.0, 1e-3))
+    for chi, alpha_d, p_dc in cases:
+        res = swap_conditional_state(chi, 0.3, alpha_d, p_dc, TruncationPolicy(n_max=n_max))
+        det = bsm_detector(0.3, alpha_d, p_dc)
+        for theta_alice in (0.0, math.pi / 4.0):
+            scan = visibility_scan(res, det, theta_alice)
+            want = brute_force_visibility(_bob_angle_curve(res, det, theta_alice), scan)
+            assert scan.visibility == pytest.approx(want, rel=1e-11, abs=0.0)
+    assert scan.visibility < 1e-6
+    assert golden_calls == []
+
+
+def test_constant_fringe_falls_back_to_golden_section(golden_calls):
+    """The vacuum's dark-count fringe is flat (p'' = 0), so Newton cannot
+    refine it and both extrema fall back to golden section."""
+    scan = visibility_scan(vacuum_conditional(), ThresholdDetector(eta=0.5, p_dc=1e-3))
+    assert len(golden_calls) == 2
+    assert scan.visibility == 0.0
+    assert scan.p_max == scan.p_min == pytest.approx((1e-3 * (1 - 1e-3)) ** 2, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,12 +1,18 @@
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swapkd
+import swapkd.fock as fock_module
 import swapkd.metrics as metrics_module
 import swapkd.optimize as optimize_module
+import swapkd.swap as swap_module
 from swapkd.detectors import DEFAULT_CONSTRAINT, DetectorConstraint
 from swapkd.errors import TruncationError
 from swapkd.fock import TruncationPolicy
@@ -344,3 +350,36 @@ def test_optimize_joint_builds_once_per_eta0(monkeypatch):
     assert pt.eta0_opt in eta0s
     # only the reported point runs the pipeline, escalating from n_max
     assert len(runs) == pt.report.n_max_used - policy.n_max + 1
+
+
+def test_new_detector_efficiencies_reuse_the_rotation_blocks(monkeypatch):
+    """Detector POVMs are polynomials in 1-eta over blocks cached per
+    (n_max, theta): once each cutoff's blocks exist, new efficiencies (an
+    alpha_d scan) build no blocks and call no rotated_pair_povm."""
+    def scenario(alpha_d_db):
+        return Scenario(alpha_d_db=alpha_d_db, chi=0.1, eta0=0.2,
+                        constraint=DEFAULT_CONSTRAINT, policy=TruncationPolicy(n_max=3))
+
+    evaluate(scenario(0.0))  # warm-up: blocks of every cutoff the escalation reaches
+    misses = fock_module.rotation_blocks.cache_info().misses
+
+    def forbidden(*args):
+        raise AssertionError("rotated_pair_povm is the test reference only")
+
+    for module in (fock_module, metrics_module, swap_module, optimize_module):
+        monkeypatch.setattr(module, "rotated_pair_povm", forbidden, raising=False)
+    cutoffs = {evaluate(scenario(alpha_d)).n_max_used for alpha_d in (5.0, 10.0, 15.0, 20.0, 25.0)}
+    assert cutoffs == {evaluate(scenario(0.0)).n_max_used}
+    assert fock_module.rotation_blocks.cache_info().misses == misses
+
+
+def test_importing_the_cli_builds_no_rotation_blocks():
+    """The blocks are built on first use, so start-up pays nothing for them."""
+    env = dict(os.environ)
+    src = str(Path(swapkd.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import swapkd.cli, swapkd.fock as f; "
+            "i = f.rotation_blocks.cache_info(); print(i.misses, i.currsize)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env=env)
+    assert result.stdout.split() == ["0", "0"]
