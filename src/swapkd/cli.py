@@ -133,7 +133,7 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"
-        return "%.11e" % value
+        return "%.11e" % (value + 0.0)  # + 0.0 turns -0.0 into 0.0
     return str(value).replace(",", ";")
 
 
@@ -208,16 +208,27 @@ def _decoy_row(alpha: float, eta0: float, p_dc: float, rep) -> Dict:
 GridLike = Union[str, Sequence[float], float, int]
 
 
+# Largest grid a start:stop:step or start:stop:n:lin/log spec may describe,
+# checked before the grid is built; the figure presets use 25 points.
+MAX_GRID_POINTS = 100_000
+
+
+def _finite(text: str, values: List[float]) -> List[float]:
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"bad grid {text!r}: values must be finite")
+    return values
+
+
 def parse_grid(spec: GridLike) -> List[float]:
-    """Turn a grid description into an explicit list of floats.
+    """Turn a grid description into an explicit list of finite floats.
 
     Accepted forms: a list of numbers, a single number, "v1,v2,v3",
     "start:stop:step" (stop included when it lands on the step lattice), and
     "start:stop:n:log" / "start:stop:n:lin" for n log- or linearly spaced
-    points.
+    points.  The step and spaced forms hold at most MAX_GRID_POINTS points.
     """
     if isinstance(spec, (int, float)):
-        return [float(spec)]
+        return _finite(repr(spec), [float(spec)])
     if isinstance(spec, (list, tuple)):
         values = [float(v) for v in spec]
     else:
@@ -225,16 +236,18 @@ def parse_grid(spec: GridLike) -> List[float]:
         if ":" in text:
             parts = text.split(":")
             if len(parts) == 3:
-                start, stop, step = (float(p) for p in parts)
+                start, stop, step = _finite(text, [float(p) for p in parts])
                 if step <= 0.0 or stop < start:
                     raise ConfigError(f"bad grid {text!r}: need start <= stop, step > 0")
+                if (stop - start) / step >= MAX_GRID_POINTS:
+                    raise ConfigError(f"bad grid {text!r}: more than {MAX_GRID_POINTS} points")
                 return _step_grid(start, stop, step)
             if len(parts) == 4:
-                start, stop = float(parts[0]), float(parts[1])
+                start, stop = _finite(text, [float(parts[0]), float(parts[1])])
                 n = int(parts[2])
                 kind = parts[3].lower()
-                if n < 1:
-                    raise ConfigError(f"bad grid {text!r}: need at least one point")
+                if not 1 <= n <= MAX_GRID_POINTS:
+                    raise ConfigError(f"bad grid {text!r}: need 1 to {MAX_GRID_POINTS} points")
                 if kind == "log":
                     if start <= 0.0 or stop <= 0.0:
                         raise ConfigError(f"bad grid {text!r}: log spacing needs positive bounds")
@@ -246,7 +259,7 @@ def parse_grid(spec: GridLike) -> List[float]:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
     if not values:
         raise ConfigError("empty grid")
-    return values
+    return _finite(str(spec), values)
 
 
 def _load_config_file(path: str, command: str) -> Dict:
@@ -303,12 +316,10 @@ def _policy(config: Dict) -> TruncationPolicy:
 
 
 def _workers(config: Dict) -> int:
+    """Worker processes: --workers, else SWAPKD_WORKERS, else 1 (serial)."""
     if config.get("workers") is not None:
         return max(1, int(config["workers"]))
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    return max(1, int(os.environ.get(WORKERS_ENV_VAR) or 1))
 
 
 def _out_path(config: Dict, name: str) -> str:

@@ -7,8 +7,8 @@ detector per output: the same four outcomes (fock.detector_pair_povms, on
 blocks cached per cutoff and angle) as a BSM beamsplitter.  Every table is
 one stacked contraction of the realigned pair factors and POVMs;
 qber_polynomial grades it by photon number.  The fringe in Bob's angle is a
-Fourier series over the rotation generator's integer eigenvalues, whose
-extrema Newton steps on its analytic derivatives refine.  All
+Fourier series over the rotation generator's integer eigenvalues, so its
+extrema are at the roots of one polynomial and are found exactly.  All
 probabilities reported here are absolute (per pump pulse): the conditional
 state carries the herald probability as its trace, so no renormalization
 happens between the swap and the coincidences.
@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .detectors import ThresholdDetector
 from .errors import NoCoincidenceError, UndefinedVisibilityError
 from .fock import detector_pair_povms, realign, rotation_basis_weights, rotation_eigensystem
-from .rates import golden_max
 
 __all__ = [
     "AnalyzerSetting",
@@ -54,14 +53,6 @@ class AnalyzerSetting:
 
 Z_BASIS = AnalyzerSetting(0.0, 0.0)
 X_BASIS = AnalyzerSetting(math.pi / 4.0, math.pi / 4.0)
-
-# Bob-angle grid over one period of the fringe; each extremum is refined
-# until a Newton step, or the golden-section fallback's bracket, is below
-# SCAN_REFINE_TOL radians.  From the grid point, Newton takes one or two
-# steps on the engine's fringes; NEWTON_MAX_STEPS only bounds the loop.
-SCAN_GRID_POINTS = 181
-SCAN_REFINE_TOL = 1e-6
-NEWTON_MAX_STEPS = 20
 
 # Exclusive outcomes of one analyzer, in fock.detector_pair_povms order:
 # exactly the H detector, exactly the V detector, both, or neither, as
@@ -145,20 +136,35 @@ def fourfold_coincidence(result, setting: AnalyzerSetting, det_ab: ThresholdDete
     )
 
 
-def _bob_angle_curve(result, det_ab: ThresholdDetector, theta_alice: float) -> Callable:
+@dataclass(frozen=True)
+class _Fringe:
+    """p(theta) = c0 + Re sum_k g[k-1] exp(2ik theta) for k = 1..len(g).
+
+    The terms +f and -f of the Fourier series are summed as one, and the
+    constant c0 is added last, so a fringe that is nearly flat keeps its
+    oscillation to full precision and rounds the same way at every angle.
+    """
+
+    c0: float
+    g: np.ndarray
+
+    def __call__(self, thetas) -> np.ndarray:
+        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+        k = np.arange(1, len(self.g) + 1)
+        return np.real(np.exp(2j * np.outer(thetas, k)) @ self.g) + self.c0
+
+
+def _bob_angle_curve(result, det_ab: ThresholdDetector, theta_alice: float) -> _Fringe:
     """Probability of the (h, h) coincidence as a function of Bob's analyzer angle.
 
     Contracting Alice's POVM first leaves an operator M on Bob's pair space.
     In the eigenbasis of the rotation generator, p(theta) = tr[M U(theta)^dag
     W U(theta)] = sum_pq K[p,q] exp(i theta (w_q - w_p)) with integer
     eigenvalues w, so the terms group into a Fourier series
-    p(theta) = Re sum_f C_f exp(i f theta) with |f| <= 4*n_max.  The
-    returned curve(thetas, order) gives p (order 0) or its derivatives
-    p' = Re sum_f i f C_f e^{i f theta} (1) and p'' = Re sum_f -f^2 C_f
-    e^{i f theta} (2); a list of orders gives one column each.  The terms
-    +f and -f are summed as one, and the constant C_0 is added last, so a
-    fringe that is nearly flat keeps its oscillation to full precision and
-    rounds the same way at every angle.
+    p(theta) = Re sum_f C_f exp(i f theta) with |f| <= 4*n_max.  Only even f
+    survive: M and W conserve Bob's photon number, and within one
+    photon-number block the eigenvalues differ by even integers.  So the
+    curve is a _Fringe of period pi with K = 2*n_max terms.
     """
     n_max = result.n_max
     d = n_max + 1
@@ -177,42 +183,8 @@ def _bob_angle_curve(result, det_ab: ThresholdDetector, theta_alice: float) -> C
     bins = (w[None, :] - w[:, None] + f_max).reshape(-1)  # w_q - w_p, shifted to >= 0
     n_bins = 2 * f_max + 1
     coeffs = np.bincount(bins, k.real, n_bins) + 1j * np.bincount(bins, k.imag, n_bins)
-    freqs = np.arange(1, f_max + 1)
-    folded = coeffs[f_max + 1 :] + coeffs[f_max - 1 :: -1].conj()  # C_f + conj(C_-f)
-    series = np.stack([folded, 1j * freqs * folded, -(freqs**2) * folded])
-    offsets = np.array([coeffs[f_max].real, 0.0, 0.0])
-
-    def evaluate(thetas: np.ndarray, order=0) -> np.ndarray:
-        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        return np.real(np.exp(1j * np.outer(thetas, freqs)) @ series[order].T) + offsets[order]
-
-    return evaluate
-
-
-def _newton_extremum(
-    curve: Callable, center: float, half_width: float, sign: float
-) -> Optional[float]:
-    """The extremum of sign * p in the cell |theta - center| <= half_width, by
-    Newton steps on p' from the grid point at its centre.
-
-    Returns None where Newton cannot be trusted: sign * p'' >= 0 (no
-    extremum of that kind), a step leaving the cell, or no step below
-    SCAN_REFINE_TOL within NEWTON_MAX_STEPS.  Newton converges
-    quadratically, so after a step below SCAN_REFINE_TOL the extremum is
-    far closer than that step.
-    """
-    theta = center
-    for _ in range(NEWTON_MAX_STEPS):
-        d1, d2 = curve(theta, [1, 2])[0]
-        if sign * d2 >= 0.0:
-            return None
-        delta = -d1 / d2
-        theta += delta
-        if abs(theta - center) > half_width:
-            return None
-        if abs(delta) <= SCAN_REFINE_TOL:
-            return theta
-    return None
+    folded = coeffs[f_max + 1 :] + coeffs[f_max - 1 :: -1].conj()  # C_f + conj(C_-f), f >= 1
+    return _Fringe(coeffs[f_max].real, folded[1::2])
 
 
 @dataclass(frozen=True)
@@ -231,31 +203,27 @@ def visibility_scan(
     det_ab: ThresholdDetector,
     theta_alice: float = 0.0,
 ) -> VisibilityScan:
-    """Scan Bob's analyzer angle and refine both extrema of the H-H rate.
+    """Both extrema of the H-H rate over Bob's analyzer angle, exactly.
 
-    The curve has period pi, so the grid covers [0, pi).  Each grid extremum
-    is refined within its grid cell by Newton steps on the series' analytic
-    derivatives (_newton_extremum); golden-section search over the cell, to
-    SCAN_REFINE_TOL radians, is the fallback where Newton cannot be trusted.
+    With u = exp(2i theta) and b_k = i k g_k, u^K p'(theta) is the
+    polynomial sum_k b_k u^(K+k) + conj(b_k) u^(K-k) of degree 2K, so every
+    extremum lies at the angle of one of its roots.  p is evaluated there
+    and at theta = 0; candidates that are not extrema cannot beat the true
+    ones, and a flat fringe (all-zero polynomial, no roots) gives V = 0.
     """
     curve = _bob_angle_curve(result, det_ab, theta_alice)
-    thetas = np.linspace(0.0, math.pi, SCAN_GRID_POINTS, endpoint=False)
+    b = 1j * np.arange(1, len(curve.g) + 1) * curve.g
+    # b_k falls steeply with k (like tanh^2(chi)^k); terms below 1e-16 of the
+    # largest move the roots less than rounding does, and dropping the tail
+    # keeps the companion matrix small and well scaled
+    b = np.trim_zeros(np.where(abs(b) > 1e-16 * abs(b).max(), b, 0.0), "b")
+    roots = np.roots(np.concatenate([b[::-1], [0.0], b.conj()]))  # highest power first
+    thetas = np.append(0.0, np.angle(roots) / 2.0) % math.pi
     values = curve(thetas)
-    step = math.pi / SCAN_GRID_POINTS
-
-    def refine(index: int, sign: float) -> Tuple[float, float]:
-        center = float(thetas[index])
-        x = _newton_extremum(curve, center, step, sign)
-        if x is None:
-            x, _ = golden_max(
-                lambda t: sign * float(curve(t)[0]), center - step, center + step, SCAN_REFINE_TOL
-            )
-        return x % math.pi, float(curve(x)[0])
-
-    theta_max, p_max = refine(int(np.argmax(values)), 1.0)
-    theta_min, p_min = refine(int(np.argmin(values)), -1.0)
-    p_max = max(p_max, 0.0)
-    p_min = max(p_min, 0.0)
+    theta_max = float(thetas[np.argmax(values)])
+    theta_min = float(thetas[np.argmin(values)])
+    p_max = max(float(curve(theta_max)[0]), 0.0)
+    p_min = max(float(curve(theta_min)[0]), 0.0)
     if p_max + p_min <= 0.0:
         raise UndefinedVisibilityError(
             "coincidence rate vanishes at every analyzer angle; visibility undefined"

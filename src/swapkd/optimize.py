@@ -91,8 +91,8 @@ class Scenario:
     def __post_init__(self):
         if (self.p_dc is None) == (self.constraint is None):
             raise ValueError("exactly one of p_dc and constraint must be set")
-        if self.alpha_d_db < 0.0:
-            raise ValueError(f"alpha_d_db {self.alpha_d_db!r} negative")
+        if not (math.isfinite(self.alpha_d_db) and self.alpha_d_db >= 0.0):
+            raise ValueError(f"alpha_d_db {self.alpha_d_db!r} not finite and non-negative")
         if not 0.0 <= self.chi <= CHI_CAP:
             raise ValueError(f"chi {self.chi!r} outside [0, {CHI_CAP}]")
         if not 0.0 <= self.eta0 <= 1.0:

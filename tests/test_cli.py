@@ -77,6 +77,30 @@ def test_parse_grid_rejects_bad_specs():
         parse_grid("-1:2:3:log")
 
 
+SWEEP_POINT = ["sweep", "--chi-grid", "0.05", "--eta0-grid", "0.3", "--pdc", "1e-5"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["crossover", "--eta0", "0.3", "--pdc", "1e-5", "--alpha-max", "inf"], "finite"),
+        (SWEEP_POINT + ["--alpha-d-grid", "0:inf:1"], "finite"),
+        (SWEEP_POINT + ["--alpha-d-grid", "0:nan:1"], "finite"),
+        (["evaluate", "--chi", "0.05", "--eta0", "0.3", "--alpha-d", "inf", "--pdc", "1e-5"],
+         "alpha_d_db"),
+        (SWEEP_POINT + ["--alpha-d-grid", "0:10:1e-300"], "points"),
+        (SWEEP_POINT + ["--alpha-d-grid", "0:10:1000000000:lin"], "points"),
+        (SWEEP_POINT + ["--alpha-d-grid", "1:10:1000000000:log"], "points"),
+    ],
+    ids=["crossover-inf", "step-inf", "step-nan", "evaluate-inf", "step-oversized",
+         "lin-oversized", "log-oversized"],
+)
+def test_non_finite_or_oversized_input_is_a_configuration_error(args, message, tmp_path, capsys):
+    assert main(args + ["--output-dir", str(tmp_path)] + FAST) == 2
+    assert message in json.loads(capsys.readouterr().out)["error"]["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -99,6 +123,18 @@ def test_evaluate_writes_pinned_header(tmp_path):
     assert "e" in row["r_sec"]
     mantissa = row["r_sec"].split("e")[0]
     assert len(mantissa.replace("-", "").replace(".", "")) == 12
+
+
+def test_csv_writes_negative_zero_as_zero(tmp_path):
+    assert cli_module._fmt(-0.0) == cli_module._fmt(0.0) == "0.00000000000e+00"
+    out = str(tmp_path)
+    code = main(
+        ["evaluate", "--chi", "0", "--eta0", "0.3", "--alpha-d", "10",
+         "--pdc", "1e-5", "--output-dir", out] + FAST
+    )
+    assert code == 0
+    with open(os.path.join(out, "evaluate.csv")) as fh:
+        assert "-0.0" not in fh.read()
 
 
 def test_evaluate_zero_rate_leaves_log_empty(tmp_path):
@@ -532,6 +568,14 @@ def test_installed_console_script_version():
     )
     # the executable on PATH may belong to another install of the package
     assert result.stdout.strip().startswith("swapkd ")
+
+
+def test_workers_default_to_serial(monkeypatch):
+    monkeypatch.delenv("SWAPKD_WORKERS", raising=False)
+    assert cli_module._workers({"workers": None}) == 1
+    monkeypatch.setenv("SWAPKD_WORKERS", "3")
+    assert cli_module._workers({"workers": None}) == 3
+    assert cli_module._workers({"workers": 2}) == 2
 
 
 def test_workers_env_override(tmp_path, monkeypatch):

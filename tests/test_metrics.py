@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import swapkd.metrics as metrics_module
 from conftest import SINGLET_QUBITS, singlet_state, werner_state
 from dense_reference import (
     ConditionalState,
@@ -36,7 +35,6 @@ from swapkd.metrics import (
     visibility,
     visibility_scan,
 )
-from swapkd.rates import golden_max
 from swapkd.swap import (
     bsm_detector,
     graded_swap_state,
@@ -148,9 +146,7 @@ def test_visibility_scan_matches_direct_contraction(ideal_detector):
     """Spot-check the fast angle curve against fourfold_coincidence."""
     cond = werner_state(0.85)
     curve = _bob_angle_curve(cond, ideal_detector, 0.2)
-    grid = np.linspace(0.0, math.pi, metrics_module.SCAN_GRID_POINTS, endpoint=False)
-    for k in (0, 40, 110):
-        theta = float(grid[k])
+    for theta in (0.0, 0.6942, 1.9094):
         table = fourfold_coincidence(cond, AnalyzerSetting(0.2, theta), ideal_detector)
         assert curve(theta)[0] == pytest.approx(table.p_hh, rel=1e-10)
 
@@ -290,24 +286,11 @@ def brute_force_visibility(curve, scan: VisibilityScan) -> float:
     return (p_max - p_min) / (p_max + p_min)
 
 
-@pytest.fixture
-def golden_calls(monkeypatch):
-    """Counts the golden-section fallbacks of visibility_scan."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return golden_max(*args)
-
-    monkeypatch.setattr(metrics_module, "golden_max", counted)
-    return calls
-
-
-@pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
-def test_newton_extrema_match_brute_force(n_max, golden_calls):
-    """Newton-refined extrema give the V of a dense scan around them, also on
-    a near-flat fringe dominated by dark counts (V ~ 1e-7, 40 dB, chi 1e-3),
-    where golden section to SCAN_REFINE_TOL was off by about 1e-9."""
+@pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6, 7])
+def test_root_extrema_match_brute_force(n_max):
+    """The extrema at the polynomial's roots give the V of a dense scan around
+    them, also on a near-flat fringe dominated by dark counts (V ~ 1e-7,
+    40 dB, chi 1e-3).  n_max 7 is the cutoff evaluate reaches at chi 0.3."""
     cases = ((0.15, 10.0, 1e-4), (1e-3, 40.0, 1e-3))
     for chi, alpha_d, p_dc in cases:
         res = swap_conditional_state(chi, 0.3, alpha_d, p_dc, TruncationPolicy(n_max=n_max))
@@ -317,16 +300,37 @@ def test_newton_extrema_match_brute_force(n_max, golden_calls):
             want = brute_force_visibility(_bob_angle_curve(res, det, theta_alice), scan)
             assert scan.visibility == pytest.approx(want, rel=1e-11, abs=0.0)
     assert scan.visibility < 1e-6
-    assert golden_calls == []
 
 
-def test_constant_fringe_falls_back_to_golden_section(golden_calls):
-    """The vacuum's dark-count fringe is flat (p'' = 0), so Newton cannot
-    refine it and both extrema fall back to golden section."""
+def test_constant_fringe_has_zero_visibility():
+    """The vacuum's dark-count fringe is flat: its derivative polynomial is
+    zero, so theta = 0 is the only candidate and both extrema are equal."""
     scan = visibility_scan(vacuum_conditional(), ThresholdDetector(eta=0.5, p_dc=1e-3))
-    assert len(golden_calls) == 2
     assert scan.visibility == 0.0
     assert scan.p_max == scan.p_min == pytest.approx((1e-3 * (1 - 1e-3)) ** 2, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_max=st.integers(1, 5),
+    eta0=st.floats(0.05, 1.0),
+    alpha_d=st.floats(0.0, 40.0),
+    p_dc=st.floats(0.0, 1e-2),
+    chi=st.floats(1e-3, 0.3),
+    theta_alice=st.floats(0.0, math.pi),
+)
+def test_scan_extrema_bound_the_fringe(n_max, eta0, alpha_d, p_dc, chi, theta_alice):
+    """No angle of a dense grid lies outside [p_min, p_max], and p_max is the
+    curve's value at theta_max."""
+    res = swap_conditional_state(chi, eta0, alpha_d, p_dc, TruncationPolicy(n_max=n_max))
+    det = bsm_detector(eta0, alpha_d, p_dc)
+    scan = visibility_scan(res, det, theta_alice)
+    curve = _bob_angle_curve(res, det, theta_alice)
+    values = curve(np.linspace(0.0, math.pi, 2001))
+    slack = 1e-12 * scan.p_max
+    assert values.max() <= scan.p_max + slack
+    assert values.min() >= scan.p_min - slack
+    assert curve(scan.theta_max)[0] == scan.p_max
 
 
 @settings(max_examples=30, deadline=None)
