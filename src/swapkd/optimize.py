@@ -14,9 +14,7 @@ winner.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -229,6 +227,10 @@ def ordered_map(fn: Callable, items: Sequence, workers: Optional[int]) -> List:
     cores on the engine's small matrices.
     """
     if workers is not None and workers > 1 and len(items) > 1:
+        # Imported here: serial runs, the default, need no pool machinery.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         saved = {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         os.environ.update(dict.fromkeys(saved, "1"))
         try:
@@ -274,6 +276,18 @@ def _not_positive(alpha_d_db: float, eta0: float, p_dc: float) -> OptimumPoint:
     return OptimumPoint(alpha_d_db, nan, eta0, p_dc, 0.0, nan, converged=False, positive=False)
 
 
+def _horner(coeffs: List[float], t: float) -> float:
+    """The polynomial with coefficients coeffs, highest power first, at t.
+
+    The same float64 operations in the same order as np.polyval, so the
+    same result, without numpy's per-call overhead.
+    """
+    y = 0.0
+    for c in coeffs:
+        y = y * t + c
+    return y
+
+
 def _rate_curve(s: Scenario) -> Callable[[float], float]:
     """Secret rate as a function of chi at the distance and detectors of s.
 
@@ -283,14 +297,14 @@ def _rate_curve(s: Scenario) -> Callable[[float], float]:
     pipeline at s.policy.n_max.
     """
     graded = graded_swap_state(s.eta0, s.alpha_d_db, s.resolved_p_dc, s.policy)
-    wrong, total = qber_polynomial(graded, _arm_detector(s))
+    wrong, total = (c[::-1].tolist() for c in qber_polynomial(graded, _arm_detector(s)))
 
     def rate(chi: float) -> float:
         t = math.tanh(chi) ** 2
-        den = np.polyval(total[::-1], t)  # polyval takes the highest power first
+        den = _horner(total, t)
         if den <= 0.0:
             raise NoCoincidenceError("no coincidences in either basis; QBER undefined")
-        qber_t = np.polyval(wrong[::-1], t) / den
+        qber_t = _horner(wrong, t) / den
         return secret_rate(sifted_rate(chi, s.eta0, s.alpha_d_db), min(qber_t, 0.5), s.kappa)[1]
 
     return rate

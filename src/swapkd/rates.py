@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Tuple
+
+import numpy as np
 
 __all__ = [
     "KAPPA_DEFAULT",
@@ -131,8 +133,8 @@ class DecoyInputs:
     kappa: float = KAPPA_DEFAULT
 
     def __post_init__(self):
-        if not 0.0 < self.nu < self.mu:
-            raise ValueError(f"need 0 < nu < mu, got nu={self.nu!r}, mu={self.mu!r}")
+        if not (math.isfinite(self.mu) and 0.0 < self.nu < self.mu):
+            raise ValueError(f"need finite mu and 0 < nu < mu, got nu={self.nu!r}, mu={self.mu!r}")
         if not 0.0 <= self.eta_bob <= 1.0:
             raise ValueError(f"eta_bob {self.eta_bob!r} outside [0, 1]")
         if not 0.0 <= self.y0 <= 1.0:
@@ -178,55 +180,82 @@ class DecoyRateReport:
     e1_clamped: bool = False
 
 
-def decoy_rate_report(d: DecoyInputs) -> DecoyRateReport:
-    """Evaluate the vacuum + weak-decoy secret-rate bound with diagnostics.
+class _DecoyBounds(NamedTuple):
+    """DecoyRateReport's numbers, each a float or an array over mu."""
 
-    Gains: Q_k = Y0 + 1 - exp(-eta*k) for intensity k; background errors
-    dominate, so E_k Q_k = e0 Y0.  Single-photon bounds:
+    q_mu: np.ndarray
+    e_mu: np.ndarray
+    q_nu: np.ndarray
+    e_nu: np.ndarray
+    y1_lower: np.ndarray
+    q1_lower: np.ndarray
+    e1_upper: np.ndarray
+    r_raw: np.ndarray
+    r_sec: np.ndarray
+    y1_clamped: np.ndarray
+    e1_clamped: np.ndarray
+
+
+def _decoy_bounds(d: DecoyInputs, mu) -> _DecoyBounds:
+    """The vacuum + weak-decoy bound chain of d, elementwise over mu.
+
+    mu is a float or an array of signal intensities that replaces d.mu;
+    every returned field has its shape.  Gains: Q_k = Y0 + 1 - exp(-eta*k)
+    for intensity k; background errors dominate, so E_k Q_k = e0 Y0.
+    Single-photon bounds:
       Y1 >= (mu/(mu nu - nu^2)) [Q_nu e^nu - Q_mu e^mu (nu/mu)^2
                                  - ((mu^2 - nu^2)/mu^2) Y0]
       e1 <= (E_nu Q_nu e^nu - e0 Y0) / (Y1 nu)
-    and Q1 = Y1 mu e^(-mu).  Nonphysical intermediates are clamped and
-    flagged rather than propagated.
+    and Q1 = Y1 mu e^(-mu).  Y1 < 0 and e1 outside [0, 1/2] are clamped and
+    flagged per element rather than propagated.
     """
-    eta, mu, nu, y0, e0 = d.eta_bob, d.mu, d.nu, d.y0, d.e0
-    q_mu = y0 + 1.0 - math.exp(-eta * mu)
-    q_nu = y0 + 1.0 - math.exp(-eta * nu)
-    e_mu = e0 * y0 / q_mu if q_mu > 0.0 else 0.0
-    e_nu = e0 * y0 / q_nu if q_nu > 0.0 else 0.0
 
-    y1 = (mu / (mu * nu - nu**2)) * (
-        q_nu * math.exp(nu)
-        - q_mu * math.exp(mu) * (nu**2 / mu**2)
-        - ((mu**2 - nu**2) / mu**2) * y0
+    def entropy(x):  # h2 elementwise on [0, 1/2]; h2 itself stays on math for the swap rate
+        return np.where(x > 0.0, -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x), 0.0)
+
+    eta, nu, y0, e0 = d.eta_bob, d.nu, d.y0, d.e0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_mu = y0 + 1.0 - np.exp(-eta * mu)
+        q_nu = y0 + 1.0 - np.exp(-eta * nu)
+        e_mu = np.where(q_mu > 0.0, e0 * y0 / q_mu, 0.0)
+        e_nu = np.where(q_nu > 0.0, e0 * y0 / q_nu, 0.0)
+
+        y1 = (mu / (mu * nu - nu**2)) * (
+            q_nu * np.exp(nu)
+            - q_mu * np.exp(mu) * (nu**2 / (mu * mu))
+            - ((mu * mu - nu**2) / (mu * mu)) * y0
+        )
+        y1_clamped = y1 < 0.0
+        y1 = np.maximum(0.0, y1)
+        q1 = y1 * mu * np.exp(-mu)
+
+        e1 = np.where(y1 > 0.0, (e_nu * q_nu * np.exp(nu) - e0 * y0) / (y1 * nu), 0.5)
+        e1_clamped = ~((0.0 <= e1) & (e1 <= 0.5))
+        e1 = np.minimum(0.5, np.maximum(0.0, e1))
+
+        r_raw = 0.5 * (-q_mu * d.kappa * entropy(np.minimum(0.5, e_mu)) + q1 * (1.0 - entropy(e1)))
+    return _DecoyBounds(
+        q_mu, e_mu, q_nu, e_nu, y1, q1, e1, r_raw, np.maximum(0.0, r_raw), y1_clamped, e1_clamped
     )
-    y1_clamped = y1 < 0.0
-    y1 = max(0.0, y1)
-    q1 = y1 * mu * math.exp(-mu)
 
-    if y1 > 0.0:
-        e1 = (e_nu * q_nu * math.exp(nu) - e0 * y0) / (y1 * nu)
-    else:
-        e1 = 0.5
-    e1_clamped = not 0.0 <= e1 <= 0.5
-    e1 = min(0.5, max(0.0, e1))
 
-    e_mu_clipped = min(0.5, e_mu)
-    r_raw = 0.5 * (-q_mu * d.kappa * h2(e_mu_clipped) + q1 * (1.0 - h2(e1)))
-    return DecoyRateReport(
-        inputs=d,
-        q_mu=q_mu,
-        e_mu=e_mu,
-        q_nu=q_nu,
-        e_nu=e_nu,
-        y1_lower=y1,
-        q1_lower=q1,
-        e1_upper=e1,
-        r_raw=r_raw,
-        r_sec=max(0.0, r_raw),
-        y1_clamped=y1_clamped,
-        e1_clamped=e1_clamped,
-    )
+def decoy_rate_report(d: DecoyInputs) -> DecoyRateReport:
+    """Evaluate the vacuum + weak-decoy secret-rate bound with diagnostics.
+
+    The chain and its clamps are those of _decoy_bounds at d.mu.
+    """
+    bounds = _decoy_bounds(d, d.mu)._asdict()
+    return DecoyRateReport(inputs=d, **{name: value.item() for name, value in bounds.items()})
+
+
+def _mu_grid(nu: float) -> np.ndarray:
+    """optimal_mu's coarse grid: 0.05 + 0.005 i up to 1.0, above nu."""
+    n_steps = int(round((1.0 - 0.05) / 0.005))
+    grid = 0.05 + 0.005 * np.arange(n_steps + 1)
+    usable = grid[grid > nu + 1e-12]
+    if usable.size == 0:
+        raise ValueError(f"nu {nu!r} leaves no signal intensity in (nu, 1.0] to search")
+    return usable
 
 
 def optimal_mu(
@@ -238,27 +267,26 @@ def optimal_mu(
 ) -> Tuple[float, float]:
     """Best signal intensity on mu in [0.05, 1.0] and the rate it achieves.
 
-    Coarse grid in steps of 0.005, then golden-section refinement around the
-    best point.  Grid values at or below nu are skipped (the bound chain
-    needs nu < mu).
+    Coarse grid in steps of 0.005, evaluated in one _decoy_bounds call, then
+    golden-section refinement around the first best point.  Grid values at
+    or below nu are skipped (the bound chain needs nu < mu); a nu that
+    leaves none raises ValueError.
     """
+    usable = _mu_grid(nu)
+    # Validated at the top grid intensity; _decoy_bounds replaces its mu.
+    d = decoy_inputs(float(usable[-1]), eta0, alpha_d_db, p_dc, nu=nu, kappa=kappa)
 
     def rate(mu: float) -> float:
-        return decoy_rate_report(decoy_inputs(mu, eta0, alpha_d_db, p_dc, nu=nu, kappa=kappa)).r_sec
+        return float(_decoy_bounds(d, mu).r_sec)
 
-    best_mu, best_r = float("nan"), -1.0
-    n_steps = int(round((1.0 - 0.05) / 0.005))
-    grid = [0.05 + 0.005 * i for i in range(n_steps + 1)]
-    usable = [m for m in grid if m > nu + 1e-12]
-    for m in usable:
-        r = rate(m)
-        if r > best_r:
-            best_mu, best_r = m, r
+    values = _decoy_bounds(d, usable).r_sec
+    i_best = int(np.argmax(values))
+    best_mu, best_r = float(usable[i_best]), float(values[i_best])
     if best_r <= 0.0:
         return best_mu, 0.0
 
-    lo = max(usable[0], best_mu - 0.005)
-    hi = min(usable[-1], best_mu + 0.005)
+    lo = max(float(usable[0]), best_mu - 0.005)
+    hi = min(float(usable[-1]), best_mu + 0.005)
     mu_opt, r_opt = golden_max(rate, lo, hi, MU_REFINE_TOL)
     if r_opt < best_r:
         mu_opt, r_opt = best_mu, best_r

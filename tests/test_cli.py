@@ -78,6 +78,7 @@ def test_parse_grid_rejects_bad_specs():
 
 
 SWEEP_POINT = ["sweep", "--chi-grid", "0.05", "--eta0-grid", "0.3", "--pdc", "1e-5"]
+DECOY_POINT = ["compare-decoy", "--alpha-d-grid", "10", "--eta0", "0.2", "--pdc", "1.8e-5"]
 
 
 @pytest.mark.parametrize(
@@ -91,9 +92,14 @@ SWEEP_POINT = ["sweep", "--chi-grid", "0.05", "--eta0-grid", "0.3", "--pdc", "1e
         (SWEEP_POINT + ["--alpha-d-grid", "0:10:1e-300"], "points"),
         (SWEEP_POINT + ["--alpha-d-grid", "0:10:1000000000:lin"], "points"),
         (SWEEP_POINT + ["--alpha-d-grid", "1:10:1000000000:log"], "points"),
+        (DECOY_POINT + ["--nu", "nan"], "nu"),
+        (DECOY_POINT + ["--nu", "inf"], "nu"),
+        (DECOY_POINT + ["--mu", "inf"], "mu"),
+        (["crossover", "--eta0", "0.2", "--pdc", "1.8e-5", "--nu", "nan"], "nu"),
     ],
     ids=["crossover-inf", "step-inf", "step-nan", "evaluate-inf", "step-oversized",
-         "lin-oversized", "log-oversized"],
+         "lin-oversized", "log-oversized", "decoy-nu-nan", "decoy-nu-inf", "decoy-mu-inf",
+         "crossover-nu-nan"],
 )
 def test_non_finite_or_oversized_input_is_a_configuration_error(args, message, tmp_path, capsys):
     assert main(args + ["--output-dir", str(tmp_path)] + FAST) == 2

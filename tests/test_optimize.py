@@ -302,7 +302,7 @@ def _record_calls(monkeypatch, name):
 @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
 def test_polynomial_rate_matches_pipeline(n_max):
     """The rate curve the brightness searches use equals the single-cutoff
-    pipeline at every grid chi."""
+    pipeline at every grid chi, and its Horner sums equal np.polyval's exactly."""
     policy = TruncationPolicy(n_max=n_max)
     grid = np.logspace(math.log10(CHI_SEARCH_MIN), math.log10(CHI_SEARCH_MAX), 25)
     cases = (
@@ -313,14 +313,19 @@ def test_polynomial_rate_matches_pipeline(n_max):
         (0.3, 20.0, {"constraint": DEFAULT_CONSTRAINT}),
     )
     for eta0, alpha_d, dark in cases:
-        rate = optimize_module._rate_curve(
-            Scenario(alpha_d_db=alpha_d, chi=CHI_SEARCH_MIN, eta0=eta0, policy=policy, **dark)
-        )
+        base = Scenario(alpha_d_db=alpha_d, chi=CHI_SEARCH_MIN, eta0=eta0, policy=policy, **dark)
+        rate = optimize_module._rate_curve(base)
+        graded = swap_module.graded_swap_state(eta0, alpha_d, base.resolved_p_dc, policy)
+        wrong, total = metrics_module.qber_polynomial(graded, optimize_module._arm_detector(base))
         for chi in grid:
             s = Scenario(alpha_d_db=alpha_d, chi=float(chi), eta0=eta0, policy=policy, **dark)
             q = _pipeline_once(s, n_max)[1].qber
             want = secret_rate(sifted_rate(s.chi, eta0, alpha_d), min(q, 0.5), s.kappa)[1]
             assert rate(float(chi)) == pytest.approx(want, rel=1e-12, abs=0.0), (eta0, chi)
+            t = math.tanh(chi) ** 2
+            q_polyval = np.polyval(wrong[::-1], t) / np.polyval(total[::-1], t)
+            r_sift = sifted_rate(s.chi, eta0, alpha_d)
+            assert rate(float(chi)) == secret_rate(r_sift, min(q_polyval, 0.5), s.kappa)[1]
 
 
 def test_optimize_chi_runs_the_pipeline_once(monkeypatch):
@@ -373,13 +378,24 @@ def test_new_detector_efficiencies_reuse_the_rotation_blocks(monkeypatch):
     assert fock_module.rotation_blocks.cache_info().misses == misses
 
 
-def test_importing_the_cli_builds_no_rotation_blocks():
-    """The blocks are built on first use, so start-up pays nothing for them."""
+def _fresh_python(code):
+    """Standard output of code run in a new interpreter that imports this swapkd."""
     env = dict(os.environ)
     src = str(Path(swapkd.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import swapkd.cli, swapkd.fock as f; "
-            "i = f.rotation_blocks.cache_info(); print(i.misses, i.currsize)")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env=env)
-    assert result.stdout.split() == ["0", "0"]
+    return result.stdout
+
+
+def test_importing_the_cli_builds_no_rotation_blocks():
+    """The blocks are built on first use, so start-up pays nothing for them."""
+    code = ("import swapkd.cli, swapkd.fock as f; "
+            "i = f.rotation_blocks.cache_info(); print(i.misses, i.currsize)")
+    assert _fresh_python(code).split() == ["0", "0"]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Serial runs, the default, never import the pool machinery."""
+    code = "import sys, swapkd.cli; print('multiprocessing' in sys.modules)"
+    assert _fresh_python(code).strip() == "False"

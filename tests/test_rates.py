@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import swapkd.rates as rates_module
 from swapkd.rates import (
     DecoyInputs,
     decoy_inputs,
@@ -69,6 +70,9 @@ def test_decoy_inputs_validation():
     for kappa in (math.nan, math.inf):
         with pytest.raises(ValueError):
             DecoyInputs(mu=0.5, eta_bob=0.2, y0=1e-5, kappa=kappa)
+    for mu, nu in ((math.inf, 0.1), (math.nan, 0.1), (0.5, math.nan), (math.inf, math.inf)):
+        with pytest.raises(ValueError):
+            DecoyInputs(mu=mu, eta_bob=0.2, y0=1e-5, nu=nu)
     d = decoy_inputs(0.7, 0.2, 10.0, 1.8e-5)
     assert d.eta_bob == pytest.approx(0.02, rel=1e-12)
     assert d.y0 == pytest.approx(3.6e-5, rel=1e-12)
@@ -115,6 +119,25 @@ def test_decoy_clamp_flags():
     rep = decoy_rate_report(decoy_inputs(0.15, 0.2, 40.0, 5e-3))
     assert rep.e1_clamped
     assert rep.r_sec == 0.0
+
+
+def test_optimal_mu_grid_matches_the_report():
+    """optimal_mu's one-call grid gives decoy_rate_report's rate and clamp
+    flags at every grid intensity, clamped rows included."""
+    grid = rates_module._mu_grid(0.1)
+    flags = set()
+    # at 150 dB without dark counts, rounding takes Y1 below 0 at some mu
+    for p_dc in (0.0, 1e-6, 1.8e-5, 5e-3):
+        for alpha_d in [*range(0, 61, 5), 150]:
+            d = decoy_inputs(float(grid[-1]), 0.2, alpha_d, p_dc)
+            bounds = rates_module._decoy_bounds(d, grid)
+            for i, mu in enumerate(grid):
+                rep = decoy_rate_report(decoy_inputs(float(mu), 0.2, alpha_d, p_dc))
+                assert bounds.r_sec[i] == rep.r_sec, (p_dc, alpha_d, mu)
+                row_flags = (bool(bounds.y1_clamped[i]), bool(bounds.e1_clamped[i]))
+                assert row_flags == (rep.y1_clamped, rep.e1_clamped), (p_dc, alpha_d, mu)
+                flags.add(row_flags)
+    assert flags == {(False, False), (False, True), (True, False)}
 
 
 def test_optimal_mu_is_local_maximum():
