@@ -13,11 +13,13 @@ from .errors import (
 )
 from .fock import TruncationPolicy
 from .metrics import (
+    Analysis,
     AnalyzerSetting,
     CoincidenceTable,
     QberReport,
     X_BASIS,
     Z_BASIS,
+    analyze,
     fourfold_coincidence,
     qber,
     qber_polynomial,
@@ -58,6 +60,7 @@ from .swap import (
 
 __all__ = [
     "__version__",
+    "Analysis",
     "AnalyzerSetting",
     "CoincidenceTable",
     "ConstraintViolationError",
@@ -78,6 +81,7 @@ __all__ = [
     "UndefinedVisibilityError",
     "X_BASIS",
     "Z_BASIS",
+    "analyze",
     "bsm_detector",
     "decoy_inputs",
     "decoy_rate_report",

@@ -12,7 +12,8 @@ a fringe.  The rotation's photon-number blocks (rotation_blocks, cached per
 two threshold detectors (detector_pair_povms) are polynomials in 1-eta over
 them, and a new efficiency costs no eigen-transform.  realign puts a pair
 operator in the (first-mode indices) x (second-mode indices) layout in
-which the swap and metrics modules contract states.
+which the swap and metrics modules contract states, and compress cuts a
+realigned operator down to a lower cutoff.
 """
 
 from __future__ import annotations
@@ -169,3 +170,17 @@ def realign(op: np.ndarray) -> np.ndarray:
     r = op.reshape(op.shape[:-2] + (d, d, d, d))
     r = np.moveaxis(r, (-2, -4, -1, -3), (-4, -3, -2, -1))
     return r.reshape(op.shape)
+
+
+def compress(op: np.ndarray, n_max: int) -> np.ndarray:
+    """Realigned operators R[..., (i,I), (j,J)] restricted to occupations 0..n_max.
+
+    Each of the four occupation indices is cut to 0..n_max.  The engine's
+    POVMs and pair factors are exact compressions of untruncated operators,
+    so for them the result equals the operator built at cutoff n_max.
+    Leading axes are kept.
+    """
+    d = math.isqrt(op.shape[-1])
+    keep = slice(0, n_max + 1)
+    r = op.reshape(op.shape[:-2] + (d, d, d, d))[..., keep, keep, keep, keep]
+    return r.reshape(op.shape[:-2] + ((n_max + 1) ** 2,) * 2)

@@ -4,7 +4,8 @@ Alice holds the (aH, aV) pair and Bob the (dH, dV) pair of the conditional
 state produced by the swap.  Each side passes its two modes through a
 polarization rotation by the analyzer angle and then through one threshold
 detector per output: the same four outcomes (fock.detector_pair_povms, on
-blocks cached per cutoff and angle) as a BSM beamsplitter.  Every table is
+blocks cached per cutoff and angle) as a BSM beamsplitter; at pi/4 with the
+BSM's detector the analyzer reuses the swap's own stack.  Every table is
 one stacked contraction of the realigned pair factors and POVMs;
 qber_polynomial grades it by photon number.  The fringe in Bob's angle is a
 Fourier series over the rotation generator's integer eigenvalues, so its
@@ -12,8 +13,11 @@ extrema are at the roots of one polynomial and are found exactly.  All
 probabilities reported here are absolute (per pump pulse): the conditional
 state carries the herald probability as its trace, so no renormalization
 happens between the swap and the coincidences.
-The records returned here hold numbers only: qber() reads the two key-basis
-tables, and the fringes are scanned only when a caller asks visibility().
+analyze() builds one swap result's key-basis stacks and Bob's operators
+once, as an Analysis: qber() reads the two key-basis tables off it,
+visibility() scans both fringes from the rows of Alice's h outcome, and
+Analysis.compressed() gives the same analysis at a lower cutoff by cutting
+its arrays, not by a new build.  The reports hold numbers only.
 """
 
 from __future__ import annotations
@@ -26,7 +30,14 @@ import numpy as np
 
 from .detectors import ThresholdDetector
 from .errors import NoCoincidenceError, UndefinedVisibilityError
-from .fock import detector_pair_povms, realign, rotation_basis_weights, rotation_eigensystem
+from .fock import (
+    compress,
+    detector_pair_povms,
+    realign,
+    rotation_basis_weights,
+    rotation_eigensystem,
+)
+from .swap import SwapResult
 
 __all__ = [
     "AnalyzerSetting",
@@ -35,6 +46,8 @@ __all__ = [
     "CoincidenceTable",
     "VisibilityScan",
     "QberReport",
+    "Analysis",
+    "analyze",
     "fourfold_coincidence",
     "visibility",
     "visibility_scan",
@@ -87,15 +100,24 @@ class CoincidenceTable:
         return self.p_hh + self.p_vv
 
 
+def _povms(result, det: ThresholdDetector, theta: float) -> np.ndarray:
+    """One analyzer's four outcomes at angle theta, in _OUTCOMES order, realigned
+    (fock.realign).  At pi/4 with the BSM's detector the analyzer is the BSM's
+    optic, so the swap's own stack serves."""
+    if det == result.det_bsm and theta == math.pi / 4.0:
+        return result.bsm_povms
+    return realign(detector_pair_povms(result.n_max, theta, det))
+
+
 def _setting_povms(
-    n_max: int, det: ThresholdDetector, setting: AnalyzerSetting
+    result, det: ThresholdDetector, setting: AnalyzerSetting
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's four analyzer outcomes, in _OUTCOMES order, realigned
-    (fock.realign); one stack serves both sides when their angles agree."""
-    ra = realign(detector_pair_povms(n_max, setting.theta_alice, det))
+    """Alice's and Bob's outcome stacks (_povms); one serves both sides when
+    their angles agree."""
+    ra = _povms(result, det, setting.theta_alice)
     if setting.theta_bob == setting.theta_alice:
         return ra, ra
-    return ra, realign(detector_pair_povms(n_max, setting.theta_bob, det))
+    return ra, _povms(result, det, setting.theta_bob)
 
 
 def _bob_operators(result, ra: np.ndarray) -> np.ndarray:
@@ -107,25 +129,22 @@ def _bob_operators(result, ra: np.ndarray) -> np.ndarray:
     return (np.swapaxes(result.th, 1, 2)[:, None] @ ra[None] @ result.tv[:, None]).sum(axis=0)
 
 
-def _joint_probabilities(result, ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
-    """P[a, b] = tr[rho (E_A^a (x) E_B^b)] for realigned POVM stacks ra and rb.
+def _probabilities(m: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """P[a, b] = tr(M_a E_B^b) for Bob's operators m and his realigned stack rb.
 
     tr(M_a E_B^b) is the elementwise product of Bob's realigned operator and
     realigned POVM element, so all (a, b) pairs are one matrix product.
     """
-    m = _bob_operators(result, ra)
-    return np.real(m.reshape(len(ra), -1) @ rb.reshape(len(rb), -1).T)
+    return np.real(m.reshape(len(m), -1) @ rb.reshape(len(rb), -1).T)
 
 
-def fourfold_coincidence(result, setting: AnalyzerSetting, det_ab: ThresholdDetector) -> CoincidenceTable:
-    """Exclusive coincidence probabilities for one analyzer setting.
+def _joint_probabilities(result, ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """P[a, b] = tr[rho (E_A^a (x) E_B^b)] for realigned POVM stacks ra and rb."""
+    return _probabilities(_bob_operators(result, ra), rb)
 
-    det_ab.eta must already include the channel loss of the detector's arm;
-    this routine applies no further attenuation.
-    """
-    p = _joint_probabilities(
-        result, *_setting_povms(result.n_max, det_ab, setting)
-    )  # rows Alice, columns Bob, both in _OUTCOMES order: h, v, both, none
+
+def _table(p: np.ndarray) -> CoincidenceTable:
+    """The table of P[a, b]: rows Alice, columns Bob, both in _OUTCOMES order."""
     return CoincidenceTable(
         p_hh=float(p[0, 0]),
         p_hv=float(p[0, 1]),
@@ -134,6 +153,15 @@ def fourfold_coincidence(result, setting: AnalyzerSetting, det_ab: ThresholdDete
         p_double_alice=float(p[2].sum()),
         p_double_bob=float(p[:, 2].sum()),
     )
+
+
+def fourfold_coincidence(result, setting: AnalyzerSetting, det_ab: ThresholdDetector) -> CoincidenceTable:
+    """Exclusive coincidence probabilities for one analyzer setting.
+
+    det_ab.eta must already include the channel loss of the detector's arm;
+    this routine applies no further attenuation.
+    """
+    return _table(_joint_probabilities(result, *_setting_povms(result, det_ab, setting)))
 
 
 @dataclass(frozen=True)
@@ -154,11 +182,12 @@ class _Fringe:
         return np.real(np.exp(2j * np.outer(thetas, k)) @ self.g) + self.c0
 
 
-def _bob_angle_curve(result, det_ab: ThresholdDetector, theta_alice: float) -> _Fringe:
+def _fringe(m: np.ndarray, c: np.ndarray, n_max: int) -> _Fringe:
     """Probability of the (h, h) coincidence as a function of Bob's analyzer angle.
 
-    Contracting Alice's POVM first leaves an operator M on Bob's pair space.
-    In the eigenbasis of the rotation generator, p(theta) = tr[M U(theta)^dag
+    m is Bob's realigned operator for Alice's h outcome (_bob_operators) and
+    c his detectors' weights in the rotation generator's eigenbasis
+    (_analyzer_weights).  In that eigenbasis, p(theta) = tr[M U(theta)^dag
     W U(theta)] = sum_pq K[p,q] exp(i theta (w_q - w_p)) with integer
     eigenvalues w, so the terms group into a Fourier series
     p(theta) = Re sum_f C_f exp(i f theta) with |f| <= 4*n_max.  Only even f
@@ -166,25 +195,32 @@ def _bob_angle_curve(result, det_ab: ThresholdDetector, theta_alice: float) -> _
     photon-number block the eigenvalues differ by even integers.  So the
     curve is a _Fringe of period pi with K = 2*n_max terms.
     """
-    n_max = result.n_max
     d = n_max + 1
-    ea = detector_pair_povms(n_max, theta_alice, det_ab)[:1]  # Alice's h outcome
-    m = _bob_operators(result, realign(ea))[0]
     m = m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)  # [(k,l),(K,L)]
-
     w, v, sub, _, _ = rotation_eigensystem(n_max)
     v_sub = v[sub]
     a = v_sub.conj().T @ m @ v_sub
-    c = rotation_basis_weights(
-        n_max, det_ab.weight_vector(True, 2 * n_max), det_ab.weight_vector(False, 2 * n_max)
-    )
-    k = (a * c.T).reshape(-1)
+    a *= c.T
+    k = a.reshape(-1)
     f_max = 4 * n_max
     bins = (w[None, :] - w[:, None] + f_max).reshape(-1)  # w_q - w_p, shifted to >= 0
     n_bins = 2 * f_max + 1
     coeffs = np.bincount(bins, k.real, n_bins) + 1j * np.bincount(bins, k.imag, n_bins)
     folded = coeffs[f_max + 1 :] + coeffs[f_max - 1 :: -1].conj()  # C_f + conj(C_-f), f >= 1
     return _Fringe(coeffs[f_max].real, folded[1::2])
+
+
+def _analyzer_weights(n_max: int, det: ThresholdDetector) -> np.ndarray:
+    """Bob's (click, no-click) weights in the rotation eigenbasis, for _fringe."""
+    return rotation_basis_weights(
+        n_max, det.weight_vector(True, 2 * n_max), det.weight_vector(False, 2 * n_max)
+    )
+
+
+def _bob_angle_curve(result, det_ab: ThresholdDetector, theta_alice: float) -> _Fringe:
+    """The (h, h) fringe in Bob's angle with Alice's analyzer at theta_alice (_fringe)."""
+    m = _bob_operators(result, _povms(result, det_ab, theta_alice)[:1])[0]  # Alice's h outcome
+    return _fringe(m, _analyzer_weights(result.n_max, det_ab), result.n_max)
 
 
 @dataclass(frozen=True)
@@ -198,12 +234,8 @@ class VisibilityScan:
     p_min: float
 
 
-def visibility_scan(
-    result,
-    det_ab: ThresholdDetector,
-    theta_alice: float = 0.0,
-) -> VisibilityScan:
-    """Both extrema of the H-H rate over Bob's analyzer angle, exactly.
+def _extrema(curve: _Fringe) -> VisibilityScan:
+    """Both extrema of a fringe, exactly.
 
     With u = exp(2i theta) and b_k = i k g_k, u^K p'(theta) is the
     polynomial sum_k b_k u^(K+k) + conj(b_k) u^(K-k) of degree 2K, so every
@@ -211,7 +243,6 @@ def visibility_scan(
     and at theta = 0; candidates that are not extrema cannot beat the true
     ones, and a flat fringe (all-zero polynomial, no roots) gives V = 0.
     """
-    curve = _bob_angle_curve(result, det_ab, theta_alice)
     b = 1j * np.arange(1, len(curve.g) + 1) * curve.g
     # b_k falls steeply with k (like tanh^2(chi)^k); terms below 1e-16 of the
     # largest move the roots less than rounding does, and dropping the tail
@@ -232,16 +263,13 @@ def visibility_scan(
     return VisibilityScan(vis, theta_max, theta_min, p_max, p_min)
 
 
-def visibility(result, det_ab: ThresholdDetector) -> float:
-    """Fringe visibility averaged over the Z and X key bases.
-
-    Each basis scans Bob's angle with Alice's analyzer at that basis's angle
-    (visibility_scan); the mean pairs with the pooled error fraction of
-    qber() through QBER = (1 - V)/2, even when the bases disagree slightly.
-    """
-    vis_z = visibility_scan(result, det_ab, Z_BASIS.theta_alice).visibility
-    vis_x = visibility_scan(result, det_ab, X_BASIS.theta_alice).visibility
-    return 0.5 * (vis_z + vis_x)
+def visibility_scan(
+    result,
+    det_ab: ThresholdDetector,
+    theta_alice: float = 0.0,
+) -> VisibilityScan:
+    """Both extrema of the H-H rate over Bob's analyzer angle (_extrema)."""
+    return _extrema(_bob_angle_curve(result, det_ab, theta_alice))
 
 
 @dataclass(frozen=True)
@@ -274,14 +302,51 @@ class QberReport:
         return 0.25 * (self.p_total_z + self.p_total_x)
 
 
-def qber(result, det_ab: ThresholdDetector) -> QberReport:
+@dataclass(frozen=True)
+class Analysis:
+    """One swap result seen through the key-basis analyzers of one detector.
+
+    povms[b] is the realigned outcome stack of basis b (Z, then X), shared by
+    Alice and Bob, and bob[b] holds Bob's operators for Alice's four outcomes
+    in that basis (_bob_operators).  Both key-basis tables and both fringes
+    are read off these arrays; nothing is rebuilt.
+    """
+
+    result: SwapResult
+    det: ThresholdDetector
+    povms: Tuple[np.ndarray, np.ndarray]
+    bob: Tuple[np.ndarray, np.ndarray]
+
+    def compressed(self, n_max: int) -> "Analysis":
+        """This analysis at the lower cutoff n_max.
+
+        The result and the stacks are cut out of this one's arrays
+        (fock.compress), which is exact since every POVM and pair factor is
+        an exact compression; only Bob's operators are contracted again.
+        """
+        povms = tuple(compress(p, n_max) for p in self.povms)
+        return _analysis(self.result.compressed(n_max), self.det, povms)
+
+
+def _analysis(result, det: ThresholdDetector, povms: Tuple[np.ndarray, ...]) -> Analysis:
+    """The Analysis of result for the key-basis stacks povms."""
+    return Analysis(result, det, povms, tuple(_bob_operators(result, p) for p in povms))
+
+
+def analyze(result, det_ab: ThresholdDetector) -> Analysis:
+    """Build both key-basis stacks of det_ab and Bob's operators for result, once."""
+    povms = tuple(_povms(result, det_ab, b.theta_alice) for b in (Z_BASIS, X_BASIS))
+    return _analysis(result, det_ab, povms)
+
+
+def qber(analysis: Analysis) -> QberReport:
     """Error fraction of the sifted key, averaged over the Z and X bases.
 
     The corrected swap output is anticorrelated in every basis, so the wrong
-    bits are the correlated (HH and VV) coincidences.
+    bits are the correlated (HH and VV) coincidences.  Both tables are read
+    off the analysis's stacks and Bob's operators.
     """
-    table_z = fourfold_coincidence(result, Z_BASIS, det_ab)
-    table_x = fourfold_coincidence(result, X_BASIS, det_ab)
+    table_z, table_x = (_table(_probabilities(m, r)) for m, r in zip(analysis.bob, analysis.povms))
     total = table_z.p_coincidence + table_x.p_coincidence
     if total <= 0.0:
         raise NoCoincidenceError("no coincidences in either basis; QBER undefined")
@@ -295,6 +360,21 @@ def qber(result, det_ab: ThresholdDetector) -> QberReport:
         table_z=table_z,
         table_x=table_x,
     )
+
+
+def visibility(analysis: Analysis) -> float:
+    """Fringe visibility averaged over the Z and X key bases.
+
+    Each basis scans Bob's angle with Alice's analyzer at that basis's angle,
+    from Bob's operator for her h outcome (row 0 of the analysis's
+    operators); both scans share one set of eigenbasis weights.  The mean
+    pairs with the pooled error fraction of qber() through QBER = (1 - V)/2,
+    even when the bases disagree slightly.
+    """
+    n_max = analysis.result.n_max
+    c = _analyzer_weights(n_max, analysis.det)
+    vis_z, vis_x = (_extrema(_fringe(m[0], c, n_max)).visibility for m in analysis.bob)
+    return 0.5 * (vis_z + vis_x)
 
 
 def _sector_table(result, det_ab: ThresholdDetector, setting: AnalyzerSetting) -> np.ndarray:
@@ -311,7 +391,7 @@ def _sector_table(result, det_ab: ThresholdDetector, setting: AnalyzerSetting) -
     blocks = realign(sel[:, :, None] & sel[:, None, :])  # N block: I+J = i+j = N
     ra, rb = (
         (povms[:2, None] * blocks).reshape(-1, d2, d2)
-        for povms in _setting_povms(result.n_max, det_ab, setting)
+        for povms in _setting_povms(result, det_ab, setting)
     )
     return _joint_probabilities(result, ra, rb).reshape(2, n_blocks, 2, n_blocks)
 

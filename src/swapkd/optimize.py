@@ -3,12 +3,15 @@
 A Scenario bundles one operating point of the swapping link.  evaluate() runs
 the full sources -> swap -> metrics -> rates pipeline at increasing Fock
 cutoffs until two consecutive cutoffs agree, so every reported number carries
-a convergence verdict; evaluate() scans the visibility fringes itself, once,
-at the accepted cutoff.  Brightness searches run on the rate curve of one
-chi-free build (the QBER polynomial), not on the pipeline: a coarse grid,
-golden-section refinement and an explicit unimodality guard.  Searches that
-only need the best rate report the curve's value; optimize_chi evaluates its
-winner.
+a convergence verdict.  It builds each cutoff it reaches once: the swap, one
+analyzer stack per key-basis angle (the pi/4 one is the BSM's) and Bob's
+operators (metrics.analyze).  The base cutoff is never built: it is a
+compression of the next one, read off that build's arrays.  The visibility
+fringes are scanned once, at the accepted cutoff, from the same operators.
+Brightness searches run on the rate curve of one chi-free build (the QBER
+polynomial), not on the pipeline: a coarse grid, golden-section refinement
+and an explicit unimodality guard.  Searches that only need the best rate
+report the curve's value; optimize_chi evaluates its winner.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from .detectors import DEFAULT_CONSTRAINT, DetectorConstraint, ThresholdDetector
 from .errors import NUMERICAL_ERRORS, ConstraintViolationError, NoCoincidenceError, TruncationError
 from .fock import TruncationPolicy
-from .metrics import QberReport, qber, qber_polynomial, visibility
+from .metrics import Analysis, QberReport, analyze, qber, qber_polynomial, visibility
 from .rates import (
     KAPPA_DEFAULT,
     KeyRateReport,
@@ -34,7 +37,7 @@ from .rates import (
     sifted_rate,
 )
 from .sources import CHI_CAP
-from .swap import SwapResult, bsm_detector, graded_swap_state, swap_conditional_state
+from .swap import bsm_detector, graded_swap_state, swap_conditional_state
 
 __all__ = [
     "Scenario",
@@ -111,19 +114,22 @@ def _arm_detector(s: Scenario) -> ThresholdDetector:
     return bsm_detector(s.eta0, s.alpha_d_db, s.resolved_p_dc)
 
 
-def _pipeline_once(s: Scenario, n_max: int) -> Tuple[SwapResult, QberReport]:
+def _pipeline_once(s: Scenario, n_max: int) -> Analysis:
+    """The swap at cutoff n_max, analyzed by the arm detectors: one build."""
     policy = TruncationPolicy(n_max=n_max, convergence_tol=s.policy.convergence_tol)
     result = swap_conditional_state(
         chi=s.chi, eta0=s.eta0, alpha_d_db=s.alpha_d_db, p_dc=s.resolved_p_dc, policy=policy
     )
-    return result, qber(result, _arm_detector(s))
+    return analyze(result, _arm_detector(s))
 
 
-def _observables(result: SwapResult, report: QberReport) -> Tuple[float, ...]:
-    return (
+def _observables(stage: Analysis) -> Tuple[QberReport, Tuple[float, ...]]:
+    """The stage's QBER report and the values whose agreement means convergence."""
+    report = qber(stage)
+    return report, (
         report.qber,
         report.sifted_coincidence_probability,
-        result.herald_probability,
+        stage.result.herald_probability,
     )
 
 
@@ -132,12 +138,12 @@ def _close(a: float, b: float, rel: float, floor: float = 1e-12) -> bool:
 
 
 def _assemble(
-    s: Scenario, result: SwapResult, report: QberReport, n_max_used: int, converged: bool
+    s: Scenario, stage: Analysis, report: QberReport, converged: bool
 ) -> KeyRateReport:
     r_sift = sifted_rate(s.chi, s.eta0, s.alpha_d_db)
     qber_for_rate = min(report.qber, 0.5)
     r_raw, r_sec = secret_rate(r_sift, qber_for_rate, s.kappa)
-    vis = visibility(result, _arm_detector(s))
+    vis = visibility(stage)
     return KeyRateReport(
         chi=s.chi,
         eta0=s.eta0,
@@ -152,9 +158,9 @@ def _assemble(
         r_sift=r_sift,
         r_sec_raw=r_raw,
         r_sec=r_sec,
-        herald_probability=result.herald_probability,
+        herald_probability=stage.result.herald_probability,
         coincidence_probability=report.sifted_coincidence_probability,
-        n_max_used=n_max_used,
+        n_max_used=stage.result.n_max,
         converged=converged,
         diagnostics={
             "p_total_z": report.p_total_z,
@@ -168,32 +174,35 @@ def _assemble(
 def evaluate(s: Scenario) -> KeyRateReport:
     """Run the full pipeline for one scenario.
 
-    The pipeline runs at the scenario's n_max and again at n_max+1; if the
-    error rate, coincidence probability, and herald probability all agree to
-    the policy's convergence tolerance, the higher-cutoff values are reported
-    with converged=True.  Otherwise the cutoff keeps climbing (up to three
-    extra steps) and a truncation error carrying the two disagreeing value
-    sets is raised if agreement never happens.  The visibility fringes are
-    scanned here, in the Z and X bases at the accepted cutoff only, for the
-    report's visibility and its (1 - V)/2 consistency value qber_from_v.
+    The error rate, coincidence probability, and herald probability at the
+    scenario's n_max are compared with those at n_max+1; if they all agree
+    to the policy's convergence tolerance, the higher-cutoff values are
+    reported with converged=True.  Otherwise the cutoff keeps climbing (up
+    to three extra steps) and a truncation error carrying the two
+    disagreeing value sets is raised if agreement never happens.  Each
+    cutoff reached is built once (_pipeline_once); the n_max values are
+    those of the n_max+1 build compressed to n_max (Analysis.compressed),
+    so the base cutoff is never built.  The visibility fringes are scanned
+    once, in the Z and X bases at the accepted cutoff, for the report's
+    visibility and its (1 - V)/2 consistency value qber_from_v.
     """
     tol = s.policy.convergence_tol
     n = s.policy.n_max
-    prev_obs = _observables(*_pipeline_once(s, n))
-    disagreement = None
-    for step in range(1, _ESCALATION_STEPS + 1):
-        n_hi = n + step
-        cur = _pipeline_once(s, n_hi)
-        cur_obs = _observables(*cur)
+    stage = _pipeline_once(s, n + 1)
+    prev_obs = _observables(stage.compressed(n))[1]
+    while True:
+        report, cur_obs = _observables(stage)
         if all(_close(a, b, tol) for a, b in zip(prev_obs, cur_obs)):
-            return _assemble(s, cur[0], cur[1], n_hi, converged=True)
-        disagreement = (prev_obs, cur_obs)
+            return _assemble(s, stage, report, converged=True)
+        n_hi = stage.result.n_max
+        if n_hi == n + _ESCALATION_STEPS:
+            raise TruncationError(
+                f"pipeline did not converge between n_max={n_hi - 1} and n_max={n_hi}",
+                values=(prev_obs, cur_obs),
+            )
         prev_obs = cur_obs
-    raise TruncationError(
-        f"pipeline did not converge between n_max={n + _ESCALATION_STEPS - 1} "
-        f"and n_max={n + _ESCALATION_STEPS}",
-        values=disagreement,
-    )
+        del stage  # free this cutoff's arrays before the next one is built
+        stage = _pipeline_once(s, n_hi + 1)
 
 
 @dataclass(frozen=True)

@@ -15,18 +15,23 @@ The two-source state factorizes over the pairs (aH,bH), (aV,bV), (cH,dH),
 (cV,dV), and the BSM mixes H with H and V with V, so each herald's state on
 (aH, aV, dH, dV) is a product of an H-pair and a V-pair tensor.  The swap
 result holds those tensors; the (n_max+1)^4-square density matrix is never
-formed.
+formed.  The result also keeps the BSM detector and its realigned pi/4
+stack, which the analyzers reuse when they see the same detector, and a
+result at one cutoff compresses exactly to every lower one (compressed):
+the pair amplitudes are the untruncated c_n and every POVM is an exact
+compression.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .detectors import ThresholdDetector
-from .fock import DEFAULT_POLICY, TruncationPolicy, detector_pair_povms, realign
+from .fock import DEFAULT_POLICY, TruncationPolicy, compress, detector_pair_povms, realign
 from .sources import pair_amplitudes
 
 
@@ -37,13 +42,30 @@ class SwapResult:
     Pair factors realigned as matrices (fock.realign) and stacked over p:
     rho[(ijkl),(IJKL)] = sum_p th[p,(i,I),(k,K)] * tv[p,(j,J),(l,L)]; the
     metrics contract them directly.  The swap holds one p per H click pair
-    of the accepted heralds.  herald_probability is tr(rho).
+    of the accepted heralds.  herald_probability is tr(rho).  det_bsm and
+    bsm_povms are the BSM detector and its realigned fock.detector_pair_povms
+    stack at pi/4; states not made by a swap leave them None.
     """
 
     th: np.ndarray
     tv: np.ndarray
     n_max: int
     herald_probability: float
+    det_bsm: Optional[ThresholdDetector] = None
+    bsm_povms: Optional[np.ndarray] = None
+
+    def compressed(self, n_max: int) -> "SwapResult":
+        """This result at the lower cutoff n_max, cut out of its arrays (fock.compress)."""
+        povms = None if self.bsm_povms is None else compress(self.bsm_povms, n_max)
+        th, tv = compress(self.th, n_max), compress(self.tv, n_max)
+        return SwapResult(th, tv, n_max, _trace(th, tv), self.det_bsm, povms)
+
+
+def _trace(th: np.ndarray, tv: np.ndarray) -> float:
+    """tr(rho) = sum_p tr(th_p) tr(tv_p), the traces running over i = I."""
+    d = math.isqrt(th.shape[-1])
+    traces = [np.einsum("piikk->p", f.reshape(-1, d, d, d, d)) for f in (th, tv)]
+    return float(np.real(traces[0] @ traces[1]))
 
 
 def bsm_detector(eta0: float, alpha_d_db: float, p_dc: float) -> ThresholdDetector:
@@ -62,19 +84,18 @@ def _heralded_state(c: np.ndarray, det_bsm: ThresholdDetector, n_max: int) -> Sw
     b' output clicks, and e2, only the c' output clicks.  psi- clicks
     opposite outputs on the H and V mixers, psi+ the same output and carries
     the frame phase (-1)^(l+L) in tv; heralds sharing an H element add their
-    tv.  The herald probability is sum_p tr(th_p) tr(tv_p), the traces
-    running over i = I.
+    tv.
     """
     d = n_max + 1
     s = np.outer(c, c.conj()).reshape(-1)  # s[(i,I)] = c_i conj(c_I)
     weight = np.outer(s, s)
-    e1, e2 = weight * realign(detector_pair_povms(n_max, math.pi / 4.0, det_bsm)[:2])
+    povms = realign(detector_pair_povms(n_max, math.pi / 4.0, det_bsm))
+    e1, e2 = weight * povms[:2]
     parity = (-1.0) ** np.arange(d)
     flip = np.outer(parity, parity).reshape(-1)[None, :]
     th = np.stack([e1, e2])
     tv = np.stack([e2 + e1 * flip, e1 + e2 * flip])
-    traces = [np.einsum("piikk->p", f.reshape(-1, d, d, d, d)) for f in (th, tv)]
-    return SwapResult(th, tv, n_max, float(np.real(traces[0] @ traces[1])))
+    return SwapResult(th, tv, n_max, _trace(th, tv), det_bsm, povms)
 
 
 def swap_conditional_state(

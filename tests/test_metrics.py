@@ -29,6 +29,7 @@ from swapkd.metrics import (
     VisibilityScan,
     _bob_angle_curve,
     _sector_table,
+    analyze,
     fourfold_coincidence,
     qber,
     qber_polynomial,
@@ -73,8 +74,8 @@ def test_singlet_coincidence_table(ideal_detector):
 
 
 def test_singlet_qber_and_visibility(ideal_detector):
-    rep = qber(singlet_state(n_max=2), ideal_detector)
-    vis = visibility(singlet_state(n_max=2), ideal_detector)
+    rep = qber(analyze(singlet_state(n_max=2), ideal_detector))
+    vis = visibility(analyze(singlet_state(n_max=2), ideal_detector))
     assert rep.qber == pytest.approx(0.0, abs=1e-12)
     assert vis == pytest.approx(1.0, abs=1e-9)
     assert 0.5 * (1.0 - vis) == pytest.approx(0.0, abs=1e-9)
@@ -83,8 +84,8 @@ def test_singlet_qber_and_visibility(ideal_detector):
 
 def test_werner_state_qber_visibility(ideal_detector):
     """F = 0.925 gives lambda = 0.9, so V = 0.9 and QBER = 0.05."""
-    rep = qber(werner_state(0.925), ideal_detector)
-    vis = visibility(werner_state(0.925), ideal_detector)
+    rep = qber(analyze(werner_state(0.925), ideal_detector))
+    vis = visibility(analyze(werner_state(0.925), ideal_detector))
     assert rep.qber == pytest.approx(0.05, abs=1e-12)
     assert vis == pytest.approx(0.9, abs=1e-9)
     assert 0.5 * (1.0 - vis) == pytest.approx(0.05, abs=1e-9)
@@ -116,15 +117,15 @@ def test_analyzer_povm_completeness(n_max):
 
 def test_dark_counts_only_give_random_outcomes():
     det = ThresholdDetector(eta=0.5, p_dc=1e-3)
-    rep = qber(vacuum_conditional(), det)
+    rep = qber(analyze(vacuum_conditional(), det))
     assert rep.qber == pytest.approx(0.5, abs=1e-12)
-    assert abs(visibility(vacuum_conditional(), det)) < 1e-6
+    assert abs(visibility(analyze(vacuum_conditional(), det))) < 1e-6
 
 
 def test_no_coincidence_raises():
     det = ThresholdDetector(eta=0.5, p_dc=0.0)
     with pytest.raises(NoCoincidenceError):
-        qber(vacuum_conditional(), det)
+        qber(analyze(vacuum_conditional(), det))
 
 
 def test_undefined_visibility_raises():
@@ -139,7 +140,7 @@ def test_visibility_scan_extrema_for_singlet(ideal_detector):
     # parallel analyzers never coincide, crossed analyzers always do
     assert scan.theta_max == pytest.approx(math.pi / 2.0, abs=1e-5)
     assert min(scan.theta_min % math.pi, math.pi - scan.theta_min % math.pi) < 1e-5
-    assert visibility(singlet_state(n_max=2), ideal_detector) == pytest.approx(1.0, abs=1e-9)
+    assert visibility(analyze(singlet_state(n_max=2), ideal_detector)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_visibility_scan_matches_direct_contraction(ideal_detector):
@@ -165,7 +166,7 @@ def test_swap_state_rotational_covariance():
     policy = TruncationPolicy(n_max=3)
     res = swap_conditional_state(0.05, 0.8, 0.0, 0.0, policy)
     det = bsm_detector(0.8, 0.0, 0.0)
-    base = qber(res, det).qber
+    base = qber(analyze(res, det)).qber
     for delta in (0.17, 0.61, 1.03):
         tz = fourfold_coincidence(res, AnalyzerSetting(delta, delta), det)
         tx = fourfold_coincidence(res, AnalyzerSetting(math.pi / 4 + delta, math.pi / 4 + delta), det)
@@ -175,7 +176,7 @@ def test_swap_state_rotational_covariance():
 
 def test_qber_pools_both_bases(ideal_detector):
     cond = werner_state(0.9)
-    rep = qber(cond, ideal_detector)
+    rep = qber(analyze(cond, ideal_detector))
     wrong = rep.table_z.p_wrong + rep.table_x.p_wrong
     total = rep.table_z.p_coincidence + rep.table_x.p_coincidence
     assert rep.qber == pytest.approx(wrong / total, abs=1e-15)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swapkd
 import swapkd.fock as fock_module
@@ -21,6 +23,7 @@ from swapkd.optimize import (
     CHI_SEARCH_MIN,
     CHI_TOL,
     Scenario,
+    _observables,
     _pipeline_once,
     _search_chi,
     es_optimal_rate,
@@ -78,7 +81,7 @@ def test_evaluate_escalates_past_the_base_cutoff():
         p_dc=1e-5,
         policy=TruncationPolicy(n_max=3),
     )
-    single = _pipeline_once(s, 3)[1]
+    single = metrics_module.qber(_pipeline_once(s, 3))
     full = evaluate(s)
     assert full.converged
     assert full.n_max_used > 3
@@ -89,16 +92,83 @@ def test_evaluate_scans_the_fringe_once(monkeypatch):
     """Visibility is scanned in Z and X at the accepted cutoff only; this
     point escalates from n_max 4 to 6."""
     scanned = []
-    scan = metrics_module.visibility_scan
+    scan = metrics_module._extrema
 
-    def counting(result, *args, **kwargs):
-        scanned.append(result.n_max)
-        return scan(result, *args, **kwargs)
+    def counting(curve):
+        scanned.append(len(curve.g) // 2)  # a fringe at cutoff n has 2n terms
+        return scan(curve)
 
-    monkeypatch.setattr(metrics_module, "visibility_scan", counting)
+    monkeypatch.setattr(metrics_module, "_extrema", counting)
     rep = evaluate(Scenario(alpha_d_db=10.0, chi=0.25, eta0=0.3, p_dc=1e-4))
     assert rep.n_max_used == 6
     assert scanned == [rep.n_max_used] * 2
+
+
+DARK_COUNTS = ({"p_dc": 0.0}, {"p_dc": 1e-4}, {"constraint": DEFAULT_CONSTRAINT})
+
+
+@pytest.mark.parametrize("dark", DARK_COUNTS)
+@pytest.mark.parametrize("chi", [1e-3, 0.1, 0.3])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6])
+def test_base_cutoff_is_a_compression_of_the_next(n_max, chi, dark):
+    """The observables evaluate() reads off the n_max+1 build, compressed to
+    n_max, are those of a build at n_max."""
+    s = Scenario(alpha_d_db=10.0, chi=chi, eta0=0.3, **dark)
+    sliced, built = (
+        _observables(stage)[1]
+        for stage in (_pipeline_once(s, n_max + 1).compressed(n_max), _pipeline_once(s, n_max))
+    )
+    assert sliced == pytest.approx(built, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "chi, dark", [(0.25, {"p_dc": 1e-4}), (0.1, {"p_dc": 0.0}), (0.2, {"constraint": DEFAULT_CONSTRAINT})]
+)
+def test_evaluate_builds_each_cutoff_once(monkeypatch, chi, dark):
+    """One swap and two detector stacks (0 and pi/4, the BSM's) per cutoff
+    built, no build at the base cutoff, and one set of fringe weights; the
+    fringe V is visibility() of the accepted build."""
+    runs = _record_calls(monkeypatch, "swap_conditional_state")
+    counts = {"detector_pair_povms": 0, "rotation_basis_weights": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(swap_module, "detector_pair_povms")
+    counting(metrics_module, "detector_pair_povms")
+    counting(metrics_module, "rotation_basis_weights")
+    s = Scenario(alpha_d_db=10.0, chi=chi, eta0=0.3, **dark)
+    rep = evaluate(s)
+    built = rep.n_max_used - s.policy.n_max
+    assert len(runs) == built
+    assert [result.n_max for _, result in runs] == list(range(s.policy.n_max + 1, rep.n_max_used + 1))
+    assert counts == {"detector_pair_povms": 2 * built, "rotation_basis_weights": 1}
+    accepted = runs[-1][1]
+    det = optimize_module._arm_detector(s)
+    assert rep.visibility == metrics_module.visibility(metrics_module.analyze(accepted, det))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    chi=st.floats(1e-3, 0.3),
+    eta0=st.floats(0.05, 0.6),
+    alpha_d=st.floats(0.0, 40.0),
+    p_dc=st.floats(0.0, 1e-3),
+)
+def test_evaluated_rows_are_physical(chi, eta0, alpha_d, p_dc):
+    """QBER in [0, 1/2], 0 <= V <= 1, and a coincidence is a heralded event:
+    each basis's coincidence probability <= herald probability <= 1."""
+    rep = evaluate(Scenario(alpha_d_db=alpha_d, chi=chi, eta0=eta0, p_dc=p_dc))
+    assert 0.0 <= rep.qber <= 0.5
+    assert 0.0 <= rep.visibility <= 1.0
+    for basis in ("z", "x"):
+        assert rep.diagnostics[f"p_total_{basis}"] <= rep.herald_probability <= 1.0
 
 
 def test_evaluate_reports_truncation_failure():
@@ -319,7 +389,7 @@ def test_polynomial_rate_matches_pipeline(n_max):
         wrong, total = metrics_module.qber_polynomial(graded, optimize_module._arm_detector(base))
         for chi in grid:
             s = Scenario(alpha_d_db=alpha_d, chi=float(chi), eta0=eta0, policy=policy, **dark)
-            q = _pipeline_once(s, n_max)[1].qber
+            q = metrics_module.qber(_pipeline_once(s, n_max)).qber
             want = secret_rate(sifted_rate(s.chi, eta0, alpha_d), min(q, 0.5), s.kappa)[1]
             assert rate(float(chi)) == pytest.approx(want, rel=1e-12, abs=0.0), (eta0, chi)
             t = math.tanh(chi) ** 2
@@ -342,7 +412,7 @@ def test_optimize_chi_runs_the_pipeline_once(monkeypatch):
     assert (pt.chi_opt, pt.report.chi) == (chi, chi)
     assert len(builds) == 2
     assert len(evaluations) == 1
-    assert len(runs) == pt.report.n_max_used - TruncationPolicy().n_max + 1
+    assert len(runs) == pt.report.n_max_used - TruncationPolicy().n_max
 
 
 def test_optimize_joint_builds_once_per_eta0(monkeypatch):
@@ -354,7 +424,7 @@ def test_optimize_joint_builds_once_per_eta0(monkeypatch):
     assert len(set(eta0s)) == len(eta0s)
     assert pt.eta0_opt in eta0s
     # only the reported point runs the pipeline, escalating from n_max
-    assert len(runs) == pt.report.n_max_used - policy.n_max + 1
+    assert len(runs) == pt.report.n_max_used - policy.n_max
 
 
 def test_new_detector_efficiencies_reuse_the_rotation_blocks(monkeypatch):
