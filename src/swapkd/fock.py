@@ -13,7 +13,10 @@ two threshold detectors (detector_pair_povms) are polynomials in 1-eta over
 them, and a new efficiency costs no eigen-transform.  realign puts a pair
 operator in the (first-mode indices) x (second-mode indices) layout in
 which the swap and metrics modules contract states, and compress cuts a
-realigned operator down to a lower cutoff.
+realigned operator down to a lower cutoff.  A realigned operator that
+conserves its pair's photon number is nonzero only on 2*n_max+1 small
+photon-difference blocks, which difference_blocks reads out in one take
+(difference_gather, cached per cutoff).
 """
 
 from __future__ import annotations
@@ -69,14 +72,17 @@ def rotation_eigensystem(n_max: int) -> Tuple[np.ndarray, ...]:
     """
     n_total = 2 * n_max
     a = annihilation_matrix(n_total + 1)
-    generator = 1j * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
+    ad = a.conj().T
     n1, n2 = np.divmod(np.arange((n_total + 1) ** 2), n_total + 1)
-    keep = np.flatnonzero(n1 + n2 <= n_total)
-    w, v = np.linalg.eigh(generator[np.ix_(keep, keep)])
+    keep = n1 + n2 <= n_total
+    n1, n2 = n1[keep], n2[keep]
+    r1, c1, r2, c2 = n1[:, None], n1[None, :], n2[:, None], n2[None, :]
+    # kron(x, y)[(n1, n2), (m1, m2)] = x[n1, m1] y[n2, m2], on the kept states only
+    generator = 1j * (ad[r1, c1] * a[r2, c2] - a[r1, c1] * ad[r2, c2])
+    w, v = np.linalg.eigh(generator)
     w_int = np.rint(w)
     if np.abs(w - w_int).max() > 1e-9:
         raise ArithmeticError("rotation generator has non-integer eigenvalues on complete blocks")
-    n1, n2 = n1[keep], n2[keep]
     sub = np.flatnonzero((n1 <= n_max) & (n2 <= n_max))
     return w_int.astype(int), v, sub, n1, n2
 
@@ -157,6 +163,42 @@ def detector_pair_povms(n_max: int, theta: float, det: ThresholdDetector) -> np.
     out[:, flat] = blocks[(slice(None),) + gather]
     out = out.reshape(4, d2, d2)
     return 0.5 * (out + out.conj().swapaxes(1, 2))
+
+
+@lru_cache(maxsize=16)
+def difference_gather(n_max: int) -> np.ndarray:
+    """Flat positions, in a realigned pair operator, of its photon-difference blocks.
+
+    Entry [delta + n_max, i, j] is the position of R[(i, i-delta), (j, j+delta)]
+    (difference_blocks), for delta = -n_max..n_max; where i-delta or j+delta
+    falls outside 0..n_max it is (n_max+1)^4, one past the end, where the
+    gather reads a zero.  Read-only, since every caller shares it.
+    """
+    d = n_max + 1
+    delta = np.arange(-n_max, n_max + 1)[:, None, None]
+    i, j = np.arange(d)[None, :, None], np.arange(d)[None, None, :]
+    big_i, big_j = i - delta, j + delta
+    inside = (big_i >= 0) & (big_i <= n_max) & (big_j >= 0) & (big_j <= n_max)
+    index = np.where(inside, ((i * d + big_i) * d + j) * d + big_j, d**4)
+    index.flags.writeable = False
+    return index
+
+
+def difference_blocks(op: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Realigned pair operators R[..., (i,I), (j,J)] read at photon-difference positions.
+
+    A pair operator that conserves the pair's photon number, I+J = i+j, is
+    nonzero in its realigned layout only where i-I = J-j = delta, so it is
+    B[delta, i, j] = R[(i, i-delta), (j, j+delta)]: 2*n_max+1 blocks of
+    (n_max+1)^2 entries in place of (n_max+1)^4, zero where an index falls
+    outside 0..n_max.  With positions = difference_gather(n_max) this
+    returns B[..., delta + n_max, i, j]; any array of that gather's entries
+    reads the blocks rearranged in its shape.  One take from the
+    zero-padded flat operator; leading axes are kept.
+    """
+    flat = op.reshape(op.shape[:-2] + (-1,))
+    padded = np.concatenate([flat, np.zeros(flat.shape[:-1] + (1,), flat.dtype)], axis=-1)
+    return np.take(padded, positions, axis=-1)
 
 
 def realign(op: np.ndarray) -> np.ndarray:

@@ -6,8 +6,10 @@ polarization rotation by the analyzer angle and then through one threshold
 detector per output: the same four outcomes (fock.detector_pair_povms, on
 blocks cached per cutoff and angle) as a BSM beamsplitter; at pi/4 with the
 BSM's detector the analyzer reuses the swap's own stack.  Every table is
-one stacked contraction of the realigned pair factors and POVMs;
-qber_polynomial grades it by photon number.  The fringe in Bob's angle is a
+one stacked contraction of the realigned pair factors and POVMs.
+qber_polynomial grades the tables by photon number: there every operator
+is read as its photon-difference blocks (fock.difference_blocks), and one
+matrix product contracts them.  The fringe in Bob's angle is a
 Fourier series over the rotation generator's integer eigenvalues, so its
 extrema are at the roots of one polynomial and are found exactly.  All
 probabilities reported here are absolute (per pump pulse): the conditional
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -33,6 +36,8 @@ from .errors import NoCoincidenceError, UndefinedVisibilityError
 from .fock import (
     compress,
     detector_pair_povms,
+    difference_blocks,
+    difference_gather,
     realign,
     rotation_basis_weights,
     rotation_eigensystem,
@@ -377,23 +382,57 @@ def visibility(analysis: Analysis) -> float:
     return 0.5 * (vis_z + vis_x)
 
 
+@lru_cache(maxsize=16)
+def _sector_gathers(n_max: int) -> Tuple[np.ndarray, ...]:
+    """fock.difference_gather positions that read the operands of _sector_table.
+
+    With rows[N, m] = N - m, the occupation that makes N photons with m
+    (padding where it falls outside 0..n_max), and B[delta, i, j] the
+    photon-difference blocks of fock.difference_blocks, the four gathers read
+      th[p, delta, N, j, k] = Th[p, delta, N-j, k],
+      ra[a, delta, N, j]    = Ra[a, delta, N-j, j],
+      tv[p, delta, j, N, k] = Tv[p, -delta, j, N-k],
+      rb[b, delta, N, k]    = Rb[b, -delta, k, N-k].
+    Read-only, since every caller shares them.
+    """
+    d = n_max + 1
+    # a zero row and column of padding positions, so rows can point past n_max
+    gather = np.pad(difference_gather(n_max), ((0, 0), (0, 1), (0, 1)), constant_values=d**4)
+    n = np.arange(2 * n_max + 1)[:, None] - np.arange(d)[None, :]
+    rows = np.where((n >= 0) & (n <= n_max), n, d)
+    m = np.arange(d)
+    flipped = gather[::-1]
+    out = (gather[:, rows, :d], gather[:, rows, m], flipped[:, :d, rows], flipped[:, m, rows])
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _sector_table(result, det_ab: ThresholdDetector, setting: AnalyzerSetting) -> np.ndarray:
     """Coincidences p[a, N_A, b, N_B] for Alice's and Bob's h/v outcomes a, b.
 
     N_A and N_B are the photon numbers reaching Alice's and Bob's analyzers.
-    Each analyzer POVM conserves its local photon number, so its N blocks
-    sum back to the full element and the sectors sum to the table.
+    The pair factors and the analyzer POVMs conserve their pairs' photon
+    numbers, so each is its photon-difference blocks (fock.difference_blocks)
+    and, with delta Alice's difference i - I,
+      p[a, N_A, b, N_B] = sum Th[p,delta][i,k] Ra[a,delta][i,j] Tv[p,-delta][j,l] Rb[b,-delta][k,l]
+    over i+j = N_A and k+l = N_B.  Alice's and Bob's halves are read by
+    photon number (_sector_gathers) and multiplied out, and one matrix
+    product contracts them over (p, delta, j, k).  Only for states whose
+    factors conserve photon number, as every swap result's do.
     """
     n_blocks = 2 * result.n_max + 1
-    d2 = (result.n_max + 1) ** 2
-    occ = np.add.outer(np.arange(result.n_max + 1), np.arange(result.n_max + 1)).reshape(-1)
-    sel = occ[None, :] == np.arange(n_blocks)[:, None]
-    blocks = realign(sel[:, :, None] & sel[:, None, :])  # N block: I+J = i+j = N
-    ra, rb = (
-        (povms[:2, None] * blocks).reshape(-1, d2, d2)
-        for povms in _setting_povms(result, det_ab, setting)
-    )
-    return _joint_probabilities(result, ra, rb).reshape(2, n_blocks, 2, n_blocks)
+    g_th, g_ra, g_tv, g_rb = _sector_gathers(result.n_max)
+    povms_a, povms_b = _setting_povms(result, det_ab, setting)
+    th = difference_blocks(result.th, g_th)  # [p, delta, N_A, j, k]
+    tv = difference_blocks(result.tv, g_tv)  # [p, delta, j, N_B, k]
+    ra = difference_blocks(povms_a[:2], g_ra)  # [a, delta, N_A, j]
+    rb = difference_blocks(povms_b[:2], g_rb)  # [b, delta, N_B, k]
+    # alice[a, N_A, p, delta, j, k] and bob[b, N_B, p, delta, j, k]
+    alice = th.transpose(2, 0, 1, 3, 4) * ra.transpose(0, 2, 1, 3)[:, :, None, :, :, None]
+    bob = tv.transpose(3, 0, 1, 2, 4) * rb.transpose(0, 2, 1, 3)[:, :, None, :, None, :]
+    p = alice.reshape(2 * n_blocks, -1) @ bob.reshape(2 * n_blocks, -1).T
+    return np.real(p).reshape(2, n_blocks, 2, n_blocks)
 
 
 def qber_polynomial(result, det_ab: ThresholdDetector) -> Tuple[np.ndarray, np.ndarray]:

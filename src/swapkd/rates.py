@@ -201,7 +201,8 @@ def _decoy_bounds(d: DecoyInputs, mu) -> _DecoyBounds:
 
     mu is a float or an array of signal intensities that replaces d.mu;
     every returned field has its shape.  Gains: Q_k = Y0 + 1 - exp(-eta*k)
-    for intensity k; background errors dominate, so E_k Q_k = e0 Y0.
+    for intensity k, computed as Y0 - expm1(-eta*k) so that a small eta*k
+    keeps its precision; background errors dominate, so E_k Q_k = e0 Y0.
     Single-photon bounds:
       Y1 >= (mu/(mu nu - nu^2)) [Q_nu e^nu - Q_mu e^mu (nu/mu)^2
                                  - ((mu^2 - nu^2)/mu^2) Y0]
@@ -215,8 +216,8 @@ def _decoy_bounds(d: DecoyInputs, mu) -> _DecoyBounds:
 
     eta, nu, y0, e0 = d.eta_bob, d.nu, d.y0, d.e0
     with np.errstate(divide="ignore", invalid="ignore"):
-        q_mu = y0 + 1.0 - np.exp(-eta * mu)
-        q_nu = y0 + 1.0 - np.exp(-eta * nu)
+        q_mu = y0 - np.expm1(-eta * mu)
+        q_nu = y0 - np.expm1(-eta * nu)
         e_mu = np.where(q_mu > 0.0, e0 * y0 / q_mu, 0.0)
         e_nu = np.where(q_nu > 0.0, e0 * y0 / q_nu, 0.0)
 

@@ -13,7 +13,9 @@ the package's metrics as pair factors (pair_factors); dense_probabilities
 contracts a dense state with the analyzer POVMs directly.  Its POVMs come
 from fock.rotated_pair_povm with the detector's click weights
 (mixer_povm, analyzer_povms), independent of the engine's rotation blocks
-(fock.detector_pair_povms).
+(fock.detector_pair_povms).  sector_table cuts the engine's analyzer POVMs
+into photon-number blocks by masks and contracts them densely: the
+reference for the engine's contraction over photon-difference blocks.
 
 A mixer is evaluated on an occupancy embedding with per-mode cutoff 2*n_max,
 where every block reachable from the input is complete, and projected back;
@@ -32,8 +34,14 @@ import numpy as np
 
 from swapkd.detectors import ThresholdDetector
 from swapkd.errors import TruncationError
-from swapkd.fock import DEFAULT_POLICY, TruncationPolicy, annihilation_matrix, rotated_pair_povm
-from swapkd.metrics import _OUTCOMES
+from swapkd.fock import (
+    DEFAULT_POLICY,
+    TruncationPolicy,
+    annihilation_matrix,
+    realign,
+    rotated_pair_povm,
+)
+from swapkd.metrics import _OUTCOMES, _joint_probabilities, _setting_povms
 from swapkd.sources import CHI_CAP, pair_amplitudes
 from swapkd.swap import SwapResult, bsm_detector
 
@@ -177,6 +185,26 @@ def dense_probabilities(cond: ConditionalState, det: ThresholdDetector, theta_al
         for kb in _OUTCOMES:
             probs[(ka, kb)] = float(np.real(np.einsum("bB,Bb->", half, eb[kb])))
     return probs
+
+
+def sector_table(result: SwapResult, det_ab: ThresholdDetector, setting) -> np.ndarray:
+    """Coincidences p[a, N_A, b, N_B] for the h/v outcomes a, b, by masked POVMs.
+
+    The reference for metrics._sector_table: each analyzer element is cut
+    into its blocks I+J = i+j = N by a mask, and all of them go through the
+    engine's dense realigned contraction (metrics._joint_probabilities).  It
+    assumes no block structure of the pair factors.
+    """
+    n_blocks = 2 * result.n_max + 1
+    d2 = (result.n_max + 1) ** 2
+    occ = np.add.outer(np.arange(result.n_max + 1), np.arange(result.n_max + 1)).reshape(-1)
+    sel = occ[None, :] == np.arange(n_blocks)[:, None]
+    blocks = realign(sel[:, :, None] & sel[:, None, :])  # N block: I+J = i+j = N
+    ra, rb = (
+        (povms[:2, None] * blocks).reshape(-1, d2, d2)
+        for povms in _setting_povms(result, det_ab, setting)
+    )
+    return _joint_probabilities(result, ra, rb).reshape(2, n_blocks, 2, n_blocks)
 
 
 # ---------------------------------------------------------------------------

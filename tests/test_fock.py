@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_reference import (
     ConditionalState,
@@ -20,8 +22,13 @@ from swapkd.fock import (
     TruncationPolicy,
     annihilation_matrix,
     detector_pair_povms,
+    difference_blocks,
+    difference_gather,
+    realign,
     rotated_pair_povm,
+    rotation_eigensystem,
 )
+from swapkd.swap import bsm_detector, graded_swap_state, swap_conditional_state
 
 
 def test_policy_validation():
@@ -193,3 +200,54 @@ def test_detector_pair_povms_match_rotated_pair_povm():
                         w2 = det.weight_vector(click2, 2 * n_max)
                         want = rotated_pair_povm(n_max, theta, w1, w2)
                         assert np.abs(e - want).max() <= 1e-14, (n_max, theta, eta, p_dc)
+
+
+@pytest.mark.parametrize("n_max", range(1, 9))
+def test_rotation_eigensystem_matches_kron_generator(n_max):
+    """The generator indexed on the kept states n1+n2 <= 2*n_max is the kron
+    construction on the full (2*n_max+1)^2 space cut to those states, so the
+    eigensystem is identical."""
+    n_total = 2 * n_max
+    a = annihilation_matrix(n_total + 1)
+    generator = 1j * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
+    n1, n2 = np.divmod(np.arange((n_total + 1) ** 2), n_total + 1)
+    keep = np.flatnonzero(n1 + n2 <= n_total)
+    w, v = np.linalg.eigh(generator[np.ix_(keep, keep)])
+    n1, n2 = n1[keep], n2[keep]
+    sub = np.flatnonzero((n1 <= n_max) & (n2 <= n_max))
+    want = (np.rint(w).astype(int), v, sub, n1, n2)
+    got = rotation_eigensystem(n_max)
+    for g, x in zip(got, want):
+        assert g.dtype == x.dtype and np.array_equal(g, x)
+
+
+def from_difference_blocks(blocks: np.ndarray, n_max: int) -> np.ndarray:
+    """The realigned operators whose difference_blocks are blocks: every entry
+    outside the blocks is zero."""
+    d4 = (n_max + 1) ** 4
+    flat = np.zeros(blocks.shape[:-3] + (d4 + 1,), blocks.dtype)
+    flat[..., difference_gather(n_max)] = blocks  # the padding entries land on flat[..., d4]
+    return flat[..., :d4].reshape(blocks.shape[:-3] + ((n_max + 1) ** 2,) * 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_max=st.integers(1, 6),
+    eta0=st.floats(0.05, 1.0),
+    alpha_d=st.floats(0.0, 50.0),
+    p_dc=st.floats(0.0, 1e-2),
+    chi=st.floats(1e-3, 0.3),
+    theta=st.floats(0.0, math.pi),
+)
+def test_photon_difference_blocks_hold_every_entry(n_max, eta0, alpha_d, p_dc, chi, theta):
+    """Dense -> blocks -> dense gives back the graded and chi-state pair
+    factors and a rotation's realigned detector stack exactly: no entry lies
+    outside the photon-difference blocks."""
+    policy = TruncationPolicy(n_max=n_max)
+    graded = graded_swap_state(eta0, alpha_d, p_dc, policy)
+    state = swap_conditional_state(chi, eta0, alpha_d, p_dc, policy)
+    povms = realign(detector_pair_povms(n_max, theta, bsm_detector(eta0, alpha_d, p_dc)))
+    for op in (graded.th, graded.tv, state.th, state.tv, povms):
+        blocks = difference_blocks(op, difference_gather(n_max))
+        assert blocks.shape == op.shape[:-2] + (2 * n_max + 1, n_max + 1, n_max + 1)
+        assert np.array_equal(from_difference_blocks(blocks, n_max), op)

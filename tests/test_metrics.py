@@ -17,6 +17,7 @@ from dense_reference import (
     fidelity_visibility,
     pair_factors,
     pair_mixer_unitary,
+    sector_table,
 )
 from swapkd.detectors import ThresholdDetector
 from swapkd.errors import NoCoincidenceError, UndefinedVisibilityError
@@ -374,3 +375,68 @@ def test_sector_table_sums_to_coincidence_table(n_max):
             table = fourfold_coincidence(res, setting, det)
             want = np.array([[table.p_hh, table.p_hv], [table.p_vh, table.p_vv]])
             assert np.allclose(p, want, rtol=1e-12, atol=0.0)
+
+
+def _polynomial(p: np.ndarray):
+    """(W, T) of a sector table p[a, N_A, b, N_B], binned by N_A + N_B."""
+    n = np.add.outer(np.arange(p.shape[1]), np.arange(p.shape[3]))
+    wrong = p[0, :, 0, :] + p[1, :, 1, :]
+    return tuple(np.bincount(n.reshape(-1), x.reshape(-1)) for x in (wrong, p.sum(axis=(0, 2))))
+
+
+@pytest.mark.parametrize("n_max", range(1, 7))
+def test_sector_table_matches_mask_reference(n_max):
+    """The contraction over photon-difference blocks gives the masked dense
+    contraction's sector tables (dense_reference.sector_table) to 1e-13 of
+    the largest entry, for graded and chi states, and qber_polynomial's
+    coefficients to 1e-12 relative."""
+    policy = TruncationPolicy(n_max=n_max)
+    for eta0, alpha_d, p_dc in ((0.3, 10.0, 1e-4), (0.2, 40.0, 0.0), (0.9, 0.0, 1e-2)):
+        det = bsm_detector(eta0, alpha_d, p_dc)
+        graded = graded_swap_state(eta0, alpha_d, p_dc, policy)
+        states = (graded, swap_conditional_state(0.2, eta0, alpha_d, p_dc, policy))
+        for state in states:
+            for setting in (Z_BASIS, X_BASIS, OFF_AXIS):
+                want = sector_table(state, det, setting)
+                got = _sector_table(state, det, setting)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (eta0, setting)
+        # coefficients that vanish in exact arithmetic (no wrong coincidences
+        # from one pair per source without dark counts) are rounding noise
+        want = _polynomial(sum(sector_table(graded, det, s) for s in (Z_BASIS, X_BASIS)))
+        floor = 1e-15 * np.abs(want[1]).max()
+        for got, ref in zip(qber_polynomial(graded, det), want):
+            assert np.all(np.abs(got - ref) <= np.maximum(1e-12 * np.abs(ref), floor)), (eta0, alpha_d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_max=st.integers(1, 3),
+    eta0=st.floats(0.05, 1.0),
+    alpha_d=st.floats(0.0, 50.0),
+    p_dc=st.floats(0.0, 1e-2),
+    chi=st.floats(1e-3, 0.3),
+    analyzer=st.one_of(st.none(), st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 1e-2))),
+)
+def test_key_basis_tables_match_dense_contraction(n_max, eta0, alpha_d, p_dc, chi, analyzer):
+    """qber(analyze(...))'s Z and X tables equal the dense contraction of the
+    swap state (dense_reference.dense_probabilities), for the BSM's own
+    detector (analyzer None) or another one.  Each entry agrees to 1e-12
+    relative; entries that vanish in exact arithmetic are rounding noise, so
+    the floor is 1e-14 of the table's largest entry."""
+    res = swap_conditional_state(chi, eta0, alpha_d, p_dc, TruncationPolicy(n_max=n_max))
+    det = bsm_detector(eta0, alpha_d, p_dc) if analyzer is None else ThresholdDetector(*analyzer)
+    report = qber(analyze(res, det))
+    cond = dense_state(res)
+    for table, basis in ((report.table_z, Z_BASIS), (report.table_x, X_BASIS)):
+        probs = dense_probabilities(cond, det, basis.theta_alice, basis.theta_bob)
+        want = {
+            "p_hh": probs[("h", "h")],
+            "p_hv": probs[("h", "v")],
+            "p_vh": probs[("v", "h")],
+            "p_vv": probs[("v", "v")],
+            "p_double_alice": sum(probs[("both", kb)] for kb in _OUTCOMES),
+            "p_double_bob": sum(probs[(ka, "both")] for ka in _OUTCOMES),
+        }
+        floor = 1e-14 * max(abs(v) for v in want.values())
+        for name, value in want.items():
+            assert getattr(table, name) == pytest.approx(value, rel=1e-12, abs=floor), name

@@ -459,10 +459,12 @@ def _fresh_python(code):
 
 
 def test_importing_the_cli_builds_no_rotation_blocks():
-    """The blocks are built on first use, so start-up pays nothing for them."""
-    code = ("import swapkd.cli, swapkd.fock as f; "
-            "i = f.rotation_blocks.cache_info(); print(i.misses, i.currsize)")
-    assert _fresh_python(code).split() == ["0", "0"]
+    """The blocks and the photon-difference gathers are built on first use,
+    so start-up pays nothing for them."""
+    code = ("import swapkd.cli, swapkd.fock as f, swapkd.metrics as m; "
+            "caches = (f.rotation_blocks, f.difference_gather, m._sector_gathers); "
+            "print(*(n for c in caches for n in (c.cache_info().misses, c.cache_info().currsize)))")
+    assert _fresh_python(code).split() == ["0"] * 6
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -1,5 +1,7 @@
 import math
+from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 
 import swapkd.rates as rates_module
@@ -124,9 +126,10 @@ def test_decoy_clamp_flags():
 def test_optimal_mu_grid_matches_the_report():
     """optimal_mu's one-call grid gives decoy_rate_report's rate and clamp
     flags at every grid intensity, clamped rows included."""
-    grid = rates_module._mu_grid(0.1)
+    # above optimal_mu's range, at mu 4 and 5, the lower bound on Y1 is
+    # negative and clamped
+    grid = np.append(rates_module._mu_grid(0.1), [4.0, 5.0])
     flags = set()
-    # at 150 dB without dark counts, rounding takes Y1 below 0 at some mu
     for p_dc in (0.0, 1e-6, 1.8e-5, 5e-3):
         for alpha_d in [*range(0, 61, 5), 150]:
             d = decoy_inputs(float(grid[-1]), 0.2, alpha_d, p_dc)
@@ -138,6 +141,27 @@ def test_optimal_mu_grid_matches_the_report():
                 assert row_flags == (rep.y1_clamped, rep.e1_clamped), (p_dc, alpha_d, mu)
                 flags.add(row_flags)
     assert flags == {(False, False), (False, True), (True, False)}
+
+
+def _decimal_gain(eta: float, y0: float, k: float) -> Decimal:
+    """Q_k = Y0 + 1 - exp(-eta k) in 50-digit arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return Decimal(y0) + 1 - (-Decimal(eta) * Decimal(k)).exp()
+
+
+@pytest.mark.parametrize("p_dc", [0.0, 1e-6])
+@pytest.mark.parametrize("alpha_d", [40.0, 50.0, 60.0, 70.0, 80.0])
+def test_decoy_gains_keep_full_precision_at_long_distance(alpha_d, p_dc):
+    """At 40-80 dB, eta*k is about 2e-10 to 2e-5, where Y0 + 1 - exp(-eta k)
+    keeps only 6 to 11 correct digits; the gains stay within a few ulps of
+    the 50-digit value."""
+    mu = np.array([0.15, 0.4, 0.8])
+    d = decoy_inputs(0.5, 0.2, alpha_d, p_dc)
+    bounds = rates_module._decoy_bounds(d, mu)
+    for q, k in [*zip(bounds.q_mu, mu), (bounds.q_nu, d.nu)]:
+        want = _decimal_gain(d.eta_bob, d.y0, float(k))
+        assert abs(Decimal(float(q)) - want) <= 4 * Decimal(math.ulp(float(want))), (alpha_d, p_dc, k)
 
 
 def test_optimal_mu_is_local_maximum():
