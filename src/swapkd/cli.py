@@ -6,6 +6,7 @@ fully resolved configuration; re-running a command with --config pointed at
 the manifest reproduces the CSVs byte for byte.  Values in CSVs use
 scientific notation with 12 significant digits.  Exit codes: 0 success, 2
 invalid configuration, 3 numerical failure; any other exception propagates.
+Commands run serially: a --workers value is recorded for replay, not used.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .optimize import (
     evaluate,
     optimize_chi,
     optimize_joint,
-    ordered_map,
     sweep,
 )
 from .rates import (
@@ -49,7 +49,6 @@ from .rates import (
 )
 
 SCHEMA_VERSION = 1
-WORKERS_ENV_VAR = "SWAPKD_WORKERS"
 
 ROW_COLUMNS = [
     "alpha_d_db",
@@ -315,13 +314,6 @@ def _policy(config: Dict) -> TruncationPolicy:
     )
 
 
-def _workers(config: Dict) -> int:
-    """Worker processes: --workers, else SWAPKD_WORKERS, else 1 (serial)."""
-    if config.get("workers") is not None:
-        return max(1, int(config["workers"]))
-    return max(1, int(os.environ.get(WORKERS_ENV_VAR) or 1))
-
-
 def _out_path(config: Dict, name: str) -> str:
     out_dir = config.get("output_dir") or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -381,18 +373,9 @@ def _run_sweep(config: Dict) -> RunResult:
         for e in config["eta0_grid"]
         for c in config["chi_grid"]
     ]
-    rows = [_report_row(sr) for sr in sweep(scenarios, workers=_workers(config))]
+    rows = [_report_row(sr) for sr in sweep(scenarios)]
     n_failed = sum(1 for r in rows if r.get("error"))
     return [("", ROW_COLUMNS, rows)], {"points": len(rows), "failed_points": n_failed}
-
-
-def _optimize_one_alpha(task: Tuple) -> OptimumPoint:
-    alpha, eta0, p_dc, constraint, kappa, policy = task
-    if eta0 is None:
-        return optimize_joint(alpha, constraint=constraint, kappa=kappa, policy=policy)
-    return optimize_chi(
-        alpha, eta0, p_dc=p_dc, constraint=constraint, kappa=kappa, policy=policy
-    )
 
 
 def _run_optimize(config: Dict) -> RunResult:
@@ -405,8 +388,12 @@ def _run_optimize(config: Dict) -> RunResult:
     eta0 = None if eta0 is None else float(eta0)
     policy = _policy(config)
     kappa = float(config["kappa"])
-    tasks = [(a, eta0, p_dc, constraint, kappa, policy) for a in config["alpha_d_grid"]]
-    points = ordered_map(_optimize_one_alpha, tasks, _workers(config))
+    points = [
+        optimize_joint(a, constraint=constraint, kappa=kappa, policy=policy)
+        if eta0 is None
+        else optimize_chi(a, eta0, p_dc=p_dc, constraint=constraint, kappa=kappa, policy=policy)
+        for a in config["alpha_d_grid"]
+    ]
     return [("", OPTIMIZE_COLUMNS, [_optimum_row(pt) for pt in points])], {"points": len(points)}
 
 
@@ -580,7 +567,7 @@ def _run_figure_data(config: Dict) -> RunResult:
     if config["chi_grid"] is not None and figure not in _CHI_GRID_FIGURES:
         raise ConfigError(f"chi_grid applies to {', '.join(_CHI_GRID_FIGURES)} only, not {figure}")
     variants = (config["variant"],) if config["variant"] else tuple(_FIGURES[figure])
-    shared = {key: config[key] for key in ("n_max", "convergence_tol", "workers")}
+    shared = {key: config[key] for key in ("n_max", "convergence_tol")}
     files: List[Output] = []
     for variant in variants:
         if variant not in _FIGURES[figure]:
@@ -680,7 +667,9 @@ _FLAGS: Dict[str, Tuple[str, Dict]] = {
     "alpha_d_grid": ("--alpha-d-grid", {}),
     "figure": ("--figure", {"choices": list(_FIGURES)}),
     "variant": ("--variant", {"help": "single variant letter; default all"}),
-    "workers": ("--workers", {"type": int}),
+    "workers": ("--workers", {
+        "type": int, "help": "accepted for old command lines and manifests; runs are always serial",
+    }),
     "n_max": ("--n-max", {"type": int, "help": "Fock cutoff per mode"}),
     "convergence_tol": ("--tol", {"type": float, "help": "truncation convergence tolerance"}),
     "output_dir": ("--output-dir", {"help": "directory for output files"}),

@@ -54,6 +54,10 @@ class DetectorConstraint:
     a: float = CONSTRAINT_A
     b: float = CONSTRAINT_B
 
+    def __post_init__(self):
+        if not (0.0 <= self.a < math.inf and math.isfinite(self.b)):
+            raise ValueError(f"need finite a >= 0 and finite b, got a={self.a!r}, b={self.b!r}")
+
     def p_dc(self, eta0: float) -> float:
         if not (0.0 <= eta0 <= 1.0):
             raise ValueError(f"eta0 must be in [0, 1], got {eta0!r}")

@@ -17,7 +17,6 @@ report the curve's value; optimize_chi evaluates its winner.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -45,7 +44,6 @@ __all__ = [
     "SweepRow",
     "evaluate",
     "sweep",
-    "ordered_map",
     "optimize_chi",
     "optimize_joint",
     "es_optimal_rate",
@@ -227,40 +225,12 @@ def _evaluate_row(s: Scenario) -> SweepRow:
         return SweepRow(scenario=s, report=None, error=f"{type(exc).__name__}: {exc}")
 
 
-def ordered_map(fn: Callable, items: Sequence, workers: Optional[int]) -> List:
-    """[fn(x) for x in items], fanned out to a process pool when workers > 1.
-
-    Results come back in input order, so they do not depend on the worker
-    count; fn and the items must be picklable.  Workers are spawned with
-    BLAS pinned to one thread: one BLAS thread pool per worker thrashes the
-    cores on the engine's small matrices.
-    """
-    if workers is not None and workers > 1 and len(items) > 1:
-        # Imported here: serial runs, the default, need no pool machinery.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        saved = {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        os.environ.update(dict.fromkeys(saved, "1"))
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("spawn")
-            ) as pool:
-                return list(pool.map(fn, items, chunksize=max(1, len(items) // (8 * workers))))
-        finally:
-            for name, value in saved.items():
-                del os.environ[name]
-                if value is not None:
-                    os.environ[name] = value
-    return [fn(x) for x in items]
-
-
-def sweep(scenarios: Sequence[Scenario], workers: Optional[int] = None) -> List[SweepRow]:
+def sweep(scenarios: Sequence[Scenario]) -> List[SweepRow]:
     """Evaluate every scenario, in input order, tolerating per-point failures."""
     scenarios = list(scenarios)
     if not scenarios:
         raise ValueError("empty scenario list")
-    return ordered_map(_evaluate_row, scenarios, workers)
+    return [_evaluate_row(s) for s in scenarios]
 
 
 @dataclass(frozen=True)

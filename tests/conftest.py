@@ -24,19 +24,22 @@ def werner_state(fidelity: float, n_max: int = 2) -> SwapResult:
     return pair_factors(embed_qubit_pair(rho, n_max))
 
 
-def single_pair_herald_budget(eta: float) -> float:
+def single_pair_herald_budget(eta: float, mixer=None) -> float:
     """Accepted-herald probability with one pair per source and no dark counts.
 
     Each source puts its pair in H or V with amplitude 1/sqrt(2); the four
     placements leave orthogonal states on modes a and d, so the budget is
     1/4 sum_p sum_placements E_H^p[(n_bH, n_cH)] E_V^p[(n_bV, n_cV)] with the
-    reference single-pair (n_max = 1) BSM POVMs, indexed n_b * 2 + n_c.
+    single-pair (n_max = 1) BSM POVMs, indexed n_b * 2 + n_c.
+    mixer(det, click1, click2) gives one beamsplitter's element; the default
+    is the reference's mixer_povm.
     """
     det = ThresholdDetector(eta, 0.0)
+    mixer = mixer or (lambda det, c1, c2: mixer_povm(1, math.pi / 4.0, det, c1, c2))
     total = 0.0
     for clicks, _ in HERALDS:
-        e_h = mixer_povm(1, math.pi / 4.0, det, clicks[0], clicks[2])
-        e_v = mixer_povm(1, math.pi / 4.0, det, clicks[1], clicks[3])
+        e_h = mixer(det, clicks[0], clicks[2])
+        e_v = mixer(det, clicks[1], clicks[3])
         for n_bh in (0, 1):
             for n_ch in (0, 1):
                 i_h = 2 * n_bh + n_ch

@@ -196,6 +196,28 @@ def test_nan_kappa_is_a_configuration_error(tmp_path, capsys, command, kappa):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(EVALUATE_AT_10_DB, id="evaluate"),
+        pytest.param(["sweep", "--chi-grid", "0.05", "--eta0-grid", "0.3",
+                      "--alpha-d-grid", "0,10", "--constraint"], id="sweep"),
+        pytest.param(["optimize", "--alpha-d-grid", "10", "--constraint"], id="optimize"),
+    ],
+)
+@pytest.mark.parametrize(
+    "flag", ["--constraint-a=-1e-7", "--constraint-a=nan", "--constraint-b=nan"],
+    ids=["negative-a", "nan-a", "nan-b"],
+)
+def test_bad_dark_count_constraint_is_a_configuration_error(tmp_path, capsys, command, flag):
+    """A dark-count fit that is not finite, or has a negative floor, exits 2
+    before any row is written."""
+    code = main(command + [flag, "--output-dir", str(tmp_path)] + FAST)
+    assert code == 2
+    assert "need finite a >= 0 and finite b" in capsys.readouterr().out
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     code = main(
         ["evaluate", "--chi", "0.2", "--eta0", "1.0", "--alpha-d", "0",
@@ -305,19 +327,6 @@ def test_optimize_csv(tmp_path):
     assert len(rows) == 1
     assert rows[0]["positive"] == "true"
     assert 0.1 < float(rows[0]["chi_opt"]) < 0.2
-
-
-def test_optimize_parallel_matches_serial(tmp_path):
-    csv = {}
-    for workers in ("1", "2"):
-        out = tmp_path / workers
-        code = main(
-            ["optimize", "--alpha-d-grid", "0,10", "--eta0", "0.2", "--pdc", "1e-5",
-             "--workers", workers, "--output-dir", str(out)] + FAST
-        )
-        assert code == 0
-        csv[workers] = (out / "optimize.csv").read_bytes()
-    assert csv["2"] == csv["1"]
 
 
 def test_optimize_joint_requires_constraint(tmp_path, capsys):
@@ -523,7 +532,7 @@ PRESET_FILES = {
 def test_figure_data_preset_grids(figure, tmp_path, monkeypatch):
     """The preset grids of every swap-link curve, with the swap pipeline
     stubbed out; the golden cases run the figures on overridden grids."""
-    def stub_sweep(scenarios, workers=None):
+    def stub_sweep(scenarios):
         return [SweepRow(s, None, "stub") for s in scenarios]
 
     monkeypatch.setattr(cli_module, "sweep", stub_sweep)
@@ -574,23 +583,3 @@ def test_installed_console_script_version():
     )
     # the executable on PATH may belong to another install of the package
     assert result.stdout.strip().startswith("swapkd ")
-
-
-def test_workers_default_to_serial(monkeypatch):
-    monkeypatch.delenv("SWAPKD_WORKERS", raising=False)
-    assert cli_module._workers({"workers": None}) == 1
-    monkeypatch.setenv("SWAPKD_WORKERS", "3")
-    assert cli_module._workers({"workers": None}) == 3
-    assert cli_module._workers({"workers": 2}) == 2
-
-
-def test_workers_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("SWAPKD_WORKERS", "1")
-    out = str(tmp_path)
-    code = main(
-        ["sweep", "--chi-grid", "0.05", "--eta0-grid", "0.3",
-         "--alpha-d-grid", "5", "--pdc", "1e-5", "--output-dir", out] + FAST
-    )
-    assert code == 0
-    _, rows = read_csv(os.path.join(out, "sweep.csv"))
-    assert len(rows) == 1

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -32,7 +33,6 @@ from swapkd.optimize import (
     max_positive_alpha,
     optimize_chi,
     optimize_joint,
-    ordered_map,
     sweep,
 )
 from swapkd.rates import decoy_inputs, decoy_rate_report, golden_max, secret_rate, sifted_rate
@@ -258,7 +258,7 @@ def test_sweep_preserves_order_and_captures_errors():
         Scenario(alpha_d_db=5.0, chi=0.05, eta0=0.3, constraint=bad_constraint),
         Scenario(alpha_d_db=10.0, chi=0.05, eta0=0.3, p_dc=1e-5),
     ]
-    rows = sweep(scenarios, workers=1)
+    rows = sweep(scenarios)
     assert [r.scenario.alpha_d_db for r in rows] == [5.0, 5.0, 10.0]
     assert rows[0].report is not None and rows[0].error is None
     assert rows[1].report is None
@@ -277,7 +277,7 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(optimize_module, "evaluate", broken)
     scenarios = [Scenario(alpha_d_db=5.0, chi=0.05, eta0=0.3, p_dc=1e-5)]
     with pytest.raises(TypeError):
-        sweep(scenarios, workers=1)
+        sweep(scenarios)
 
 
 def test_pipeline_never_builds_dense_state():
@@ -296,17 +296,6 @@ def test_pipeline_never_builds_dense_state():
     assert rep.converged
     assert rep.n_max_used == 6
     assert 0.0 < rep.visibility < 1.0
-
-
-def test_sweep_parallel_matches_serial():
-    scenarios = [
-        Scenario(alpha_d_db=a, chi=0.08, eta0=0.25, p_dc=1e-5) for a in (0.0, 5.0)
-    ]
-    serial = sweep(scenarios, workers=1)
-    parallel = sweep(scenarios, workers=2)
-    for srow, prow in zip(serial, parallel):
-        assert srow.report.r_sec == prow.report.r_sec
-        assert srow.report.qber == prow.report.qber
 
 
 def test_max_positive_alpha_synthetic():
@@ -343,16 +332,6 @@ def test_distance_scans_stop_at_alpha_hi(monkeypatch):
 
 def test_decoy_rate_positive_at_short_range():
     assert decoy_rate_report(decoy_inputs(0.48, 0.2, 0.0, 1.8e-5)).r_sec > 1e-2
-
-
-def _blas_threads(_):
-    return os.environ.get("OPENBLAS_NUM_THREADS")
-
-
-def test_ordered_map_pins_blas_threads_in_workers():
-    before = os.environ.get("OPENBLAS_NUM_THREADS")
-    assert ordered_map(_blas_threads, [0, 1, 2, 3], workers=2) == ["1"] * 4
-    assert os.environ.get("OPENBLAS_NUM_THREADS") == before
 
 
 def _record_calls(monkeypatch, name):
@@ -468,6 +447,32 @@ def test_importing_the_cli_builds_no_rotation_blocks():
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    """Serial runs, the default, never import the pool machinery."""
+    """Commands run serially, so the CLI never imports the pool machinery."""
     code = "import sys, swapkd.cli; print('multiprocessing' in sys.modules)"
     assert _fresh_python(code).strip() == "False"
+
+
+def test_workers_key_is_inert_on_replay(tmp_path):
+    """--workers and a manifest's "workers" select nothing: a manifest edited
+    to 4 workers replays to the same bytes, and a run with --workers 4 writes
+    them too without loading a process pool."""
+    from swapkd.cli import main
+
+    args = ["sweep", "--chi-grid", "0.05,0.1", "--eta0-grid", "0.3", "--alpha-d-grid", "0,10",
+            "--pdc", "1e-5", "--n-max", "2"]
+    assert main(args + ["--workers", "1", "--output-dir", str(tmp_path / "w1")]) == 0
+    manifest_path = tmp_path / "w1" / "sweep_manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["config"]["workers"] == 1
+    manifest["config"]["workers"] = 4
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["sweep", "--config", str(manifest_path),
+                 "--output-dir", str(tmp_path / "replay")]) == 0
+
+    fresh = args + ["--workers", "4", "--output-dir", str(tmp_path / "w4")]
+    code = ("import sys; from swapkd.cli import main; "
+            f"code = main({fresh!r}); print(code, 'multiprocessing' in sys.modules)")
+    assert _fresh_python(code).split()[-2:] == ["0", "False"]
+    serial = (tmp_path / "w1" / "sweep.csv").read_bytes()
+    for out in ("replay", "w4"):
+        assert (tmp_path / out / "sweep.csv").read_bytes() == serial

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import single_pair_herald_budget
 from dense_reference import (
@@ -17,7 +19,7 @@ from dense_reference import (
     perform_bsm,
 )
 from swapkd.detectors import ThresholdDetector
-from swapkd.fock import TruncationPolicy
+from swapkd.fock import TruncationPolicy, detector_pair_povms
 from swapkd.swap import bsm_detector, swap_conditional_state
 
 
@@ -64,7 +66,7 @@ def test_bsm_detector_folds_quarter_span_loss():
 def test_bsm_herald_budget_half_eta_squared(eta):
     """Single pair per source, no dark counts: accepted heralds sum to eta^2 / 2.
 
-    Checked on the engine's BSM POVMs and on the dense reference.  The
+    Checked on the reference's mixer elements and on its dense BSM.  The
     reference's n_max=1 register is exact here: mixer overflow only ever
     lands in single-detector branches, which no accepted pattern keeps.
     """
@@ -74,6 +76,22 @@ def test_bsm_herald_budget_half_eta_squared(eta):
     det = ThresholdDetector(eta, 0.0)
     total = sum(perform_bsm(reg, det, clicks).herald_probability for clicks, _ in HERALDS)
     assert abs(total - 0.5 * eta * eta) < 1e-8
+
+
+# Index of each (first output clicks, second output clicks) demand in the
+# stack of fock.detector_pair_povms.
+_ENGINE_OUTCOME = {(True, False): 0, (False, True): 1, (True, True): 2, (False, False): 3}
+
+
+@settings(max_examples=40, deadline=None)
+@given(eta=st.floats(0.0, 1.0))
+def test_engine_bsm_herald_budget_half_eta_squared(eta):
+    """The same budget on the engine's own BSM elements, at any efficiency."""
+
+    def engine_mixer(det, click1, click2):
+        return detector_pair_povms(1, math.pi / 4.0, det)[_ENGINE_OUTCOME[click1, click2]]
+
+    assert abs(single_pair_herald_budget(eta, engine_mixer) - 0.5 * eta * eta) < 1e-8
 
 
 def test_herald_probability_low_brightness_scaling():
