@@ -9,9 +9,10 @@ operators (metrics.analyze).  The base cutoff is never built: it is a
 compression of the next one, read off that build's arrays.  The visibility
 fringes are scanned once, at the accepted cutoff, from the same operators.
 Brightness searches run on the rate curve of one chi-free build (the QBER
-polynomial), not on the pipeline: a coarse grid, golden-section refinement
-and an explicit unimodality guard.  Searches that only need the best rate
-report the curve's value; optimize_chi evaluates its winner.
+polynomial), not on the pipeline, with rates.grid_max: a coarse grid,
+golden-section refinement and an explicit unimodality guard.  Searches that
+only need the best rate report the curve's value; optimize_chi evaluates its
+winner.  Distance boundaries are bisected with rates.bisect.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from .rates import (
     KAPPA_DEFAULT,
     KeyRateReport,
     NU_DEFAULT,
-    golden_max,
+    _check_kappa,
+    bisect,
+    grid_max,
     optimal_mu,
     secret_rate,
     sifted_rate,
@@ -98,6 +101,7 @@ class Scenario:
             raise ValueError(f"eta0 {self.eta0!r} outside [0, 1]")
         if self.p_dc is not None and not 0.0 <= self.p_dc < 1.0:
             raise ValueError(f"p_dc {self.p_dc!r} outside [0, 1)")
+        _check_kappa(self.kappa)
 
     @property
     def resolved_p_dc(self) -> float:
@@ -213,9 +217,9 @@ class SweepRow:
 
 
 # Failures that belong to one grid point: the physics at that point is
-# undefined or unconverged, or its parameters are out of range.  Anything
-# else is a programming error and aborts the sweep.
-_ROW_ERRORS = NUMERICAL_ERRORS + (ConstraintViolationError, ValueError)
+# undefined or unconverged, or its dark-count fit is non-physical there.
+# Anything else is a programming error and aborts the sweep.
+_ROW_ERRORS = NUMERICAL_ERRORS + (ConstraintViolationError,)
 
 
 def _evaluate_row(s: Scenario) -> SweepRow:
@@ -294,31 +298,15 @@ def _search_chi(
 ) -> Tuple[float, float, bool]:
     """(chi_opt, r_opt, guard_flag) maximizing rate on [CHI_SEARCH_MIN, CHI_SEARCH_MAX].
 
-    Coarse search on a log-spaced grid, then golden-section refinement inside
-    the bracketing grid cell.  If refinement lands below the best grid value
-    the search falls back to a fine linear scan of the bracket and raises the
-    guard flag, so a non-unimodal rate curve cannot silently win.  chi_opt is
-    nan and r_opt 0 when no grid point has a positive rate.
+    rates.grid_max on a log-spaced grid of grid_points, refined to tol; its
+    guard scans 201 points of the bracket.  chi_opt is nan and r_opt 0 when
+    no grid point has a positive rate.
     """
     grid = np.logspace(math.log10(CHI_SEARCH_MIN), math.log10(CHI_SEARCH_MAX), grid_points)
-    values = [rate(c) for c in grid]
-    i_best = int(np.argmax(values))
-    if values[i_best] <= 0.0:
+    chi_opt, r_opt, guard_flag = grid_max(rate, grid, tol, fine_points=201)
+    if r_opt <= 0.0:
         return float("nan"), 0.0, False
-
-    lo = grid[max(0, i_best - 1)]
-    hi = grid[min(grid_points - 1, i_best + 1)]
-    chi_opt, r_opt = golden_max(rate, lo, hi, tol)
-    guard_flag = False
-    if r_opt < values[i_best]:
-        guard_flag = True
-        fine = np.linspace(lo, hi, 201)
-        fine_vals = [rate(c) for c in fine]
-        j = int(np.argmax(fine_vals))
-        chi_opt, r_opt = float(fine[j]), fine_vals[j]
-        if r_opt < values[i_best]:
-            chi_opt, r_opt = float(grid[i_best]), values[i_best]
-    return float(chi_opt), r_opt, guard_flag
+    return chi_opt, r_opt, guard_flag
 
 
 def _optimum_on_curve(base: Scenario, rate: Callable[[float], float]) -> OptimumPoint:
@@ -370,10 +358,11 @@ def optimize_joint(
 ) -> OptimumPoint:
     """Maximize the rate over (chi, eta0) with dark counts tied to eta0.
 
-    Outer golden-section over eta0 around a coarse seed; each outer value
-    runs a coarse chi search on that eta0's rate curve.  The returned point
-    searches the winning eta0's curve at full resolution and evaluates the
-    winner.  Each distinct eta0 builds its curve once.
+    rates.grid_max over eta0 from ETA0_SEED_POINTS seeds, whose guard falls
+    back to the best seed; each eta0 runs a coarse chi search on its rate
+    curve.  The returned point searches the winning eta0's curve at full
+    resolution and evaluates the winner.  Each distinct eta0 builds its
+    curve once.
     """
     curves = {}
 
@@ -390,19 +379,10 @@ def optimize_joint(
         return _search_chi(curve(eta0)[1], INNER_CHI_GRID_POINTS, INNER_CHI_TOL)[1]
 
     seeds = np.linspace(*ETA0_SEARCH_RANGE, ETA0_SEED_POINTS)
-    seed_vals = [inner_rate(float(e)) for e in seeds]
-    i_best = int(np.argmax(seed_vals))
-    if seed_vals[i_best] <= 0.0:
+    eta_opt, r_outer, guard_flag = grid_max(inner_rate, seeds, ETA0_TOL)
+    if r_outer <= 0.0:
         return _not_positive(alpha_d_db, float("nan"), float("nan"))
-    lo = seeds[max(0, i_best - 1)]
-    hi = seeds[min(ETA0_SEED_POINTS - 1, i_best + 1)]
-    eta_opt, r_outer = golden_max(inner_rate, float(lo), float(hi), ETA0_TOL)
-    guard_flag = False
-    if r_outer < seed_vals[i_best]:
-        guard_flag = True
-        eta_opt = float(seeds[i_best])
-
-    final = _optimum_on_curve(*curve(float(eta_opt)))
+    final = _optimum_on_curve(*curve(eta_opt))
     return replace(final, guard_flag=guard_flag or final.guard_flag)
 
 
@@ -456,31 +436,20 @@ def _crossover_scan(
             return None
         return r_dk - r_es
 
+    def same_side(alpha: float, g_lo: float) -> Optional[bool]:
+        g = difference(rates(alpha))
+        return None if g is None or g == 0.0 else (g > 0.0) == (g_lo > 0.0)
+
     rows = [rates(float(a)) for a in alphas]
     diffs = [difference(row) for row in rows]
-    bracket = None
     for (a0, g0), (a1, g1) in zip(zip(alphas, diffs), zip(alphas[1:], diffs[1:])):
         if g0 is None or g1 is None:
             continue
         if g0 == 0.0:
             return float(a0), rows
         if g0 * g1 < 0.0:
-            bracket = (float(a0), float(a1), g0)
-            break
-    if bracket is None:
-        return None, rows
-
-    lo, hi, g_lo = bracket
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        g_mid = difference(rates(mid))
-        if g_mid is None or g_mid == 0.0:
-            break
-        if g_lo * g_mid < 0.0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-    return 0.5 * (lo + hi), rows
+            return bisect(lambda a: same_side(a, g0), float(a0), float(a1), tol), rows
+    return None, rows
 
 
 def find_crossover(
@@ -533,10 +502,4 @@ def max_positive_alpha(
     if i_last == len(alphas) - 1:
         return float(alphas[-1])
     lo, hi = float(alphas[i_last]), float(alphas[i_last + 1])
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if rate_fn(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda a: rate_fn(a) > 0.0, lo, hi, tol)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,8 @@ __all__ = [
     "NU_DEFAULT",
     "E0_BACKGROUND",
     "golden_max",
+    "grid_max",
+    "bisect",
     "h2",
     "sifted_rate",
     "secret_rate",
@@ -66,6 +68,59 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) ->
     return x, f(x)
 
 
+def grid_max(
+    f: Callable[[float], float],
+    grid: Sequence[float],
+    tol: float,
+    values: Optional[Sequence[float]] = None,
+    fine_points: int = 0,
+) -> Tuple[float, float, bool]:
+    """(x, f(x), guard_flag) maximizing f on a coarse grid refined by golden_max.
+
+    f is evaluated on the grid unless its values there are given.  The first
+    best grid point is returned unrefined if its value is <= 0, else refined
+    to tol between its grid neighbours.  Refinement landing below the grid's
+    best raises the guard flag, so a non-unimodal curve cannot silently win:
+    the best of fine_points evenly spaced bracket points is taken if it
+    reaches the grid's best, else the grid point.
+    """
+    grid = [float(x) for x in grid]
+    values = [f(x) for x in grid] if values is None else values
+    i = int(np.argmax(values))
+    best = float(values[i])
+    if best <= 0.0:
+        return grid[i], best, False
+    lo, hi = grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]
+    x, fx = golden_max(f, lo, hi, tol)
+    if fx >= best:
+        return x, fx, False
+    if fine_points > 0:
+        fine = [float(c) for c in np.linspace(lo, hi, fine_points)]
+        fine_vals = [f(c) for c in fine]
+        j = int(np.argmax(fine_vals))
+        if fine_vals[j] >= best:
+            return fine[j], fine_vals[j], True
+    return grid[i], best, True
+
+
+def bisect(side: Callable[[float], Optional[bool]], lo: float, hi: float, tol: float) -> float:
+    """Midpoint of [lo, hi] bisected to width tol around a boundary.
+
+    side(x) is True left of the boundary and False right of it; None stops
+    the bisection at the current bracket.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        left = side(mid)
+        if left is None:
+            break
+        if left:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def h2(x: float) -> float:
     """Binary Shannon entropy in bits, with h2(0) = h2(1) = 0 by continuity."""
     if not 0.0 <= x <= 1.0:
@@ -106,14 +161,7 @@ def qber_threshold(kappa: float = KAPPA_DEFAULT) -> float:
     bisection suffices.
     """
     _check_kappa(kappa)
-    lo, hi = 0.0, 0.5
-    while hi - lo > QBER_THRESHOLD_TOL:
-        mid = 0.5 * (lo + hi)
-        if 1.0 - (1.0 + kappa) * h2(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda q: 1.0 - (1.0 + kappa) * h2(q) > 0.0, 0.0, 0.5, QBER_THRESHOLD_TOL)
 
 
 @dataclass(frozen=True)
@@ -268,10 +316,9 @@ def optimal_mu(
 ) -> Tuple[float, float]:
     """Best signal intensity on mu in [0.05, 1.0] and the rate it achieves.
 
-    Coarse grid in steps of 0.005, evaluated in one _decoy_bounds call, then
-    golden-section refinement around the first best point.  Grid values at
-    or below nu are skipped (the bound chain needs nu < mu); a nu that
-    leaves none raises ValueError.
+    grid_max on a grid in steps of 0.005, evaluated in one _decoy_bounds
+    call, refined to MU_REFINE_TOL.  Grid values at or below nu are skipped
+    (the bound chain needs nu < mu); a nu that leaves none raises ValueError.
     """
     usable = _mu_grid(nu)
     # Validated at the top grid intensity; _decoy_bounds replaces its mu.
@@ -280,18 +327,7 @@ def optimal_mu(
     def rate(mu: float) -> float:
         return float(_decoy_bounds(d, mu).r_sec)
 
-    values = _decoy_bounds(d, usable).r_sec
-    i_best = int(np.argmax(values))
-    best_mu, best_r = float(usable[i_best]), float(values[i_best])
-    if best_r <= 0.0:
-        return best_mu, 0.0
-
-    lo = max(float(usable[0]), best_mu - 0.005)
-    hi = min(float(usable[-1]), best_mu + 0.005)
-    mu_opt, r_opt = golden_max(rate, lo, hi, MU_REFINE_TOL)
-    if r_opt < best_r:
-        mu_opt, r_opt = best_mu, best_r
-    return mu_opt, r_opt
+    return grid_max(rate, usable, MU_REFINE_TOL, values=_decoy_bounds(d, usable).r_sec)[:2]
 
 
 @dataclass(frozen=True)

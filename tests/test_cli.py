@@ -177,6 +177,9 @@ EVALUATE_AT_10_DB = [
 COMPARE_DECOY_AT_10_DB = [
     "compare-decoy", "--alpha-d-grid", "10", "--eta0", "0.2", "--pdc", "1.8e-5"
 ]
+SWEEP_AT_10_DB = [
+    "sweep", "--chi-grid", "0.1", "--eta0-grid", "0.3", "--alpha-d-grid", "10", "--constraint"
+]
 
 
 @pytest.mark.parametrize(
@@ -186,6 +189,8 @@ COMPARE_DECOY_AT_10_DB = [
         pytest.param(COMPARE_DECOY_AT_10_DB, "nan", id="compare-decoy"),
         pytest.param(EVALUATE_AT_10_DB, "inf", id="evaluate-inf"),
         pytest.param(COMPARE_DECOY_AT_10_DB, "inf", id="compare-decoy-inf"),
+        pytest.param(SWEEP_AT_10_DB, "0.5", id="sweep-below-1"),
+        pytest.param(SWEEP_AT_10_DB, "nan", id="sweep"),
     ],
 )
 def test_nan_kappa_is_a_configuration_error(tmp_path, capsys, command, kappa):

@@ -60,6 +60,9 @@ def test_scenario_range_validation():
         Scenario(alpha_d_db=1.0, chi=0.1, eta0=1.3, p_dc=1e-5)
     with pytest.raises(ValueError):
         Scenario(alpha_d_db=1.0, chi=0.1, eta0=0.3, p_dc=1.0)
+    for kappa in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="kappa"):
+            Scenario(alpha_d_db=1.0, chi=0.1, eta0=0.3, p_dc=1e-5, kappa=kappa)
 
 
 def test_evaluate_is_deterministic():
@@ -269,15 +272,17 @@ def test_sweep_preserves_order_and_captures_errors():
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
-    """Only physics and parameter errors become row errors; a TypeError aborts."""
-
-    def broken(s, *args, **kwargs):
-        raise TypeError("unsupported operand")
-
-    monkeypatch.setattr(optimize_module, "evaluate", broken)
+    """Only physics and dark-count-fit errors become row errors; a TypeError
+    or a ValueError raised inside evaluate aborts the sweep."""
     scenarios = [Scenario(alpha_d_db=5.0, chi=0.05, eta0=0.3, p_dc=1e-5)]
-    with pytest.raises(TypeError):
-        sweep(scenarios)
+    for error in (TypeError("unsupported operand"), ValueError("math domain error")):
+
+        def broken(s, *args, error=error, **kwargs):
+            raise error
+
+        monkeypatch.setattr(optimize_module, "evaluate", broken)
+        with pytest.raises(type(error)):
+            sweep(scenarios)
 
 
 def test_pipeline_never_builds_dense_state():
@@ -404,6 +409,78 @@ def test_optimize_joint_builds_once_per_eta0(monkeypatch):
     assert pt.eta0_opt in eta0s
     # only the reported point runs the pipeline, escalating from n_max
     assert len(runs) == pt.report.n_max_used - policy.n_max
+
+
+def test_optimize_joint_no_positive_rate():
+    """Past every seed's positive-rate range the joint search reports no optimum."""
+    pt = optimize_joint(120.0)
+    assert not pt.positive
+    assert math.isnan(pt.eta0_opt) and math.isnan(pt.chi_opt)
+    assert pt.r_sec_at_opt == 0.0
+
+
+def test_optimize_joint_guard_keeps_the_best_seed(monkeypatch):
+    """A rate that is positive only at one seed eta0 defeats the outer golden
+    section; the guard flag goes up and the best seed is reported."""
+    seeds = np.linspace(*optimize_module.ETA0_SEARCH_RANGE, optimize_module.ETA0_SEED_POINTS)
+    spike = float(seeds[5])
+
+    def spiky_curve(s):
+        height = 1.0 if s.eta0 == spike else 0.0
+        return lambda chi: height * (1.0 - math.log(chi / 0.02) ** 2)
+
+    monkeypatch.setattr(optimize_module, "_rate_curve", spiky_curve)
+    pt = optimize_joint(10.0, policy=TruncationPolicy(n_max=2))
+    assert pt.guard_flag
+    assert pt.eta0_opt == spike
+    assert pt.chi_opt == pytest.approx(0.02, abs=1e-3)
+
+
+def _scan_with_differences(monkeypatch, difference):
+    """Run _crossover_scan on alphas 0..4 with R_decoy - R_es = difference(alpha);
+    None means both rates are zero.  Returns (result, sampled distances)."""
+    sampled = []
+
+    def r_es(alpha, *args, **kwargs):
+        sampled.append(alpha)
+        g = difference(alpha)
+        return 0.0, (0.0 if g is None else 1.0)
+
+    def r_dk(eta0, alpha, *args, **kwargs):
+        g = difference(alpha)
+        return 0.5, (0.0 if g is None else 1.0 + g)
+
+    monkeypatch.setattr(optimize_module, "es_optimal_rate", r_es)
+    monkeypatch.setattr(optimize_module, "optimal_mu", r_dk)
+    result, rows = optimize_module._crossover_scan(
+        0.2, 1e-5, [0.0, 1.0, 2.0, 3.0, 4.0], 0.01, 1.22, TruncationPolicy(), 0.1
+    )
+    assert [row[0] for row in rows] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    return result, sampled
+
+
+def test_crossover_scan_returns_a_grid_distance_of_zero_difference(monkeypatch):
+    result, sampled = _scan_with_differences(monkeypatch, lambda a: 2.0 - a if a >= 2.0 else 1.0)
+    assert result == 2.0
+    assert len(sampled) == 5
+
+
+def test_crossover_scan_skips_pairs_with_undefined_difference(monkeypatch):
+    # Sign changes across the undefined point at 1 dB are no bracket; the
+    # crossover is the one between 2 and 3 dB.
+    differences = {0.0: -1.0, 1.0: None, 2.0: 1.0}
+    result, _ = _scan_with_differences(monkeypatch, lambda a: differences.get(a, 2.5 - a))
+    assert result == pytest.approx(2.5, abs=0.01)
+
+
+def test_crossover_scan_stops_at_an_undefined_midpoint(monkeypatch):
+    # The bracket is (3, 4); its midpoint's difference is undefined, so the
+    # bisection stops there without sampling further.
+    result, sampled = _scan_with_differences(
+        monkeypatch, lambda a: None if a == 3.5 else (1.0 if a <= 3.0 else -1.0)
+    )
+    assert result == 3.5
+    assert sampled == [0.0, 1.0, 2.0, 3.0, 4.0, 3.5]
 
 
 def test_new_detector_efficiencies_reuse_the_rotation_blocks(monkeypatch):

@@ -7,8 +7,10 @@ import pytest
 import swapkd.rates as rates_module
 from swapkd.rates import (
     DecoyInputs,
+    bisect,
     decoy_inputs,
     decoy_rate_report,
+    grid_max,
     h2,
     optimal_mu,
     qber_threshold,
@@ -178,3 +180,71 @@ def test_sifted_rate_validation():
         sifted_rate(-0.1, 0.3, 10.0)
     with pytest.raises(ValueError):
         sifted_rate(0.1, 1.3, 10.0)
+
+
+# grid_max on a 5-point grid whose middle point is the best, bracketed by 1 and 3.
+SEARCH_GRID = [0.0, 1.0, 2.0, 3.0, 4.0]
+SEARCH_FINE = np.linspace(1.0, 3.0, 20)  # misses the grid point 2.0
+
+
+def recording(f):
+    """f, with every argument it is called with appended to .calls."""
+    def g(x):
+        g.calls.append(x)
+        return f(x)
+    g.calls = []
+    return g
+
+
+def test_grid_max_unimodal_curve_raises_no_guard():
+    x, fx, guard = grid_max(lambda x: 1.0 - (x - 2.3) ** 2, SEARCH_GRID, 1e-8, fine_points=20)
+    assert not guard
+    assert x == pytest.approx(2.3, abs=1e-6)
+    assert fx == pytest.approx(1.0, abs=1e-12)
+
+
+def test_grid_max_guard_takes_fine_scan_winner():
+    # Golden section never lands on either spike, so it ends below the grid's best.
+    spikes = {2.0: 1.0, float(SEARCH_FINE[7]): 2.0}
+    x, fx, guard = grid_max(lambda x: spikes.get(x, 0.0), SEARCH_GRID, 1e-3, fine_points=20)
+    assert guard
+    assert (x, fx) == (float(SEARCH_FINE[7]), 2.0)
+
+
+def test_grid_max_guard_falls_back_to_grid_point():
+    # Neither golden section nor the fine scan reaches the one spike; with
+    # fine_points=0 the fine scan is skipped.
+    coarse, fine = (recording(lambda x: 1.0 if x == 2.0 else 0.0) for _ in range(2))
+    assert grid_max(coarse, SEARCH_GRID, 1e-3) == (2.0, 1.0, True)
+    assert grid_max(fine, SEARCH_GRID, 1e-3, fine_points=20) == (2.0, 1.0, True)
+    assert fine.calls == coarse.calls + SEARCH_FINE.tolist()
+
+
+def test_grid_max_returns_a_non_positive_best_unrefined():
+    f = recording(lambda x: -1.0 - (x - 2.3) ** 2)
+    x, fx, guard = grid_max(f, SEARCH_GRID, 1e-8, fine_points=20)
+    assert f.calls == SEARCH_GRID
+    assert (x, fx, guard) == (2.0, f(2.0), False)
+
+
+def test_grid_max_takes_precomputed_grid_values():
+    def parabola(x):
+        return 1.0 - (x - 2.3) ** 2
+
+    f, given = recording(parabola), recording(parabola)
+    expected = grid_max(f, SEARCH_GRID, 1e-8)
+    values = np.array([parabola(x) for x in SEARCH_GRID])
+    assert grid_max(given, SEARCH_GRID, 1e-8, values=values) == expected
+    assert f.calls[:len(SEARCH_GRID)] == SEARCH_GRID
+    assert given.calls == f.calls[len(SEARCH_GRID):]
+
+
+def test_bisect_lands_within_tol_of_the_boundary():
+    edge = bisect(lambda x: x < 0.3141, 0.0, 1.0, 1e-6)
+    assert abs(edge - 0.3141) <= 1e-6
+
+
+def test_bisect_stops_at_the_current_bracket_on_none():
+    side = recording(lambda x: None if x > 0.7 else True)
+    assert bisect(side, 0.0, 1.0, 1e-6) == 0.75
+    assert side.calls == [0.5, 0.75]
