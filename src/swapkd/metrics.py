@@ -4,9 +4,11 @@ Alice holds the (aH, aV) pair and Bob the (dH, dV) pair of the conditional
 state produced by the swap.  Each side passes its two modes through a
 polarization rotation by the analyzer angle and then through one threshold
 detector per output: the same four outcomes (fock.detector_pair_povms, on
-blocks cached per cutoff and angle) as a BSM beamsplitter; at pi/4 with the
-BSM's detector the analyzer reuses the swap's own stack.  Every table is
-one stacked contraction of the realigned pair factors and POVMs.
+blocks cached per cutoff and angle) as a BSM beamsplitter.  The key-basis
+analyzers are the link's own optics, so their stacks come with the swap
+result (swap.link_povms); the general routines take any detector and
+setting and build their own.  Every table is one stacked contraction of
+the realigned pair factors and POVMs.
 qber_polynomial grades the tables by photon number: there every operator
 is read as its photon-difference blocks (fock.difference_blocks), and one
 matrix product contracts them.  The fringe in Bob's angle is a
@@ -15,11 +17,10 @@ extrema are at the roots of one polynomial and are found exactly.  All
 probabilities reported here are absolute (per pump pulse): the conditional
 state carries the herald probability as its trace, so no renormalization
 happens between the swap and the coincidences.
-analyze() builds one swap result's key-basis stacks and Bob's operators
-once, as an Analysis: qber() reads the two key-basis tables off it,
-visibility() scans both fringes from the rows of Alice's h outcome, and
-Analysis.compressed() gives the same analysis at a lower cutoff by cutting
-its arrays, not by a new build.  The reports hold numbers only.
+analyze() contracts Bob's operators from one swap result's key-basis
+stacks once, as an Analysis: qber() reads the two key-basis tables off
+it, and visibility() scans both fringes from the rows of Alice's h
+outcome.  The reports hold numbers only.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 from .detectors import ThresholdDetector
 from .errors import NoCoincidenceError, UndefinedVisibilityError
 from .fock import (
-    compress,
     detector_pair_povms,
     difference_blocks,
     difference_gather,
@@ -42,7 +42,7 @@ from .fock import (
     rotation_basis_weights,
     rotation_eigensystem,
 )
-from .swap import SwapResult
+from .swap import KEY_ANGLES, SwapResult
 
 __all__ = [
     "AnalyzerSetting",
@@ -69,8 +69,7 @@ class AnalyzerSetting:
     theta_bob: float
 
 
-Z_BASIS = AnalyzerSetting(0.0, 0.0)
-X_BASIS = AnalyzerSetting(math.pi / 4.0, math.pi / 4.0)
+Z_BASIS, X_BASIS = (AnalyzerSetting(theta, theta) for theta in KEY_ANGLES)
 
 # Exclusive outcomes of one analyzer, in fock.detector_pair_povms order:
 # exactly the H detector, exactly the V detector, both, or neither, as
@@ -107,10 +106,7 @@ class CoincidenceTable:
 
 def _povms(result, det: ThresholdDetector, theta: float) -> np.ndarray:
     """One analyzer's four outcomes at angle theta, in _OUTCOMES order, realigned
-    (fock.realign).  At pi/4 with the BSM's detector the analyzer is the BSM's
-    optic, so the swap's own stack serves."""
-    if det == result.det_bsm and theta == math.pi / 4.0:
-        return result.bsm_povms
+    (fock.realign)."""
     return realign(detector_pair_povms(result.n_max, theta, det))
 
 
@@ -309,39 +305,21 @@ class QberReport:
 
 @dataclass(frozen=True)
 class Analysis:
-    """One swap result seen through the key-basis analyzers of one detector.
+    """One swap result seen through its key-basis analyzers.
 
-    povms[b] is the realigned outcome stack of basis b (Z, then X), shared by
-    Alice and Bob, and bob[b] holds Bob's operators for Alice's four outcomes
-    in that basis (_bob_operators).  Both key-basis tables and both fringes
-    are read off these arrays; nothing is rebuilt.
+    bob[b] holds Bob's operators for Alice's four outcomes in basis b (Z,
+    then X), from the result's stack of that basis, which Alice and Bob
+    share (_bob_operators).  Both key-basis tables and both fringes are read
+    off these arrays; nothing is rebuilt.
     """
 
     result: SwapResult
-    det: ThresholdDetector
-    povms: Tuple[np.ndarray, np.ndarray]
     bob: Tuple[np.ndarray, np.ndarray]
 
-    def compressed(self, n_max: int) -> "Analysis":
-        """This analysis at the lower cutoff n_max.
 
-        The result and the stacks are cut out of this one's arrays
-        (fock.compress), which is exact since every POVM and pair factor is
-        an exact compression; only Bob's operators are contracted again.
-        """
-        povms = tuple(compress(p, n_max) for p in self.povms)
-        return _analysis(self.result.compressed(n_max), self.det, povms)
-
-
-def _analysis(result, det: ThresholdDetector, povms: Tuple[np.ndarray, ...]) -> Analysis:
-    """The Analysis of result for the key-basis stacks povms."""
-    return Analysis(result, det, povms, tuple(_bob_operators(result, p) for p in povms))
-
-
-def analyze(result, det_ab: ThresholdDetector) -> Analysis:
-    """Build both key-basis stacks of det_ab and Bob's operators for result, once."""
-    povms = tuple(_povms(result, det_ab, b.theta_alice) for b in (Z_BASIS, X_BASIS))
-    return _analysis(result, det_ab, povms)
+def analyze(result: SwapResult) -> Analysis:
+    """Contract Bob's operators from the result's key-basis stacks, once."""
+    return Analysis(result, tuple(_bob_operators(result, p) for p in result.povms))
 
 
 def qber(analysis: Analysis) -> QberReport:
@@ -349,9 +327,10 @@ def qber(analysis: Analysis) -> QberReport:
 
     The corrected swap output is anticorrelated in every basis, so the wrong
     bits are the correlated (HH and VV) coincidences.  Both tables are read
-    off the analysis's stacks and Bob's operators.
+    off the result's stacks and Bob's operators.
     """
-    table_z, table_x = (_table(_probabilities(m, r)) for m, r in zip(analysis.bob, analysis.povms))
+    povms = analysis.result.povms
+    table_z, table_x = (_table(_probabilities(m, r)) for m, r in zip(analysis.bob, povms))
     total = table_z.p_coincidence + table_x.p_coincidence
     if total <= 0.0:
         raise NoCoincidenceError("no coincidences in either basis; QBER undefined")
@@ -377,7 +356,7 @@ def visibility(analysis: Analysis) -> float:
     even when the bases disagree slightly.
     """
     n_max = analysis.result.n_max
-    c = _analyzer_weights(n_max, analysis.det)
+    c = _analyzer_weights(n_max, analysis.result.det)
     vis_z, vis_x = (_extrema(_fringe(m[0], c, n_max)).visibility for m in analysis.bob)
     return 0.5 * (vis_z + vis_x)
 
@@ -408,8 +387,9 @@ def _sector_gathers(n_max: int) -> Tuple[np.ndarray, ...]:
     return out
 
 
-def _sector_table(result, det_ab: ThresholdDetector, setting: AnalyzerSetting) -> np.ndarray:
-    """Coincidences p[a, N_A, b, N_B] for Alice's and Bob's h/v outcomes a, b.
+def _sector_table(result, povms_a: np.ndarray, povms_b: np.ndarray) -> np.ndarray:
+    """Coincidences p[a, N_A, b, N_B] for the h/v outcomes a, b of Alice's and
+    Bob's realigned outcome stacks povms_a and povms_b.
 
     N_A and N_B are the photon numbers reaching Alice's and Bob's analyzers.
     The pair factors and the analyzer POVMs conserve their pairs' photon
@@ -423,7 +403,6 @@ def _sector_table(result, det_ab: ThresholdDetector, setting: AnalyzerSetting) -
     """
     n_blocks = 2 * result.n_max + 1
     g_th, g_ra, g_tv, g_rb = _sector_gathers(result.n_max)
-    povms_a, povms_b = _setting_povms(result, det_ab, setting)
     th = difference_blocks(result.th, g_th)  # [p, delta, N_A, j, k]
     tv = difference_blocks(result.tv, g_tv)  # [p, delta, j, N_B, k]
     ra = difference_blocks(povms_a[:2], g_ra)  # [a, delta, N_A, j]
@@ -435,15 +414,16 @@ def _sector_table(result, det_ab: ThresholdDetector, setting: AnalyzerSetting) -
     return np.real(p).reshape(2, n_blocks, 2, n_blocks)
 
 
-def qber_polynomial(result, det_ab: ThresholdDetector) -> Tuple[np.ndarray, np.ndarray]:
+def qber_polynomial(result: SwapResult) -> Tuple[np.ndarray, np.ndarray]:
     """Wrong and total key-basis coincidences as polynomials in t = tanh^2 chi.
 
     For the brightness-free state of swap.graded_swap_state, the coincidences
     of qber() at brightness chi are (1-t)^4 sum_N W_N t^N (wrong, HH and VV)
     and (1-t)^4 sum_N T_N t^N (total), pooled over Z and X, with N = N_A + N_B.
-    Returns (W, T); the pooled QBER is sum W_N t^N / sum T_N t^N.
+    Returns (W, T); the pooled QBER is sum W_N t^N / sum T_N t^N.  The
+    tables are those of the result's key-basis stacks.
     """
-    p = sum(_sector_table(result, det_ab, setting) for setting in (Z_BASIS, X_BASIS))
+    p = sum(_sector_table(result, povms, povms) for povms in result.povms)
     n_blocks = 2 * result.n_max + 1
     n = np.add.outer(np.arange(n_blocks), np.arange(n_blocks)).reshape(-1)  # N_A + N_B
     wrong = np.bincount(n, (p[0, :, 0, :] + p[1, :, 1, :]).reshape(-1))

@@ -3,11 +3,12 @@
 A Scenario bundles one operating point of the swapping link.  evaluate() runs
 the full sources -> swap -> metrics -> rates pipeline at increasing Fock
 cutoffs until two consecutive cutoffs agree, so every reported number carries
-a convergence verdict.  It builds each cutoff it reaches once: the swap, one
-analyzer stack per key-basis angle (the pi/4 one is the BSM's) and Bob's
-operators (metrics.analyze).  The base cutoff is never built: it is a
-compression of the next one, read off that build's arrays.  The visibility
-fringes are scanned once, at the accepted cutoff, from the same operators.
+a convergence verdict.  It builds each cutoff it reaches once: the swap with
+its key-basis stacks (swap.link_povms) and Bob's operators (metrics.analyze).
+The base cutoff is never built: it is the next one's swap result compressed
+(SwapResult.compressed), with its Bob operators contracted again.  The
+visibility fringes are scanned once, at the accepted cutoff, from the same
+operators.
 Brightness searches run on the rate curve of one chi-free build (the QBER
 polynomial), not on the pipeline, with rates.grid_max: a coarse grid,
 golden-section refinement and an explicit unimodality guard.  Searches that
@@ -23,7 +24,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .detectors import DEFAULT_CONSTRAINT, DetectorConstraint, ThresholdDetector
+from .detectors import DEFAULT_CONSTRAINT, DetectorConstraint
 from .errors import NUMERICAL_ERRORS, ConstraintViolationError, NoCoincidenceError, TruncationError
 from .fock import TruncationPolicy
 from .metrics import Analysis, QberReport, analyze, qber, qber_polynomial, visibility
@@ -39,7 +40,7 @@ from .rates import (
     sifted_rate,
 )
 from .sources import CHI_CAP
-from .swap import bsm_detector, graded_swap_state, swap_conditional_state
+from .swap import graded_swap_state, swap_conditional_state
 
 __all__ = [
     "Scenario",
@@ -110,19 +111,13 @@ class Scenario:
         return self.p_dc
 
 
-def _arm_detector(s: Scenario) -> ThresholdDetector:
-    """Alice's or Bob's detector: at the far end of an outer arm, it sees the
-    same quarter-link loss as each BSM detector."""
-    return bsm_detector(s.eta0, s.alpha_d_db, s.resolved_p_dc)
-
-
 def _pipeline_once(s: Scenario, n_max: int) -> Analysis:
-    """The swap at cutoff n_max, analyzed by the arm detectors: one build."""
+    """The swap at cutoff n_max, analyzed by its own key-basis stacks: one build."""
     policy = TruncationPolicy(n_max=n_max, convergence_tol=s.policy.convergence_tol)
     result = swap_conditional_state(
         chi=s.chi, eta0=s.eta0, alpha_d_db=s.alpha_d_db, p_dc=s.resolved_p_dc, policy=policy
     )
-    return analyze(result, _arm_detector(s))
+    return analyze(result)
 
 
 def _observables(stage: Analysis) -> Tuple[QberReport, Tuple[float, ...]]:
@@ -139,9 +134,7 @@ def _close(a: float, b: float, rel: float, floor: float = 1e-12) -> bool:
     return abs(a - b) <= rel * max(abs(a), abs(b)) + floor
 
 
-def _assemble(
-    s: Scenario, stage: Analysis, report: QberReport, converged: bool
-) -> KeyRateReport:
+def _assemble(s: Scenario, stage: Analysis, report: QberReport) -> KeyRateReport:
     r_sift = sifted_rate(s.chi, s.eta0, s.alpha_d_db)
     qber_for_rate = min(report.qber, 0.5)
     r_raw, r_sec = secret_rate(r_sift, qber_for_rate, s.kappa)
@@ -163,7 +156,7 @@ def _assemble(
         herald_probability=stage.result.herald_probability,
         coincidence_probability=report.sifted_coincidence_probability,
         n_max_used=stage.result.n_max,
-        converged=converged,
+        converged=True,
         diagnostics={
             "p_total_z": report.p_total_z,
             "p_total_x": report.p_total_x,
@@ -183,19 +176,20 @@ def evaluate(s: Scenario) -> KeyRateReport:
     to three extra steps) and a truncation error carrying the two
     disagreeing value sets is raised if agreement never happens.  Each
     cutoff reached is built once (_pipeline_once); the n_max values are
-    those of the n_max+1 build compressed to n_max (Analysis.compressed),
-    so the base cutoff is never built.  The visibility fringes are scanned
-    once, in the Z and X bases at the accepted cutoff, for the report's
-    visibility and its (1 - V)/2 consistency value qber_from_v.
+    those of the n_max+1 swap result compressed to n_max
+    (SwapResult.compressed), so the base cutoff is never built.  The
+    visibility fringes are scanned once, in the Z and X bases at the
+    accepted cutoff, for the report's visibility and its (1 - V)/2
+    consistency value qber_from_v.
     """
     tol = s.policy.convergence_tol
     n = s.policy.n_max
     stage = _pipeline_once(s, n + 1)
-    prev_obs = _observables(stage.compressed(n))[1]
+    prev_obs = _observables(analyze(stage.result.compressed(n)))[1]
     while True:
         report, cur_obs = _observables(stage)
         if all(_close(a, b, tol) for a, b in zip(prev_obs, cur_obs)):
-            return _assemble(s, stage, report, converged=True)
+            return _assemble(s, stage, report)
         n_hi = stage.result.n_max
         if n_hi == n + _ESCALATION_STEPS:
             raise TruncationError(
@@ -275,12 +269,12 @@ def _rate_curve(s: Scenario) -> Callable[[float], float]:
     """Secret rate as a function of chi at the distance and detectors of s.
 
     One chi-free build gives Q(t) = sum W_N t^N / sum T_N t^N at
-    t = tanh^2 chi (the (1-t)^4 of both sums cancels), with the arm detectors
-    of _pipeline_once; s.chi is not used.  It equals the single-cutoff
-    pipeline at s.policy.n_max.
+    t = tanh^2 chi (the (1-t)^4 of both sums cancels), from the graded
+    state's own key-basis stacks; s.chi is not used.  It equals the
+    single-cutoff pipeline at s.policy.n_max.
     """
     graded = graded_swap_state(s.eta0, s.alpha_d_db, s.resolved_p_dc, s.policy)
-    wrong, total = (c[::-1].tolist() for c in qber_polynomial(graded, _arm_detector(s)))
+    wrong, total = (c[::-1].tolist() for c in qber_polynomial(graded))
 
     def rate(chi: float) -> float:
         t = math.tanh(chi) ** 2

@@ -170,14 +170,13 @@ class DecoyInputs:
 
     eta_bob is the end-to-end single-photon transmission from Alice's source
     to a click at Bob (detector efficiency times channel transmission); y0 is
-    the background yield per pulse, e0 the background error rate.
+    the background yield per pulse, whose errors have rate E0_BACKGROUND.
     """
 
     mu: float
     eta_bob: float
     y0: float
     nu: float = NU_DEFAULT
-    e0: float = E0_BACKGROUND
     kappa: float = KAPPA_DEFAULT
 
     def __post_init__(self):
@@ -187,8 +186,6 @@ class DecoyInputs:
             raise ValueError(f"eta_bob {self.eta_bob!r} outside [0, 1]")
         if not 0.0 <= self.y0 <= 1.0:
             raise ValueError(f"y0 {self.y0!r} outside [0, 1]")
-        if not 0.0 <= self.e0 <= 0.5:
-            raise ValueError(f"e0 {self.e0!r} outside [0, 0.5]")
         _check_kappa(self.kappa)
 
 
@@ -262,8 +259,8 @@ def _decoy_bounds(d: DecoyInputs, mu) -> _DecoyBounds:
     def entropy(x):  # h2 elementwise on [0, 1/2]; h2 itself stays on math for the swap rate
         return np.where(x > 0.0, -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x), 0.0)
 
-    eta, nu, y0, e0 = d.eta_bob, d.nu, d.y0, d.e0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    eta, nu, y0, e0 = d.eta_bob, d.nu, d.y0, E0_BACKGROUND
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q_mu = y0 - np.expm1(-eta * mu)
         q_nu = y0 - np.expm1(-eta * nu)
         e_mu = np.where(q_mu > 0.0, e0 * y0 / q_mu, 0.0)

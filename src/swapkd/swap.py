@@ -15,24 +15,29 @@ The two-source state factorizes over the pairs (aH,bH), (aV,bV), (cH,dH),
 (cV,dV), and the BSM mixes H with H and V with V, so each herald's state on
 (aH, aV, dH, dV) is a product of an H-pair and a V-pair tensor.  The swap
 result holds those tensors; the (n_max+1)^4-square density matrix is never
-formed.  The result also keeps the BSM detector and its realigned pi/4
-stack, which the analyzers reuse when they see the same detector, and a
-result at one cutoff compresses exactly to every lower one (compressed):
-the pair amplitudes are the untruncated c_n and every POVM is an exact
-compression.
+formed.  Every detector of the link, at the BSM and at both analyzers,
+is the same one behind the same quarter-span loss, and the X analyzer is
+the BSM's optic, so the result carries that detector and its realigned
+stacks at the two key-basis angles (link_povms): the BSM takes its two
+elements from the X stack, and metrics reads both.  A result at one cutoff
+compresses exactly to every lower one (compressed): the pair amplitudes
+are the untruncated c_n and every POVM is an exact compression.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .detectors import ThresholdDetector
 from .fock import DEFAULT_POLICY, TruncationPolicy, compress, detector_pair_povms, realign
 from .sources import pair_amplitudes
+
+# Analyzer angles of the key bases, Z then X; X is the BSM's beamsplitter.
+KEY_ANGLES = (0.0, math.pi / 4.0)
 
 
 @dataclass(frozen=True)
@@ -42,23 +47,23 @@ class SwapResult:
     Pair factors realigned as matrices (fock.realign) and stacked over p:
     rho[(ijkl),(IJKL)] = sum_p th[p,(i,I),(k,K)] * tv[p,(j,J),(l,L)]; the
     metrics contract them directly.  The swap holds one p per H click pair
-    of the accepted heralds.  herald_probability is tr(rho).  det_bsm and
-    bsm_povms are the BSM detector and its realigned fock.detector_pair_povms
-    stack at pi/4; states not made by a swap leave them None.
+    of the accepted heralds.  herald_probability is tr(rho).  det is the
+    link's detector and povms its stacks at KEY_ANGLES (link_povms); states
+    not made by a swap leave them None.
     """
 
     th: np.ndarray
     tv: np.ndarray
     n_max: int
     herald_probability: float
-    det_bsm: Optional[ThresholdDetector] = None
-    bsm_povms: Optional[np.ndarray] = None
+    det: Optional[ThresholdDetector] = None
+    povms: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def compressed(self, n_max: int) -> "SwapResult":
         """This result at the lower cutoff n_max, cut out of its arrays (fock.compress)."""
-        povms = None if self.bsm_povms is None else compress(self.bsm_povms, n_max)
         th, tv = compress(self.th, n_max), compress(self.tv, n_max)
-        return SwapResult(th, tv, n_max, _trace(th, tv), self.det_bsm, povms)
+        povms = tuple(compress(p, n_max) for p in self.povms)
+        return SwapResult(th, tv, n_max, _trace(th, tv), self.det, povms)
 
 
 def _trace(th: np.ndarray, tv: np.ndarray) -> float:
@@ -73,7 +78,12 @@ def bsm_detector(eta0: float, alpha_d_db: float, p_dc: float) -> ThresholdDetect
     return ThresholdDetector(eta0 * 10.0 ** (-(alpha_d_db / 4.0) / 10.0), p_dc)
 
 
-def _heralded_state(c: np.ndarray, det_bsm: ThresholdDetector, n_max: int) -> SwapResult:
+def link_povms(n_max: int, det: ThresholdDetector) -> Tuple[np.ndarray, np.ndarray]:
+    """det's four outcomes at each of KEY_ANGLES, realigned (fock.realign)."""
+    return tuple(realign(detector_pair_povms(n_max, theta, det)) for theta in KEY_ANGLES)
+
+
+def _heralded_state(c: np.ndarray, det: ThresholdDetector, n_max: int) -> SwapResult:
     """Pair factors over all accepted heralds for pair amplitudes c.
 
     Tracing the BSM from the two-source state gives, per herald,
@@ -89,13 +99,13 @@ def _heralded_state(c: np.ndarray, det_bsm: ThresholdDetector, n_max: int) -> Sw
     d = n_max + 1
     s = np.outer(c, c.conj()).reshape(-1)  # s[(i,I)] = c_i conj(c_I)
     weight = np.outer(s, s)
-    povms = realign(detector_pair_povms(n_max, math.pi / 4.0, det_bsm))
-    e1, e2 = weight * povms[:2]
+    povms = link_povms(n_max, det)
+    e1, e2 = weight * povms[1][:2]
     parity = (-1.0) ** np.arange(d)
     flip = np.outer(parity, parity).reshape(-1)[None, :]
     th = np.stack([e1, e2])
     tv = np.stack([e2 + e1 * flip, e1 + e2 * flip])
-    return SwapResult(th, tv, n_max, _trace(th, tv), det_bsm, povms)
+    return SwapResult(th, tv, n_max, _trace(th, tv), det, povms)
 
 
 def swap_conditional_state(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from dense_reference import HERALDS, embed_qubit_pair, mixer_povm, pair_factors
 from swapkd.detectors import ThresholdDetector
 from swapkd.fock import TruncationPolicy
-from swapkd.swap import SwapResult
+from swapkd.swap import SwapResult, link_povms
 
 SINGLET_QUBITS = np.zeros(4, dtype=complex)
 SINGLET_QUBITS[1] = 1.0 / math.sqrt(2.0)
@@ -22,6 +23,11 @@ def werner_state(fidelity: float, n_max: int = 2) -> SwapResult:
     lam = (4.0 * fidelity - 1.0) / 3.0
     rho = lam * np.outer(SINGLET_QUBITS, SINGLET_QUBITS.conj()) + (1.0 - lam) * np.eye(4) / 4.0
     return pair_factors(embed_qubit_pair(rho, n_max))
+
+
+def with_detector(state: SwapResult, det: ThresholdDetector) -> SwapResult:
+    """state with det and its key-basis stacks attached, as a swap attaches its own."""
+    return replace(state, det=det, povms=link_povms(state.n_max, det))
 
 
 def single_pair_herald_budget(eta: float, mixer=None) -> float:

@@ -261,7 +261,7 @@ def test_sweep_manifest_round_trip(tmp_path):
     header, rows = read_csv(os.path.join(out1, "sweep.csv"))
     assert header == ROW_COLUMNS
     assert len(rows) == 6
-    manifest = json.load(open(os.path.join(out1, "sweep_manifest.json")))
+    manifest = json.loads(Path(out1, "sweep_manifest.json").read_text())
     assert manifest["schema_version"] == 1
     assert manifest["command"] == "sweep"
     assert manifest["config"]["alpha_d_grid"] == [0.0, 5.0, 10.0]
@@ -436,7 +436,7 @@ def test_crossover_optimizes_each_grid_distance_once(tmp_path, monkeypatch):
     assert all(calls[alpha] == 1 for alpha in grid)
     # the bisection adds only distances between grid points
     assert max(calls.values()) == 1
-    manifest = json.load(open(os.path.join(out, "crossover_manifest.json")))
+    manifest = json.loads(Path(out, "crossover_manifest.json").read_text())
     assert 0.0 < manifest["results"]["alpha_crossover"] < 30.0
 
 
@@ -453,7 +453,7 @@ def test_figure_data_fig4_naming(tmp_path):
     )
     assert code == 0
     assert os.path.exists(os.path.join(out, "fig4a_chi0.01.csv"))
-    manifest = json.load(open(os.path.join(out, "fig4_manifest.json")))
+    manifest = json.loads(Path(out, "fig4_manifest.json").read_text())
     assert manifest["command"] == "figure-data"
     assert manifest["outputs"] == ["fig4a_chi0.01.csv"]
     header, rows = read_csv(os.path.join(out, "fig4a_chi0.01.csv"))
@@ -544,7 +544,7 @@ def test_figure_data_preset_grids(figure, tmp_path, monkeypatch):
     code = main(["figure-data", "--figure", figure, "--workers", "1",
                  "--output-dir", str(tmp_path)] + FAST)
     assert code == 0
-    manifest = json.load(open(tmp_path / f"{figure}_manifest.json"))
+    manifest = json.loads((tmp_path / f"{figure}_manifest.json").read_text())
     assert manifest["outputs"] == list(PRESET_FILES[figure])
     for name, want in PRESET_FILES[figure].items():
         _, rows = read_csv(tmp_path / name)

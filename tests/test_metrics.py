@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SINGLET_QUBITS, singlet_state, werner_state
+from conftest import SINGLET_QUBITS, singlet_state, werner_state, with_detector
 from dense_reference import (
     ConditionalState,
     analyzer_povms,
@@ -30,6 +30,7 @@ from swapkd.metrics import (
     VisibilityScan,
     _bob_angle_curve,
     _sector_table,
+    _setting_povms,
     analyze,
     fourfold_coincidence,
     qber,
@@ -75,8 +76,8 @@ def test_singlet_coincidence_table(ideal_detector):
 
 
 def test_singlet_qber_and_visibility(ideal_detector):
-    rep = qber(analyze(singlet_state(n_max=2), ideal_detector))
-    vis = visibility(analyze(singlet_state(n_max=2), ideal_detector))
+    rep = qber(analyze(with_detector(singlet_state(n_max=2), ideal_detector)))
+    vis = visibility(analyze(with_detector(singlet_state(n_max=2), ideal_detector)))
     assert rep.qber == pytest.approx(0.0, abs=1e-12)
     assert vis == pytest.approx(1.0, abs=1e-9)
     assert 0.5 * (1.0 - vis) == pytest.approx(0.0, abs=1e-9)
@@ -85,8 +86,8 @@ def test_singlet_qber_and_visibility(ideal_detector):
 
 def test_werner_state_qber_visibility(ideal_detector):
     """F = 0.925 gives lambda = 0.9, so V = 0.9 and QBER = 0.05."""
-    rep = qber(analyze(werner_state(0.925), ideal_detector))
-    vis = visibility(analyze(werner_state(0.925), ideal_detector))
+    rep = qber(analyze(with_detector(werner_state(0.925), ideal_detector)))
+    vis = visibility(analyze(with_detector(werner_state(0.925), ideal_detector)))
     assert rep.qber == pytest.approx(0.05, abs=1e-12)
     assert vis == pytest.approx(0.9, abs=1e-9)
     assert 0.5 * (1.0 - vis) == pytest.approx(0.05, abs=1e-9)
@@ -118,15 +119,15 @@ def test_analyzer_povm_completeness(n_max):
 
 def test_dark_counts_only_give_random_outcomes():
     det = ThresholdDetector(eta=0.5, p_dc=1e-3)
-    rep = qber(analyze(vacuum_conditional(), det))
+    rep = qber(analyze(with_detector(vacuum_conditional(), det)))
     assert rep.qber == pytest.approx(0.5, abs=1e-12)
-    assert abs(visibility(analyze(vacuum_conditional(), det))) < 1e-6
+    assert abs(visibility(analyze(with_detector(vacuum_conditional(), det)))) < 1e-6
 
 
 def test_no_coincidence_raises():
     det = ThresholdDetector(eta=0.5, p_dc=0.0)
     with pytest.raises(NoCoincidenceError):
-        qber(analyze(vacuum_conditional(), det))
+        qber(analyze(with_detector(vacuum_conditional(), det)))
 
 
 def test_undefined_visibility_raises():
@@ -141,7 +142,8 @@ def test_visibility_scan_extrema_for_singlet(ideal_detector):
     # parallel analyzers never coincide, crossed analyzers always do
     assert scan.theta_max == pytest.approx(math.pi / 2.0, abs=1e-5)
     assert min(scan.theta_min % math.pi, math.pi - scan.theta_min % math.pi) < 1e-5
-    assert visibility(analyze(singlet_state(n_max=2), ideal_detector)) == pytest.approx(1.0, abs=1e-9)
+    analysis = analyze(with_detector(singlet_state(n_max=2), ideal_detector))
+    assert visibility(analysis) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_visibility_scan_matches_direct_contraction(ideal_detector):
@@ -167,7 +169,7 @@ def test_swap_state_rotational_covariance():
     policy = TruncationPolicy(n_max=3)
     res = swap_conditional_state(0.05, 0.8, 0.0, 0.0, policy)
     det = bsm_detector(0.8, 0.0, 0.0)
-    base = qber(analyze(res, det)).qber
+    base = qber(analyze(with_detector(res, det))).qber
     for delta in (0.17, 0.61, 1.03):
         tz = fourfold_coincidence(res, AnalyzerSetting(delta, delta), det)
         tx = fourfold_coincidence(res, AnalyzerSetting(math.pi / 4 + delta, math.pi / 4 + delta), det)
@@ -177,7 +179,7 @@ def test_swap_state_rotational_covariance():
 
 def test_qber_pools_both_bases(ideal_detector):
     cond = werner_state(0.9)
-    rep = qber(analyze(cond, ideal_detector))
+    rep = qber(analyze(with_detector(cond, ideal_detector)))
     wrong = rep.table_z.p_wrong + rep.table_x.p_wrong
     total = rep.table_z.p_coincidence + rep.table_x.p_coincidence
     assert rep.qber == pytest.approx(wrong / total, abs=1e-15)
@@ -349,13 +351,14 @@ def test_sector_coefficients_are_bounded(n_max, eta0, alpha_d, p_dc, setting):
     coincidences never exceed the total."""
     graded = graded_swap_state(eta0, alpha_d, p_dc, TruncationPolicy(n_max=n_max))
     det = bsm_detector(eta0, alpha_d, p_dc)
-    sectors = _sector_table(graded, det, setting).sum(axis=(0, 2))  # [N_A, N_B]
+    povms = _setting_povms(graded, det, setting)
+    sectors = _sector_table(graded, *povms).sum(axis=(0, 2))  # [N_A, N_B]
     n_blocks = 2 * n_max + 1
     for n in range(2 * n_blocks - 1):
         a_n = sum(sectors[n_a, n - n_a] for n_a in range(n_blocks) if 0 <= n - n_a < n_blocks)
         bound = math.comb(n + 3, 3)
         assert -1e-14 * bound <= a_n <= bound * (1.0 + 1e-12), n
-    wrong, total = qber_polynomial(graded, det)
+    wrong, total = qber_polynomial(graded)
     assert np.all(wrong >= -1e-14 * np.abs(total).max())
     assert np.all(wrong <= total + 1e-14 * np.abs(total).max())
 
@@ -371,7 +374,8 @@ def test_sector_table_sums_to_coincidence_table(n_max):
         weight = (1.0 - t) ** 4 * t ** np.add.outer(n, n)
         res, _ = swap_case(n_max, chi, 1e-4)
         for setting in (Z_BASIS, X_BASIS, OFF_AXIS):
-            p = (_sector_table(graded, det, setting) * weight[None, :, None, :]).sum(axis=(1, 3))
+            sectors = _sector_table(graded, *_setting_povms(graded, det, setting))
+            p = (sectors * weight[None, :, None, :]).sum(axis=(1, 3))
             table = fourfold_coincidence(res, setting, det)
             want = np.array([[table.p_hh, table.p_hv], [table.p_vh, table.p_vv]])
             assert np.allclose(p, want, rtol=1e-12, atol=0.0)
@@ -398,13 +402,13 @@ def test_sector_table_matches_mask_reference(n_max):
         for state in states:
             for setting in (Z_BASIS, X_BASIS, OFF_AXIS):
                 want = sector_table(state, det, setting)
-                got = _sector_table(state, det, setting)
+                got = _sector_table(state, *_setting_povms(state, det, setting))
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (eta0, setting)
         # coefficients that vanish in exact arithmetic (no wrong coincidences
         # from one pair per source without dark counts) are rounding noise
         want = _polynomial(sum(sector_table(graded, det, s) for s in (Z_BASIS, X_BASIS)))
         floor = 1e-15 * np.abs(want[1]).max()
-        for got, ref in zip(qber_polynomial(graded, det), want):
+        for got, ref in zip(qber_polynomial(graded), want):
             assert np.all(np.abs(got - ref) <= np.maximum(1e-12 * np.abs(ref), floor)), (eta0, alpha_d)
 
 
@@ -425,7 +429,7 @@ def test_key_basis_tables_match_dense_contraction(n_max, eta0, alpha_d, p_dc, ch
     the floor is 1e-14 of the table's largest entry."""
     res = swap_conditional_state(chi, eta0, alpha_d, p_dc, TruncationPolicy(n_max=n_max))
     det = bsm_detector(eta0, alpha_d, p_dc) if analyzer is None else ThresholdDetector(*analyzer)
-    report = qber(analyze(res, det))
+    report = qber(analyze(with_detector(res, det)))
     cond = dense_state(res)
     for table, basis in ((report.table_z, Z_BASIS), (report.table_x, X_BASIS)):
         probs = dense_probabilities(cond, det, basis.theta_alice, basis.theta_bob)
@@ -440,3 +444,15 @@ def test_key_basis_tables_match_dense_contraction(n_max, eta0, alpha_d, p_dc, ch
         floor = 1e-14 * max(abs(v) for v in want.values())
         for name, value in want.items():
             assert getattr(table, name) == pytest.approx(value, rel=1e-12, abs=floor), name
+
+
+@pytest.mark.parametrize("chi", [0.01, 0.1, 0.3])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_key_basis_tables_equal_fourfold_coincidence(n_max, chi):
+    """qber(analyze(...))'s Z and X tables are fourfold_coincidence's for the
+    BSM's own detector, exactly: both run the same stack builder and
+    contraction."""
+    res = swap_conditional_state(chi, 0.3, 10.0, 1e-4, TruncationPolicy(n_max=n_max))
+    report = qber(analyze(res))
+    assert report.table_z == fourfold_coincidence(res, Z_BASIS, res.det)
+    assert report.table_x == fourfold_coincidence(res, X_BASIS, res.det)

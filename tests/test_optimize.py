@@ -117,10 +117,8 @@ def test_base_cutoff_is_a_compression_of_the_next(n_max, chi, dark):
     """The observables evaluate() reads off the n_max+1 build, compressed to
     n_max, are those of a build at n_max."""
     s = Scenario(alpha_d_db=10.0, chi=chi, eta0=0.3, **dark)
-    sliced, built = (
-        _observables(stage)[1]
-        for stage in (_pipeline_once(s, n_max + 1).compressed(n_max), _pipeline_once(s, n_max))
-    )
+    compressed = metrics_module.analyze(_pipeline_once(s, n_max + 1).result.compressed(n_max))
+    sliced, built = (_observables(stage)[1] for stage in (compressed, _pipeline_once(s, n_max)))
     assert sliced == pytest.approx(built, rel=1e-12, abs=0.0)
 
 
@@ -153,8 +151,27 @@ def test_evaluate_builds_each_cutoff_once(monkeypatch, chi, dark):
     assert [result.n_max for _, result in runs] == list(range(s.policy.n_max + 1, rep.n_max_used + 1))
     assert counts == {"detector_pair_povms": 2 * built, "rotation_basis_weights": 1}
     accepted = runs[-1][1]
-    det = optimize_module._arm_detector(s)
-    assert rep.visibility == metrics_module.visibility(metrics_module.analyze(accepted, det))
+    assert rep.visibility == metrics_module.visibility(metrics_module.analyze(accepted))
+
+
+def test_es_optimal_rate_builds_two_detector_stacks(monkeypatch):
+    """A brightness search builds one graded state and reads its QBER
+    polynomial: two detector stacks in all, at the key-basis angles."""
+    thetas = []
+
+    def counting(module):
+        real = module.detector_pair_povms
+
+        def wrapper(n_max, theta, det):
+            thetas.append(theta)
+            return real(n_max, theta, det)
+
+        monkeypatch.setattr(module, "detector_pair_povms", wrapper)
+
+    counting(swap_module)
+    counting(metrics_module)
+    es_optimal_rate(20.0, 0.2, 1.8e-5)
+    assert sorted(thetas) == [0.0, math.pi / 4.0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -370,7 +387,7 @@ def test_polynomial_rate_matches_pipeline(n_max):
         base = Scenario(alpha_d_db=alpha_d, chi=CHI_SEARCH_MIN, eta0=eta0, policy=policy, **dark)
         rate = optimize_module._rate_curve(base)
         graded = swap_module.graded_swap_state(eta0, alpha_d, base.resolved_p_dc, policy)
-        wrong, total = metrics_module.qber_polynomial(graded, optimize_module._arm_detector(base))
+        wrong, total = metrics_module.qber_polynomial(graded)
         for chi in grid:
             s = Scenario(alpha_d_db=alpha_d, chi=float(chi), eta0=eta0, policy=policy, **dark)
             q = metrics_module.qber(_pipeline_once(s, n_max)).qber

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -123,6 +124,16 @@ def test_decoy_clamp_flags():
     rep = decoy_rate_report(decoy_inputs(0.15, 0.2, 40.0, 5e-3))
     assert rep.e1_clamped
     assert rep.r_sec == 0.0
+
+
+def test_decoy_large_intensity_raises_no_overflow_warning():
+    """exp(mu) overflows past mu ~ 709; Y1 is clamped to 0 there, and the
+    chain says so without a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = decoy_rate_report(decoy_inputs(800.0, 0.2, 10.0, 1e-6))
+    assert rep.r_sec == 0.0
+    assert rep.y1_clamped
 
 
 def test_optimal_mu_grid_matches_the_report():
