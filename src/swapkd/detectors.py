@@ -61,7 +61,10 @@ class DetectorConstraint:
     def p_dc(self, eta0: float) -> float:
         if not (0.0 <= eta0 <= 1.0):
             raise ValueError(f"eta0 must be in [0, 1], got {eta0!r}")
-        value = self.a * math.exp(self.b * eta0)
+        try:
+            value = self.a * math.exp(self.b * eta0)
+        except OverflowError:  # exp(b * eta0) beyond float range
+            value = math.inf if self.a > 0.0 else 0.0
         if value >= 1.0:
             raise ConstraintViolationError(
                 f"constraint p_dc = {value:.3e} >= 1 at eta0 = {eta0!r}"

@@ -7,10 +7,11 @@ threshold detector per output.  The generator conserves n1+n2, so its
 eigensystem on the complete photon-number blocks n1+n2 <= 2*n_max
 (rotation_eigensystem) gives every such POVM element on n1, n2 <= n_max
 exactly (rotated_pair_povm, the reference), and the Fourier coefficients of
-a fringe.  The rotation's photon-number blocks (rotation_blocks, cached per
-(n_max, theta)) carry every detector: the four outcomes of a rotation and
-two threshold detectors (detector_pair_povms) are polynomials in 1-eta over
-them, and a new efficiency costs no eigen-transform.  realign puts a pair
+a fringe.  The rotation itself is a real orthogonal matrix, and its map
+from complete-block states to pair states (rotation_matrix, cached per
+(n_max, theta)) carries every detector: the four outcomes of a rotation and
+two threshold detectors (detector_pair_povms) are real polynomials in 1-eta
+over it, and a new efficiency costs no eigen-transform.  realign puts a pair
 operator in the (first-mode indices) x (second-mode indices) layout in
 which the swap and metrics modules contract states, and compress cuts a
 realigned operator down to a lower cutoff.  A realigned operator that
@@ -110,59 +111,45 @@ def rotated_pair_povm(n_max: int, theta: float, w1: np.ndarray, w2: np.ndarray) 
 
 
 @lru_cache(maxsize=16)
-def rotation_blocks(n_max: int, theta: float) -> Tuple[np.ndarray, ...]:
-    """The rotation by theta from complete-block states to pair states, by photon number.
+def rotation_matrix(n_max: int, theta: float) -> np.ndarray:
+    """The rotation by theta from complete-block states to pair states.
 
-    rotated_pair_povm's E = P C P^dag is W diag(w1[n1] w2[n2]) W^dag with
-    W = P V^dag, which maps the complete-block state (k, N-k) only onto pair
-    states with n1+n2 = N.  Block N of W is stored as wb[N, r, k], its row r
-    running over the pair states of that block in pair-flattened order and
-    its column k over 0..N, zero-padded to 2*n_max+1 columns.  Returns
-    (wb, the (N, r, r') position of every within-block pair of pair states,
-    and their flat index in a pair operator); read-only, since every caller
-    shares them.
+    rotated_pair_povm's E = P C P^dag is W diag(w1[n1] w2[n2]) W^T with
+    W = P V^dag: rows run over the pair states in pair-flattened order,
+    columns over the complete-block states of rotation_eigensystem.  The
+    rotation exp(theta (a^dag b - a b^dag)) is real orthogonal, so W is
+    real, and it maps the complete-block state (n1, n2) only onto pair
+    states with the same n1+n2; its imaginary parts and its entries across
+    photon-number blocks are rounding noise and are set to exactly 0.
+    Read-only, since every caller shares it.
     """
     w, v, sub, n1, n2 = rotation_eigensystem(n_max)
-    wmat = (v[sub] * np.exp(1j * theta * w)[None, :]) @ v.conj().T
-    n_sub = n1[sub] + n2[sub]
-    row = n1[sub] - np.maximum(0, n_sub - n_max)
-    i, k = np.nonzero(n_sub[:, None] == (n1 + n2)[None, :])
-    wb = np.zeros((2 * n_max + 1, n_max + 1, 2 * n_max + 1), dtype=complex)
-    wb[n_sub[i], row[i], n1[k]] = wmat[i, k]
-    x, y = np.nonzero(n_sub[:, None] == n_sub[None, :])
-    gather = (n_sub[x], row[x], row[y])
-    flat = x * len(sub) + y
-    for a in (wb, flat, *gather):
-        a.flags.writeable = False
-    return wb, gather, flat
+    wmat = np.real((v[sub] * np.exp(1j * theta * w)[None, :]) @ v.conj().T)
+    n = n1 + n2
+    wmat[n[sub][:, None] != n[None, :]] = 0.0
+    wmat.flags.writeable = False
+    return wmat
 
 
 def detector_pair_povms(n_max: int, theta: float, det: ThresholdDetector) -> np.ndarray:
     """The four outcomes of a rotation by theta followed by det on each output.
 
-    Returns the stack [only the first output clicks, only the second, both,
-    neither], each equal to rotated_pair_povm with det's click and no-click
-    weights.  Every element is block diagonal in n1+n2 = N, with blocks
-    W_N diag(w1[k] w2[N-k]) W_N^dag over rotation_blocks: the detector
-    enters only through its weights, whose no-click weight q x^n (q = 1-p_dc,
-    x = 1-eta) makes each element a polynomial in x over a basis fixed by
-    (n_max, theta).  So a new efficiency costs no eigen-transform, and no
-    element is formed as a difference of nearly equal terms.
+    Returns the real stack [only the first output clicks, only the second,
+    both, neither], each equal to rotated_pair_povm with det's click and
+    no-click weights: W diag(w1[n1] w2[n2]) W^T over rotation_matrix.  The
+    detector enters only through its weights, whose no-click weight q x^n
+    (q = 1-p_dc, x = 1-eta) makes each element a polynomial in x over a
+    basis fixed by (n_max, theta).  So a new efficiency costs no
+    eigen-transform, and no element is formed as a difference of nearly
+    equal terms.
     """
-    wb, gather, flat = rotation_blocks(n_max, float(theta))
-    n_blocks = 2 * n_max + 1
+    wmat = rotation_matrix(n_max, float(theta))
+    _, _, _, n1, n2 = rotation_eigensystem(n_max)
     click, silent = det.weight_vector(True, 2 * n_max), det.weight_vector(False, 2 * n_max)
-    w1 = np.stack([click, silent, click, silent])
-    w2 = np.stack([silent, click, click, silent])
-    k = np.arange(n_blocks)
-    # weights[o, N, k] = w1[k] w2[N-k]; k > N wraps onto the zero padding of wb
-    weights = w1[:, None, :] * w2[:, (k[:, None] - k[None, :]) % n_blocks]
-    blocks = (wb * weights[:, :, None, :]) @ wb.conj().swapaxes(1, 2)
-    d2 = (n_max + 1) ** 2
-    out = np.zeros((4, d2 * d2), dtype=complex)
-    out[:, flat] = blocks[(slice(None),) + gather]
-    out = out.reshape(4, d2, d2)
-    return 0.5 * (out + out.conj().swapaxes(1, 2))
+    w1 = np.stack([click, silent, click, silent])[:, n1]
+    w2 = np.stack([silent, click, click, silent])[:, n2]
+    out = (wmat * (w1 * w2)[:, None, :]) @ wmat.T
+    return 0.5 * (out + out.swapaxes(1, 2))
 
 
 @lru_cache(maxsize=16)

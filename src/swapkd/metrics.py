@@ -3,12 +3,12 @@
 Alice holds the (aH, aV) pair and Bob the (dH, dV) pair of the conditional
 state produced by the swap.  Each side passes its two modes through a
 polarization rotation by the analyzer angle and then through one threshold
-detector per output: the same four outcomes (fock.detector_pair_povms, on
-blocks cached per cutoff and angle) as a BSM beamsplitter.  The key-basis
-analyzers are the link's own optics, so their stacks come with the swap
-result (swap.link_povms); the general routines take any detector and
-setting and build their own.  Every table is one stacked contraction of
-the realigned pair factors and POVMs.
+detector per output: the same four outcomes (fock.detector_pair_povms, over
+a real rotation matrix cached per cutoff and angle) as a BSM beamsplitter.
+The key-basis analyzers are the link's own optics, so their stacks come
+with the swap result (swap.link_povms); the general routines take any
+detector and setting and build their own.  Every table is one stacked
+contraction of the realigned pair factors and POVMs.
 qber_polynomial grades the tables by photon number: there every operator
 is read as its photon-difference blocks (fock.difference_blocks), and one
 matrix product contracts them.  The fringe in Bob's angle is a

@@ -7,9 +7,10 @@ Exactly-two-click patterns with one H and one V detector are accepted:
 Accepted psi+ outcomes are rotated into the psi- frame by a V -> -V phase on
 mode d, so the aggregate conditional state targets the singlet.  Each
 beamsplitter with its two detectors is the rotation POVM of fock at pi/4
-(fock.detector_pair_povms, a polynomial in 1-eta over a basis cached per
-cutoff); the four heralds use only two of its outcomes (see
-_heralded_state).
+(fock.detector_pair_povms, a polynomial in 1-eta over a real rotation
+matrix cached per cutoff and angle); the four heralds use only two of its
+outcomes, and the phases of the pair amplitudes cancel on their support,
+so the pair factors are real (see _heralded_state).
 
 The two-source state factorizes over the pairs (aH,bH), (aV,bV), (cH,dH),
 (cV,dV), and the BSM mixes H with H and V with V, so each herald's state on
@@ -89,6 +90,11 @@ def _heralded_state(c: np.ndarray, det: ThresholdDetector, n_max: int) -> SwapRe
     Tracing the BSM from the two-source state gives, per herald,
     th[(i,I),(k,K)] = c_i c_k conj(c_I c_K) * E_H[(I,K),(i,k)] and tv the
     same with E_V, where i=n_aH(=n_bH), j=n_aV, k=n_dH(=n_cH), l=n_dV.
+    Every BSM element conserves its pair's photon number, so it is nonzero
+    only where i+k = I+K, and there the phases of c_n = |c_n| e^(i n phi)
+    cancel: c_i c_k conj(c_I c_K) = |c_i c_k c_I c_K|.  So the factors are
+    built from the magnitudes |c_n| and, with the real stacks of
+    link_povms, are real.
     Every accepted herald clicks exactly one output of each mixer, and both
     mixers see the same detectors, so only two elements occur: e1, only the
     b' output clicks, and e2, only the c' output clicks.  psi- clicks
@@ -97,7 +103,7 @@ def _heralded_state(c: np.ndarray, det: ThresholdDetector, n_max: int) -> SwapRe
     tv.
     """
     d = n_max + 1
-    s = np.outer(c, c.conj()).reshape(-1)  # s[(i,I)] = c_i conj(c_I)
+    s = np.outer(np.abs(c), np.abs(c)).reshape(-1)  # s[(i,I)] = |c_i c_I|
     weight = np.outer(s, s)
     povms = link_povms(n_max, det)
     e1, e2 = weight * povms[1][:2]
@@ -131,12 +137,12 @@ def graded_swap_state(
     p_dc: float,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> SwapResult:
-    """The swap state with the brightness factored out: pair amplitudes i^n.
+    """The swap state with the brightness factored out: unit pair amplitudes.
 
     Each BSM POVM conserves its pair's photon number, so on its support the
     pair amplitudes at brightness chi give c_i c_k conj(c_I c_K) =
     (1-t)^2 t^(i+k) with t = tanh^2 chi: the state at chi is this one with
     its N = i+j+k+l photon sector scaled by (1-t)^4 t^N.
     """
-    n = np.arange(policy.n_max + 1)
-    return _heralded_state(1j ** n, bsm_detector(eta0, alpha_d_db, p_dc), policy.n_max)
+    ones = np.ones(policy.n_max + 1)
+    return _heralded_state(ones, bsm_detector(eta0, alpha_d_db, p_dc), policy.n_max)

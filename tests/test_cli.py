@@ -169,6 +169,13 @@ def test_evaluate_rejects_both_dark_count_modes(tmp_path, capsys):
     )
     assert code == 2
     assert "not both" in capsys.readouterr().out
+    code = main(
+        ["evaluate", "--chi", "0.1", "--eta0", "0.3", "--alpha-d", "10",
+         "--output-dir", str(tmp_path)]
+    )
+    assert code == 2
+    assert "one of p_dc or constraint is required" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
 
 
 EVALUATE_AT_10_DB = [
@@ -232,6 +239,32 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "TruncationError"
+    # a blind, noiseless link has no coincidences, so no row can be written
+    code = main(["compare-decoy", "--alpha-d-grid", "10", "--eta0", "0", "--pdc", "0",
+                 "--output-dir", str(tmp_path)] + FAST)
+    assert code == 3
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "NoCoincidenceError"
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_dark_count_exponent_beyond_float_range_is_a_constraint_violation(tmp_path, capsys):
+    """p_dc = a exp(b eta0) past the float range violates the constraint like
+    any p_dc >= 1: evaluate exits 2, and a sweep writes an error cell per row."""
+    code = main(EVALUATE_AT_10_DB + ["--constraint-b", "1e4", "--output-dir", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ConstraintViolationError",
+                   "message": "constraint p_dc = inf >= 1 at eta0 = 0.3"}
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--chi-grid", "0.1", "--eta0-grid", "0.01,0.3", "--alpha-d-grid",
+                 "10", "--constraint", "--constraint-b", "3000", "--output-dir", str(out)])
+    assert code == 0
+    _, rows = read_csv(out / "sweep.csv")
+    assert [row["error"].split(":")[0] for row in rows] == ["ConstraintViolationError"] * 2
+    assert "p_dc = inf" in rows[1]["error"]
+    manifest = json.loads((out / "sweep_manifest.json").read_text())
+    assert manifest["results"] == {"failed_points": 2, "points": 2}
 
 
 def test_programming_errors_propagate(tmp_path, monkeypatch):
@@ -301,6 +334,13 @@ def test_unknown_config_key(tmp_path, capsys):
                  "--alpha-d", "5", "--pdc", "1e-5"])
     assert code == 2
     assert "bogus" in capsys.readouterr().out
+
+
+def test_config_must_hold_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().out
 
 
 def test_flags_override_config(tmp_path):
@@ -381,6 +421,18 @@ def test_compare_decoy_fixed_parameters(tmp_path):
         assert float(row["chi_used"]) == 0.1
         # near range zero the decoy baseline outrates the swapped link
         assert float(row["r_decoy"]) > float(row["r_es"])
+
+
+def test_compare_decoy_blind_detector_writes_nan_chi(tmp_path):
+    """At eta0 = 0 the swap rate is 0 at every brightness, so no optimal chi
+    exists: chi_used is written as nan and the log rate is left empty."""
+    code = main(["compare-decoy", "--alpha-d-grid", "10", "--eta0", "0", "--pdc", "1e-5",
+                 "--output-dir", str(tmp_path)] + FAST)
+    assert code == 0
+    _, rows = read_csv(tmp_path / "compare_decoy.csv")
+    assert rows[0]["chi_used"] == "nan"
+    assert float(rows[0]["r_es"]) == 0.0
+    assert rows[0]["log10_r_es"] == ""
 
 
 @pytest.mark.parametrize("n_max", ["2", "4"])
@@ -468,6 +520,16 @@ def test_figure_data_rejects_unknown_variant(figure, tmp_path, capsys):
     assert code == 2
     assert "variant" in capsys.readouterr().out
     assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_figure_data_config_rejects_unknown_figure(tmp_path, capsys):
+    """argparse's choices guard the flag; the config file is checked too."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"figure": "fig9"}))
+    out = tmp_path / "out"
+    assert main(["figure-data", "--config", str(cfg), "--output-dir", str(out)]) == 2
+    assert "unknown figure 'fig9'" in capsys.readouterr().out
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("figure", ["fig6", "fig7", "fig8"])

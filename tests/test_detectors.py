@@ -51,6 +51,14 @@ def test_constraint_violation():
     assert loose.p_dc(1.0) == pytest.approx(1e-9 * np.e)
 
 
+def test_constraint_beyond_float_range():
+    """exp(b * eta0) past the float range is an infinite dark-count floor, a
+    constraint violation, or no floor at all when a is 0."""
+    with pytest.raises(ConstraintViolationError, match="p_dc = inf >= 1 at eta0 = 0.3"):
+        DetectorConstraint(a=6.1e-7, b=1e4).p_dc(0.3)
+    assert DetectorConstraint(a=0.0, b=1e4).p_dc(0.5) == 0.0
+
+
 def test_pattern_weight_completeness():
     """Click/no-click weights over all patterns sum to one for any occupation."""
     dets = [

@@ -16,6 +16,7 @@ from dense_reference import (
     pair_mixer_unitary,
     vacuum,
 )
+import swapkd.fock as fock_module
 from swapkd.detectors import ThresholdDetector
 from swapkd.errors import TruncationError
 from swapkd.fock import (
@@ -186,7 +187,7 @@ def test_rotated_pair_povm_matches_full_embedding(n_max):
 
 
 def test_detector_pair_povms_match_rotated_pair_povm():
-    """The four outcomes built on the cached rotation blocks equal the
+    """The four outcomes built on the cached rotation matrix equal the
     reference rotation of the detectors' click weights."""
     clicks = ((True, False), (False, True), (True, True), (False, False))
     for n_max in range(2, 7):
@@ -200,6 +201,23 @@ def test_detector_pair_povms_match_rotated_pair_povm():
                         w2 = det.weight_vector(click2, 2 * n_max)
                         want = rotated_pair_povm(n_max, theta, w1, w2)
                         assert np.abs(e - want).max() <= 1e-14, (n_max, theta, eta, p_dc)
+
+
+@pytest.mark.parametrize("n_max", range(1, 7))
+def test_rotation_matrix_is_real_orthonormal_and_photon_number_preserving(n_max):
+    """The cached rotation from complete-block states to pair states is a
+    read-only float64 matrix, exactly zero between different photon numbers,
+    with orthonormal rows."""
+    _, _, sub, n1, n2 = rotation_eigensystem(n_max)
+    n = n1 + n2
+    across = n[sub][:, None] != n[None, :]
+    for theta in (0.0, math.pi / 4.0, 0.37, 1.1):
+        w = fock_module.rotation_matrix(n_max, theta)
+        assert w.dtype == np.float64
+        assert not w.flags.writeable
+        assert w.shape == (len(sub), len(n))
+        assert np.all(w[across] == 0.0)
+        assert np.abs(w @ w.T - np.eye(len(sub))).max() < 1e-13, (n_max, theta)
 
 
 @pytest.mark.parametrize("n_max", range(1, 9))

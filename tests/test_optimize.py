@@ -326,6 +326,8 @@ def test_max_positive_alpha_synthetic():
 
     edge = max_positive_alpha(rate, alpha_lo=0.0, alpha_hi=40.0, step=2.5, tol=0.05)
     assert edge == pytest.approx(17.3, abs=0.05)
+    # a rate that is not positive even at alpha_lo has no edge
+    assert max_positive_alpha(lambda alpha: 0.0) is None
 
 
 def test_distance_scans_stop_at_alpha_hi(monkeypatch):
@@ -501,15 +503,15 @@ def test_crossover_scan_stops_at_an_undefined_midpoint(monkeypatch):
 
 
 def test_new_detector_efficiencies_reuse_the_rotation_blocks(monkeypatch):
-    """Detector POVMs are polynomials in 1-eta over blocks cached per
-    (n_max, theta): once each cutoff's blocks exist, new efficiencies (an
-    alpha_d scan) build no blocks and call no rotated_pair_povm."""
+    """Detector POVMs are polynomials in 1-eta over a rotation matrix cached
+    per (n_max, theta): once each cutoff's matrices exist, new efficiencies
+    (an alpha_d scan) build no rotation matrix and call no rotated_pair_povm."""
     def scenario(alpha_d_db):
         return Scenario(alpha_d_db=alpha_d_db, chi=0.1, eta0=0.2,
                         constraint=DEFAULT_CONSTRAINT, policy=TruncationPolicy(n_max=3))
 
-    evaluate(scenario(0.0))  # warm-up: blocks of every cutoff the escalation reaches
-    misses = fock_module.rotation_blocks.cache_info().misses
+    evaluate(scenario(0.0))  # warm-up: matrices of every cutoff the escalation reaches
+    misses = fock_module.rotation_matrix.cache_info().misses
 
     def forbidden(*args):
         raise AssertionError("rotated_pair_povm is the test reference only")
@@ -518,7 +520,7 @@ def test_new_detector_efficiencies_reuse_the_rotation_blocks(monkeypatch):
         monkeypatch.setattr(module, "rotated_pair_povm", forbidden, raising=False)
     cutoffs = {evaluate(scenario(alpha_d)).n_max_used for alpha_d in (5.0, 10.0, 15.0, 20.0, 25.0)}
     assert cutoffs == {evaluate(scenario(0.0)).n_max_used}
-    assert fock_module.rotation_blocks.cache_info().misses == misses
+    assert fock_module.rotation_matrix.cache_info().misses == misses
 
 
 def _fresh_python(code):
@@ -532,10 +534,10 @@ def _fresh_python(code):
 
 
 def test_importing_the_cli_builds_no_rotation_blocks():
-    """The blocks and the photon-difference gathers are built on first use,
-    so start-up pays nothing for them."""
+    """The rotation matrices and the photon-difference gathers are built on
+    first use, so start-up pays nothing for them."""
     code = ("import swapkd.cli, swapkd.fock as f, swapkd.metrics as m; "
-            "caches = (f.rotation_blocks, f.difference_gather, m._sector_gathers); "
+            "caches = (f.rotation_matrix, f.difference_gather, m._sector_gathers); "
             "print(*(n for c in caches for n in (c.cache_info().misses, c.cache_info().currsize)))")
     assert _fresh_python(code).split() == ["0"] * 6
 

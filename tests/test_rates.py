@@ -54,6 +54,12 @@ def test_secret_rate_clamps():
     assert raw_lo > 0.0 > raw_hi
 
 
+@pytest.mark.parametrize("r_sift, q", [(-1e-3, 0.1), (1.0, 0.6)])
+def test_secret_rate_validation(r_sift, q):
+    with pytest.raises(ValueError):
+        secret_rate(r_sift, q)
+
+
 @pytest.mark.parametrize("kappa", [0.9, math.nan, math.inf])
 def test_kappa_validation(kappa):
     with pytest.raises(ValueError):
@@ -78,6 +84,8 @@ def test_decoy_inputs_validation():
     for mu, nu in ((math.inf, 0.1), (math.nan, 0.1), (0.5, math.nan), (math.inf, math.inf)):
         with pytest.raises(ValueError):
             DecoyInputs(mu=mu, eta_bob=0.2, y0=1e-5, nu=nu)
+    with pytest.raises(ValueError):
+        DecoyInputs(mu=0.5, eta_bob=0.1, y0=1.5)
     d = decoy_inputs(0.7, 0.2, 10.0, 1.8e-5)
     assert d.eta_bob == pytest.approx(0.02, rel=1e-12)
     assert d.y0 == pytest.approx(3.6e-5, rel=1e-12)

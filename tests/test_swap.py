@@ -20,7 +20,8 @@ from dense_reference import (
 )
 from swapkd.detectors import ThresholdDetector
 from swapkd.fock import TruncationPolicy, detector_pair_povms
-from swapkd.swap import bsm_detector, swap_conditional_state
+from swapkd.metrics import analyze
+from swapkd.swap import bsm_detector, graded_swap_state, swap_conditional_state
 
 
 def single_pair_per_source_register(policy: TruncationPolicy) -> ModeRegister:
@@ -178,3 +179,15 @@ def test_swap_result_shape_and_validity():
     assert cond.labels == SURVIVING_MODES
     cond.validate()
     assert res.herald_probability > 0.0
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 5])
+def test_engine_operators_are_real(n_max):
+    """The pair factors, both key-basis stacks and Bob's operators are float64:
+    every optic is a real rotation, every detector is diagonal, and the pair
+    amplitudes' phases cancel on the BSM elements' support."""
+    policy = TruncationPolicy(n_max=n_max)
+    for res in (swap_conditional_state(0.1, 0.3, 10.0, 1e-4, policy),
+                graded_swap_state(0.3, 10.0, 1e-4, policy)):
+        arrays = (res.th, res.tv, *res.povms, *analyze(res).bob)
+        assert [a.dtype for a in arrays] == [np.float64] * 6
