@@ -14,10 +14,7 @@ two threshold detectors (detector_pair_povms) are real polynomials in 1-eta
 over it, and a new efficiency costs no eigen-transform.  realign puts a pair
 operator in the (first-mode indices) x (second-mode indices) layout in
 which the swap and metrics modules contract states, and compress cuts a
-realigned operator down to a lower cutoff.  A realigned operator that
-conserves its pair's photon number is nonzero only on 2*n_max+1 small
-photon-difference blocks, which difference_blocks reads out in one take
-(difference_gather, cached per cutoff).
+realigned operator down to a lower cutoff.
 """
 
 from __future__ import annotations
@@ -150,42 +147,6 @@ def detector_pair_povms(n_max: int, theta: float, det: ThresholdDetector) -> np.
     w2 = np.stack([silent, click, click, silent])[:, n2]
     out = (wmat * (w1 * w2)[:, None, :]) @ wmat.T
     return 0.5 * (out + out.swapaxes(1, 2))
-
-
-@lru_cache(maxsize=16)
-def difference_gather(n_max: int) -> np.ndarray:
-    """Flat positions, in a realigned pair operator, of its photon-difference blocks.
-
-    Entry [delta + n_max, i, j] is the position of R[(i, i-delta), (j, j+delta)]
-    (difference_blocks), for delta = -n_max..n_max; where i-delta or j+delta
-    falls outside 0..n_max it is (n_max+1)^4, one past the end, where the
-    gather reads a zero.  Read-only, since every caller shares it.
-    """
-    d = n_max + 1
-    delta = np.arange(-n_max, n_max + 1)[:, None, None]
-    i, j = np.arange(d)[None, :, None], np.arange(d)[None, None, :]
-    big_i, big_j = i - delta, j + delta
-    inside = (big_i >= 0) & (big_i <= n_max) & (big_j >= 0) & (big_j <= n_max)
-    index = np.where(inside, ((i * d + big_i) * d + j) * d + big_j, d**4)
-    index.flags.writeable = False
-    return index
-
-
-def difference_blocks(op: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Realigned pair operators R[..., (i,I), (j,J)] read at photon-difference positions.
-
-    A pair operator that conserves the pair's photon number, I+J = i+j, is
-    nonzero in its realigned layout only where i-I = J-j = delta, so it is
-    B[delta, i, j] = R[(i, i-delta), (j, j+delta)]: 2*n_max+1 blocks of
-    (n_max+1)^2 entries in place of (n_max+1)^4, zero where an index falls
-    outside 0..n_max.  With positions = difference_gather(n_max) this
-    returns B[..., delta + n_max, i, j]; any array of that gather's entries
-    reads the blocks rearranged in its shape.  One take from the
-    zero-padded flat operator; leading axes are kept.
-    """
-    flat = op.reshape(op.shape[:-2] + (-1,))
-    padded = np.concatenate([flat, np.zeros(flat.shape[:-1] + (1,), flat.dtype)], axis=-1)
-    return np.take(padded, positions, axis=-1)
 
 
 def realign(op: np.ndarray) -> np.ndarray:

@@ -9,14 +9,16 @@ The key-basis analyzers are the link's own optics, so their stacks come
 with the swap result (swap.link_povms); the general routines take any
 detector and setting and build their own.  Every table is one stacked
 contraction of the realigned pair factors and POVMs.
-qber_polynomial grades the tables by photon number: there every operator
-is read as its photon-difference blocks (fock.difference_blocks), and one
-matrix product contracts them.  The fringe in Bob's angle is a
-Fourier series over the rotation generator's integer eigenvalues, so its
-extrema are at the roots of one polynomial and are found exactly.  All
-probabilities reported here are absolute (per pump pulse): the conditional
-state carries the herald probability as its trace, so no renormalization
-happens between the swap and the coincidences.
+qber_polynomial grades the tables by photon number: every operator
+conserves its pair's photon number, so the contraction reads only the
+entries of each photon-number sector, at positions from one formula
+(_sector_gathers), and one matrix product contracts them.  The fringe in
+Bob's angle is a Fourier series over the rotation generator's integer
+eigenvalues, so its extrema are at the roots of one polynomial and are
+found exactly.  All probabilities reported here are absolute (per pump
+pulse): the conditional state carries the herald probability as its
+trace, so no renormalization happens between the swap and the
+coincidences.
 analyze() contracts Bob's operators from one swap result's key-basis
 stacks once, as an Analysis: qber() reads the two key-basis tables off
 it, and visibility() scans both fringes from the rows of Alice's h
@@ -36,8 +38,6 @@ from .detectors import ThresholdDetector
 from .errors import NoCoincidenceError, UndefinedVisibilityError
 from .fock import (
     detector_pair_povms,
-    difference_blocks,
-    difference_gather,
     realign,
     rotation_basis_weights,
     rotation_eigensystem,
@@ -100,8 +100,10 @@ class CoincidenceTable:
 
     @property
     def p_wrong(self) -> float:
-        """Error events for a singlet-frame key: correlated outcomes."""
-        return self.p_hh + self.p_vv
+        """Error events for a singlet-frame key: correlated outcomes, clamped
+        at 0, since where the model has none (one pair per source, no dark
+        counts) the signed contraction leaves rounding of either sign."""
+        return max(self.p_hh + self.p_vv, 0.0)
 
 
 def _povms(result, det: ThresholdDetector, theta: float) -> np.ndarray:
@@ -363,28 +365,41 @@ def visibility(analysis: Analysis) -> float:
 
 @lru_cache(maxsize=16)
 def _sector_gathers(n_max: int) -> Tuple[np.ndarray, ...]:
-    """fock.difference_gather positions that read the operands of _sector_table.
+    """Flat positions, in a realigned operator, of the operands of _sector_table.
 
-    With rows[N, m] = N - m, the occupation that makes N photons with m
-    (padding where it falls outside 0..n_max), and B[delta, i, j] the
-    photon-difference blocks of fock.difference_blocks, the four gathers read
-      th[p, delta, N, j, k] = Th[p, delta, N-j, k],
-      ra[a, delta, N, j]    = Ra[a, delta, N-j, j],
-      tv[p, delta, j, N, k] = Tv[p, -delta, j, N-k],
-      rb[b, delta, N, k]    = Rb[b, -delta, k, N-k].
-    Read-only, since every caller shares them.
+    R[(x, X), (y, Y)] sits at ((x d + X) d + y) d + Y, d = n_max + 1, or
+    at d^4, the zero past the end (_take), where an occupation falls
+    outside 0..n_max.  Alice's half reads
+      A[delta, N, a, b] = R[(N-a, N-a-delta), (b, b+delta)]
+    and Bob's half the same with the two pairs swapped,
+      B[delta, N, a, b] = R[(b, b+delta), (N-a, N-a-delta)].
+    The four gathers are th[.., N, j, k] = A[.., N, j, k], ra = A on the
+    diagonal a = b, tv[.., N, j, k] = B[.., N, k, j] and rb = B on the
+    diagonal.  Contiguous and read-only, since every caller shares them.
     """
     d = n_max + 1
-    # a zero row and column of padding positions, so rows can point past n_max
-    gather = np.pad(difference_gather(n_max), ((0, 0), (0, 1), (0, 1)), constant_values=d**4)
-    n = np.arange(2 * n_max + 1)[:, None] - np.arange(d)[None, :]
-    rows = np.where((n >= 0) & (n <= n_max), n, d)
-    m = np.arange(d)
-    flipped = gather[::-1]
-    out = (gather[:, rows, :d], gather[:, rows, m], flipped[:, :d, rows], flipped[:, m, rows])
-    for a in out:
-        a.flags.writeable = False
+    delta = np.arange(-n_max, n_max + 1)[:, None, None, None]
+    n = np.arange(2 * n_max + 1)[:, None, None]
+    a, b = np.arange(d)[:, None], np.arange(d)
+    occupations = np.stack(np.broadcast_arrays(n - a, n - a - delta, b, b + delta))
+    inside = ((occupations >= 0) & (occupations <= n_max)).all(axis=0)
+    x, big_x, y, big_y = occupations
+    alice = np.where(inside, ((x * d + big_x) * d + y) * d + big_y, d**4)
+    bob = np.where(inside, ((y * d + big_y) * d + x) * d + big_x, d**4)
+    out = tuple(
+        np.ascontiguousarray(g)
+        for g in (alice, np.diagonal(alice, 0, 2, 3), bob.swapaxes(2, 3), np.diagonal(bob, 0, 2, 3))
+    )
+    for g in out:
+        g.flags.writeable = False
     return out
+
+
+def _take(op: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Realigned operators read at flat positions (_sector_gathers); d^4 reads 0."""
+    flat = op.reshape(op.shape[:-2] + (-1,))
+    padded = np.concatenate([flat, np.zeros(flat.shape[:-1] + (1,), flat.dtype)], axis=-1)
+    return np.take(padded, positions, axis=-1)
 
 
 def _sector_table(result, povms_a: np.ndarray, povms_b: np.ndarray) -> np.ndarray:
@@ -393,23 +408,22 @@ def _sector_table(result, povms_a: np.ndarray, povms_b: np.ndarray) -> np.ndarra
 
     N_A and N_B are the photon numbers reaching Alice's and Bob's analyzers.
     The pair factors and the analyzer POVMs conserve their pairs' photon
-    numbers, so each is its photon-difference blocks (fock.difference_blocks)
-    and, with delta Alice's difference i - I,
-      p[a, N_A, b, N_B] = sum Th[p,delta][i,k] Ra[a,delta][i,j] Tv[p,-delta][j,l] Rb[b,-delta][k,l]
-    over i+j = N_A and k+l = N_B.  Alice's and Bob's halves are read by
-    photon number (_sector_gathers) and multiplied out, and one matrix
-    product contracts them over (p, delta, j, k).  Only for states whose
-    factors conserve photon number, as every swap result's do.
+    numbers: a realigned R[(i,I), (j,J)] vanishes unless i+j = I+J, so
+    i - I = J - j = delta.  Hence
+      p[a, N_A, b, N_B] = sum Th[(i,i-delta), (k,k+delta)] Ra[(i,i-delta), (j,j+delta)]
+                              Tv[(j,j+delta), (l,l-delta)] Rb[(k,k+delta), (l,l-delta)]
+    over p, delta, i+j = N_A and k+l = N_B.  Alice's and Bob's halves are
+    read by photon number (_sector_gathers) and multiplied out, and one
+    matrix product contracts them over (p, delta, j, k).  Only for states
+    whose factors conserve photon number, as every swap result's do.
     """
     n_blocks = 2 * result.n_max + 1
     g_th, g_ra, g_tv, g_rb = _sector_gathers(result.n_max)
-    th = difference_blocks(result.th, g_th)  # [p, delta, N_A, j, k]
-    tv = difference_blocks(result.tv, g_tv)  # [p, delta, j, N_B, k]
-    ra = difference_blocks(povms_a[:2], g_ra)  # [a, delta, N_A, j]
-    rb = difference_blocks(povms_b[:2], g_rb)  # [b, delta, N_B, k]
+    th, tv = _take(result.th, g_th), _take(result.tv, g_tv)  # [p, delta, N, j, k]
+    ra, rb = _take(povms_a[:2], g_ra), _take(povms_b[:2], g_rb)  # [a, delta, N, j or k]
     # alice[a, N_A, p, delta, j, k] and bob[b, N_B, p, delta, j, k]
     alice = th.transpose(2, 0, 1, 3, 4) * ra.transpose(0, 2, 1, 3)[:, :, None, :, :, None]
-    bob = tv.transpose(3, 0, 1, 2, 4) * rb.transpose(0, 2, 1, 3)[:, :, None, :, None, :]
+    bob = tv.transpose(2, 0, 1, 3, 4) * rb.transpose(0, 2, 1, 3)[:, :, None, :, None, :]
     p = alice.reshape(2 * n_blocks, -1) @ bob.reshape(2 * n_blocks, -1).T
     return np.real(p).reshape(2, n_blocks, 2, n_blocks)
 

@@ -281,7 +281,7 @@ def _rate_curve(s: Scenario) -> Callable[[float], float]:
         den = _horner(total, t)
         if den <= 0.0:
             raise NoCoincidenceError("no coincidences in either basis; QBER undefined")
-        qber_t = _horner(wrong, t) / den
+        qber_t = max(_horner(wrong, t), 0.0) / den  # rounding can leave W(t) just below 0
         return secret_rate(sifted_rate(chi, s.eta0, s.alpha_d_db), min(qber_t, 0.5), s.kappa)[1]
 
     return rate

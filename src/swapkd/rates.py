@@ -245,15 +245,19 @@ def _decoy_bounds(d: DecoyInputs, mu) -> _DecoyBounds:
     """The vacuum + weak-decoy bound chain of d, elementwise over mu.
 
     mu is a float or an array of signal intensities that replaces d.mu;
-    every returned field has its shape.  Gains: Q_k = Y0 + 1 - exp(-eta*k)
-    for intensity k, computed as Y0 - expm1(-eta*k) so that a small eta*k
-    keeps its precision; background errors dominate, so E_k Q_k = e0 Y0.
-    Single-photon bounds:
+    every returned field has its shape.  Gains: Q_k = Y0 + S_k for
+    intensity k, with S_k = 1 - exp(-eta*k) computed as -expm1(-eta*k) so
+    that a small eta*k keeps its precision; background errors dominate, so
+    E_k Q_k = e0 Y0.  Single-photon bounds:
       Y1 >= (mu/(mu nu - nu^2)) [Q_nu e^nu - Q_mu e^mu (nu/mu)^2
                                  - ((mu^2 - nu^2)/mu^2) Y0]
-      e1 <= (E_nu Q_nu e^nu - e0 Y0) / (Y1 nu)
-    and Q1 = Y1 mu e^(-mu).  Y1 < 0 and e1 outside [0, 1/2] are clamped and
-    flagged per element rather than propagated.
+      e1 <= (E_nu Q_nu e^nu - e0 Y0) / (Y1 nu) = e0 Y0 (e^nu - 1) / (Y1 nu)
+    and Q1 = Y1 mu e^(-mu).  The Y1 bracket is summed as
+      nu [Y0 (expm1(nu)/nu - (nu/mu) expm1(mu)/mu) + S_nu e^nu/nu - (nu/mu) S_mu e^mu/mu],
+    so no Y0 cancels against Y0 e^k: a weak decoy keeps its digits, and
+    the only rounding left grows as mu/(mu - nu), as in any difference
+    quotient.  Y1 < 0 and e1 outside [0, 1/2] are clamped and flagged per
+    element rather than propagated.
     """
 
     def entropy(x):  # h2 elementwise on [0, 1/2]; h2 itself stays on math for the swap rate
@@ -261,21 +265,22 @@ def _decoy_bounds(d: DecoyInputs, mu) -> _DecoyBounds:
 
     eta, nu, y0, e0 = d.eta_bob, d.nu, d.y0, E0_BACKGROUND
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q_mu = y0 - np.expm1(-eta * mu)
-        q_nu = y0 - np.expm1(-eta * nu)
+        s_mu, s_nu = -np.expm1(-eta * mu), -np.expm1(-eta * nu)  # gains above the background
+        q_mu, q_nu = y0 + s_mu, y0 + s_nu
         e_mu = np.where(q_mu > 0.0, e0 * y0 / q_mu, 0.0)
         e_nu = np.where(q_nu > 0.0, e0 * y0 / q_nu, 0.0)
 
-        y1 = (mu / (mu * nu - nu**2)) * (
-            q_nu * np.exp(nu)
-            - q_mu * np.exp(mu) * (nu**2 / (mu * mu))
-            - ((mu * mu - nu**2) / (mu * mu)) * y0
+        r, x_nu = nu / mu, np.expm1(nu) / nu
+        y1 = mu / (mu - nu) * (
+            y0 * (x_nu - r * np.expm1(mu) / mu)
+            + s_nu / nu * np.exp(nu)
+            - r * s_mu / mu * np.exp(mu)
         )
         y1_clamped = y1 < 0.0
         y1 = np.maximum(0.0, y1)
         q1 = y1 * mu * np.exp(-mu)
 
-        e1 = np.where(y1 > 0.0, (e_nu * q_nu * np.exp(nu) - e0 * y0) / (y1 * nu), 0.5)
+        e1 = np.where(y1 > 0.0, e0 * y0 * x_nu / y1, 0.5)
         e1_clamped = ~((0.0 <= e1) & (e1 <= 0.5))
         e1 = np.minimum(0.5, np.maximum(0.0, e1))
 

@@ -155,6 +155,23 @@ def test_evaluate_zero_rate_leaves_log_empty(tmp_path):
     assert rows[0]["log10_r_sec"] == ""
 
 
+@pytest.mark.parametrize("args, stem, column", [
+    (["evaluate", "--chi", "1e-9", "--eta0", "0.1", "--alpha-d", "10", "--pdc", "0"],
+     "evaluate", "qber_direct"),
+    (["compare-decoy", "--alpha-d-grid", "10", "--eta0", "0.1", "--pdc", "0", "--chi", "1e-9",
+      "--n-max", "2"], "compare_decoy", "r_es"),
+    (["sweep", "--chi-grid", "1e-9,1e-3", "--eta0-grid", "0.1", "--alpha-d-grid", "10",
+      "--pdc", "0"], "sweep", "qber_direct"),
+], ids=["evaluate", "compare-decoy", "sweep"])
+def test_noiseless_single_pair_rounding_is_no_error(args, stem, column, tmp_path):
+    """Without dark counts the one-pair-per-source wrong count is exactly 0
+    in the model, and its rounding of either sign must not turn into a
+    negative QBER that exits 2 as a configuration error."""
+    assert main(args + ["--output-dir", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / f"{stem}.csv")
+    assert rows and all(float(row[column]) >= 0.0 and not row.get("error") for row in rows)
+
+
 def test_evaluate_requires_parameters(tmp_path, capsys):
     code = main(["evaluate", "--chi", "0.05", "--output-dir", str(tmp_path)])
     assert code == 2

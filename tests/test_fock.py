@@ -23,8 +23,6 @@ from swapkd.fock import (
     TruncationPolicy,
     annihilation_matrix,
     detector_pair_povms,
-    difference_blocks,
-    difference_gather,
     realign,
     rotated_pair_povm,
     rotation_eigensystem,
@@ -239,15 +237,6 @@ def test_rotation_eigensystem_matches_kron_generator(n_max):
         assert g.dtype == x.dtype and np.array_equal(g, x)
 
 
-def from_difference_blocks(blocks: np.ndarray, n_max: int) -> np.ndarray:
-    """The realigned operators whose difference_blocks are blocks: every entry
-    outside the blocks is zero."""
-    d4 = (n_max + 1) ** 4
-    flat = np.zeros(blocks.shape[:-3] + (d4 + 1,), blocks.dtype)
-    flat[..., difference_gather(n_max)] = blocks  # the padding entries land on flat[..., d4]
-    return flat[..., :d4].reshape(blocks.shape[:-3] + ((n_max + 1) ** 2,) * 2)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     n_max=st.integers(1, 6),
@@ -257,15 +246,16 @@ def from_difference_blocks(blocks: np.ndarray, n_max: int) -> np.ndarray:
     chi=st.floats(1e-3, 0.3),
     theta=st.floats(0.0, math.pi),
 )
-def test_photon_difference_blocks_hold_every_entry(n_max, eta0, alpha_d, p_dc, chi, theta):
-    """Dense -> blocks -> dense gives back the graded and chi-state pair
-    factors and a rotation's realigned detector stack exactly: no entry lies
-    outside the photon-difference blocks."""
+def test_realigned_operators_conserve_pair_photon_number(n_max, eta0, alpha_d, p_dc, chi, theta):
+    """The graded and chi-state pair factors and a rotation's realigned
+    detector stack are exactly 0 at every R[(i,I), (j,J)] with i+j != I+J,
+    the entries the photon-number sector contraction never reads."""
     policy = TruncationPolicy(n_max=n_max)
     graded = graded_swap_state(eta0, alpha_d, p_dc, policy)
     state = swap_conditional_state(chi, eta0, alpha_d, p_dc, policy)
     povms = realign(detector_pair_povms(n_max, theta, bsm_detector(eta0, alpha_d, p_dc)))
+    i, big_i, j, big_j = np.indices((n_max + 1,) * 4)
+    off_sector = (i + j != big_i + big_j).reshape((n_max + 1) ** 2, (n_max + 1) ** 2)
     for op in (graded.th, graded.tv, state.th, state.tv, povms):
-        blocks = difference_blocks(op, difference_gather(n_max))
-        assert blocks.shape == op.shape[:-2] + (2 * n_max + 1, n_max + 1, n_max + 1)
-        assert np.array_equal(from_difference_blocks(blocks, n_max), op)
+        assert op.shape[-2:] == off_sector.shape
+        assert not op[..., off_sector].any()

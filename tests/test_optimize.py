@@ -534,12 +534,12 @@ def _fresh_python(code):
 
 
 def test_importing_the_cli_builds_no_rotation_blocks():
-    """The rotation matrices and the photon-difference gathers are built on
-    first use, so start-up pays nothing for them."""
+    """The rotation matrices and the photon-number sector gathers are built
+    on first use, so start-up pays nothing for them."""
     code = ("import swapkd.cli, swapkd.fock as f, swapkd.metrics as m; "
-            "caches = (f.rotation_matrix, f.difference_gather, m._sector_gathers); "
+            "caches = (f.rotation_matrix, m._sector_gathers); "
             "print(*(n for c in caches for n in (c.cache_info().misses, c.cache_info().currsize)))")
-    assert _fresh_python(code).split() == ["0"] * 6
+    assert _fresh_python(code).split() == ["0"] * 4
 
 
 def test_importing_the_cli_loads_no_process_pool():

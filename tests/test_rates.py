@@ -4,6 +4,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import swapkd.rates as rates_module
 from swapkd.rates import (
@@ -183,6 +185,34 @@ def test_decoy_gains_keep_full_precision_at_long_distance(alpha_d, p_dc):
     for q, k in [*zip(bounds.q_mu, mu), (bounds.q_nu, d.nu)]:
         want = _decimal_gain(d.eta_bob, d.y0, float(k))
         assert abs(Decimal(float(q)) - want) <= 4 * Decimal(math.ulp(float(want))), (alpha_d, p_dc, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nu_decades=st.floats(0.0, 250.0),
+    mu_fraction=st.floats(0.0, 1.0, exclude_min=True),
+    eta0=st.floats(0.05, 1.0),
+    alpha_d=st.floats(0.0, 60.0),
+    p_dc=st.floats(0.0, 1e-4),
+)
+def test_decoy_bounds_bound_the_true_single_photon_values(nu_decades, mu_fraction, eta0, alpha_d,
+                                                          p_dc):
+    """Under the chain's own gains, Q_k = Y0 + 1 - exp(-eta k) with
+    E_k Q_k = e0 Y0, the single-photon yield is Y1 = Y0 + eta and its error
+    rate e1 = e0 Y0 / Y1 (Ma, Qi, Zhao and Lo, PRA 72, 012326 (2005)), so
+    y1_lower never exceeds Y1 and e1_upper never falls below e1.  nu runs
+    from 0.2 down 250 decades, mu over (nu, 1].  The tolerance adds the
+    rounding of the bound's difference quotient, which grows as
+    mu / (mu - nu) when the two intensities meet."""
+    nu = 0.2 * 10.0 ** -nu_decades
+    mu = nu + mu_fraction * (1.0 - nu)
+    assume(mu > nu)
+    rep = decoy_rate_report(decoy_inputs(mu, eta0, alpha_d, p_dc, nu=nu))
+    y1 = rep.inputs.y0 + rep.inputs.eta_bob
+    e1 = rates_module.E0_BACKGROUND * rep.inputs.y0 / y1
+    tol = 1e-9 + 16 * np.finfo(float).eps * mu / (mu - nu)
+    assert rep.y1_lower <= y1 * (1 + tol)
+    assert rep.e1_upper >= e1 * (1 - tol)
 
 
 def test_optimal_mu_is_local_maximum():
