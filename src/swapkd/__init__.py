@@ -7,19 +7,18 @@ __version__ = "0.1.0"
 from .detectors import DEFAULT_CONSTRAINT, DetectorConstraint, ThresholdDetector
 from .errors import (
     ConstraintViolationError,
+    InvalidInputError,
     NoCoincidenceError,
     TruncationError,
     UndefinedVisibilityError,
 )
 from .fock import TruncationPolicy
 from .metrics import (
-    Analysis,
     AnalyzerSetting,
     CoincidenceTable,
     QberReport,
     X_BASIS,
     Z_BASIS,
-    analyze,
     fourfold_coincidence,
     qber,
     qber_polynomial,
@@ -60,7 +59,6 @@ from .swap import (
 
 __all__ = [
     "__version__",
-    "Analysis",
     "AnalyzerSetting",
     "CoincidenceTable",
     "ConstraintViolationError",
@@ -68,6 +66,7 @@ __all__ = [
     "DecoyRateReport",
     "DEFAULT_CONSTRAINT",
     "DetectorConstraint",
+    "InvalidInputError",
     "KeyRateReport",
     "NoCoincidenceError",
     "OptimumPoint",
@@ -81,7 +80,6 @@ __all__ = [
     "UndefinedVisibilityError",
     "X_BASIS",
     "Z_BASIS",
-    "analyze",
     "bsm_detector",
     "decoy_inputs",
     "decoy_rate_report",

@@ -5,7 +5,9 @@ Every run writes one or more CSV files plus a JSON manifest that echoes the
 fully resolved configuration; re-running a command with --config pointed at
 the manifest reproduces the CSVs byte for byte.  Values in CSVs use
 scientific notation with 12 significant digits.  Exit codes: 0 success, 2
-invalid configuration, 3 numerical failure; any other exception propagates.
+invalid input (a rejected value, an unreadable or undecodable config file,
+or an output that cannot be written), 3 numerical failure; any other
+exception, a ValueError raised while computing included, propagates.
 Commands run serially: a --workers value is recorded for replay, not used.
 """
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .detectors import DEFAULT_CONSTRAINT, DetectorConstraint
-from .errors import NUMERICAL_ERRORS, ConstraintViolationError
+from .errors import NUMERICAL_ERRORS, ConstraintViolationError, InvalidInputError
 from .fock import TruncationPolicy
 from .optimize import (
     CROSSOVER_TOL_DB,
@@ -113,7 +115,7 @@ DECOY_COLUMNS = [
 CROSSOVER_COLUMNS = ["alpha_d_db", "r_es", "r_decoy"]
 
 
-class ConfigError(ValueError):
+class ConfigError(InvalidInputError):
     """Raised for unknown keys, bad values, or contradictory settings."""
 
 
@@ -212,6 +214,14 @@ GridLike = Union[str, Sequence[float], float, int]
 MAX_GRID_POINTS = 100_000
 
 
+def _numbers(text: str, values, kind: type = float) -> List:
+    """values converted by kind; one that does not convert is a bad grid."""
+    try:
+        return [kind(v) for v in values]
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad grid {text!r}: values must be numbers") from None
+
+
 def _finite(text: str, values: List[float]) -> List[float]:
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"bad grid {text!r}: values must be finite")
@@ -229,21 +239,21 @@ def parse_grid(spec: GridLike) -> List[float]:
     if isinstance(spec, (int, float)):
         return _finite(repr(spec), [float(spec)])
     if isinstance(spec, (list, tuple)):
-        values = [float(v) for v in spec]
+        values = _numbers(repr(spec), spec)
     else:
         text = str(spec).strip()
         if ":" in text:
             parts = text.split(":")
             if len(parts) == 3:
-                start, stop, step = _finite(text, [float(p) for p in parts])
+                start, stop, step = _finite(text, _numbers(text, parts))
                 if step <= 0.0 or stop < start:
                     raise ConfigError(f"bad grid {text!r}: need start <= stop, step > 0")
                 if (stop - start) / step >= MAX_GRID_POINTS:
                     raise ConfigError(f"bad grid {text!r}: more than {MAX_GRID_POINTS} points")
                 return _step_grid(start, stop, step)
             if len(parts) == 4:
-                start, stop = _finite(text, [float(parts[0]), float(parts[1])])
-                n = int(parts[2])
+                start, stop = _finite(text, _numbers(text, parts[:2]))
+                n = _numbers(text, parts[2:3], int)[0]
                 kind = parts[3].lower()
                 if not 1 <= n <= MAX_GRID_POINTS:
                     raise ConfigError(f"bad grid {text!r}: need 1 to {MAX_GRID_POINTS} points")
@@ -255,7 +265,7 @@ def parse_grid(spec: GridLike) -> List[float]:
                     return list(np.linspace(start, stop, n))
                 raise ConfigError(f"bad grid {text!r}: spacing must be 'log' or 'lin'")
             raise ConfigError(f"bad grid {text!r}: expected 3 or 4 ':'-separated fields")
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
+        values = _numbers(text, [v for v in text.split(",") if v.strip() != ""])
     if not values:
         raise ConfigError("empty grid")
     return _finite(str(spec), values)
@@ -276,6 +286,32 @@ def _load_config_file(path: str, command: str) -> Dict:
     return loaded
 
 
+_GRID_KEYS = ("chi_grid", "eta0_grid", "alpha_d_grid")
+
+
+def _check_config_value(key: str, value, default) -> None:
+    """Reject a config-file value whose type does not fit its key.
+
+    Keys whose flag parses a float take a number, those parsing an int an
+    integer, constraint a bool and the rest a string; null stands only for
+    a key whose default is None.  Grids are left to parse_grid.  No value is
+    converted, so the manifest records the file's values as given.
+    """
+    if key in _GRID_KEYS or (value is None and default is None):
+        return
+    flag_type = _FLAGS[key][1].get("type")
+    if key == "constraint":
+        kinds, name = (bool,), "true or false"
+    elif flag_type is float:
+        kinds, name = (int, float), "a number"
+    elif flag_type is int:
+        kinds, name = (int,), "an integer"
+    else:
+        kinds, name = (str,), "a string"
+    if not isinstance(value, kinds) or (isinstance(value, bool) and key != "constraint"):
+        raise ConfigError(f"config value {key} = {value!r} must be {name}")
+
+
 def _resolve(args: argparse.Namespace, defaults: Dict) -> Dict:
     """Merge defaults, config file, and explicit flags (flags win)."""
     config = dict(defaults)
@@ -284,6 +320,8 @@ def _resolve(args: argparse.Namespace, defaults: Dict) -> Dict:
         unknown = sorted(set(loaded) - set(defaults))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in loaded.items():
+            _check_config_value(key, value, defaults[key])
         config.update(loaded)
     for key in defaults:
         value = getattr(args, key, None)
@@ -732,7 +770,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args.command, args)
-    except (ConfigError, ConstraintViolationError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (InvalidInputError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2
     # ArithmeticError comes from fock.rotation_eigensystem; any other

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolationError
+from .errors import ConstraintViolationError, InvalidInputError
 
 CONSTRAINT_A = 6.1e-7
 CONSTRAINT_B = 17.0
@@ -27,9 +27,9 @@ class ThresholdDetector:
 
     def __post_init__(self):
         if not (0.0 <= self.eta <= 1.0):
-            raise ValueError(f"eta must be in [0, 1], got {self.eta!r}")
+            raise InvalidInputError(f"eta must be in [0, 1], got {self.eta!r}")
         if not (0.0 <= self.p_dc < 1.0):
-            raise ValueError(f"p_dc must be in [0, 1), got {self.p_dc!r}")
+            raise InvalidInputError(f"p_dc must be in [0, 1), got {self.p_dc!r}")
 
     def no_click_weight(self, n) -> np.ndarray | float:
         n = np.asarray(n)
@@ -56,15 +56,20 @@ class DetectorConstraint:
 
     def __post_init__(self):
         if not (0.0 <= self.a < math.inf and math.isfinite(self.b)):
-            raise ValueError(f"need finite a >= 0 and finite b, got a={self.a!r}, b={self.b!r}")
+            raise InvalidInputError(
+                f"need finite a >= 0 and finite b, got a={self.a!r}, b={self.b!r}"
+            )
 
     def p_dc(self, eta0: float) -> float:
         if not (0.0 <= eta0 <= 1.0):
-            raise ValueError(f"eta0 must be in [0, 1], got {eta0!r}")
+            raise InvalidInputError(f"eta0 must be in [0, 1], got {eta0!r}")
         try:
             value = self.a * math.exp(self.b * eta0)
-        except OverflowError:  # exp(b * eta0) beyond float range
-            value = math.inf if self.a > 0.0 else 0.0
+        except OverflowError:  # exp(b * eta0) beyond float range; a subnormal a may bring it back
+            try:
+                value = math.exp(math.log(self.a) + self.b * eta0) if self.a > 0.0 else 0.0
+            except OverflowError:
+                value = math.inf
         if value >= 1.0:
             raise ConstraintViolationError(
                 f"constraint p_dc = {value:.3e} >= 1 at eta0 = {eta0!r}"

@@ -9,7 +9,11 @@ class TruncationError(RuntimeError):
         self.values = values
 
 
-class ConstraintViolationError(ValueError):
+class InvalidInputError(ValueError):
+    """A value given by the caller is outside what the model accepts."""
+
+
+class ConstraintViolationError(InvalidInputError):
     """A detector parameter constraint produced a non-physical value."""
 
 

@@ -27,6 +27,7 @@ from typing import Tuple
 import numpy as np
 
 from .detectors import ThresholdDetector
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,11 @@ class TruncationPolicy:
 
     def __post_init__(self):
         if int(self.n_max) != self.n_max or self.n_max < 1:
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
+            raise InvalidInputError(f"n_max must be an integer >= 1, got {self.n_max!r}")
         if not (0.0 < self.convergence_tol < 1.0):
-            raise ValueError(f"convergence_tol must be in (0, 1), got {self.convergence_tol!r}")
+            raise InvalidInputError(
+                f"convergence_tol must be in (0, 1), got {self.convergence_tol!r}"
+            )
 
     @property
     def dim(self) -> int:

@@ -19,10 +19,10 @@ found exactly.  All probabilities reported here are absolute (per pump
 pulse): the conditional state carries the herald probability as its
 trace, so no renormalization happens between the swap and the
 coincidences.
-analyze() contracts Bob's operators from one swap result's key-basis
-stacks once, as an Analysis: qber() reads the two key-basis tables off
-it, and visibility() scans both fringes from the rows of Alice's h
-outcome.  The reports hold numbers only.
+qber() and visibility() read one swap result through its own key-basis
+stacks: qber() contracts the two key-basis tables, and visibility() scans
+both fringes from Bob's operator for Alice's h outcome.  The reports hold
+numbers only.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ __all__ = [
     "CoincidenceTable",
     "VisibilityScan",
     "QberReport",
-    "Analysis",
-    "analyze",
     "fourfold_coincidence",
     "visibility",
     "visibility_scan",
@@ -132,18 +130,15 @@ def _bob_operators(result, ra: np.ndarray) -> np.ndarray:
     return (np.swapaxes(result.th, 1, 2)[:, None] @ ra[None] @ result.tv[:, None]).sum(axis=0)
 
 
-def _probabilities(m: np.ndarray, rb: np.ndarray) -> np.ndarray:
-    """P[a, b] = tr(M_a E_B^b) for Bob's operators m and his realigned stack rb.
+def _joint_probabilities(result, ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """P[a, b] = tr[rho (E_A^a (x) E_B^b)] for realigned POVM stacks ra and rb.
 
-    tr(M_a E_B^b) is the elementwise product of Bob's realigned operator and
+    tr[rho (E_A^a (x) E_B^b)] = tr(M_a E_B^b) with Bob's operators M_a
+    (_bob_operators), the elementwise product of his realigned operator and
     realigned POVM element, so all (a, b) pairs are one matrix product.
     """
+    m = _bob_operators(result, ra)
     return np.real(m.reshape(len(m), -1) @ rb.reshape(len(rb), -1).T)
-
-
-def _joint_probabilities(result, ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
-    """P[a, b] = tr[rho (E_A^a (x) E_B^b)] for realigned POVM stacks ra and rb."""
-    return _probabilities(_bob_operators(result, ra), rb)
 
 
 def _table(p: np.ndarray) -> CoincidenceTable:
@@ -305,34 +300,14 @@ class QberReport:
         return 0.25 * (self.p_total_z + self.p_total_x)
 
 
-@dataclass(frozen=True)
-class Analysis:
-    """One swap result seen through its key-basis analyzers.
-
-    bob[b] holds Bob's operators for Alice's four outcomes in basis b (Z,
-    then X), from the result's stack of that basis, which Alice and Bob
-    share (_bob_operators).  Both key-basis tables and both fringes are read
-    off these arrays; nothing is rebuilt.
-    """
-
-    result: SwapResult
-    bob: Tuple[np.ndarray, np.ndarray]
-
-
-def analyze(result: SwapResult) -> Analysis:
-    """Contract Bob's operators from the result's key-basis stacks, once."""
-    return Analysis(result, tuple(_bob_operators(result, p) for p in result.povms))
-
-
-def qber(analysis: Analysis) -> QberReport:
+def qber(result: SwapResult) -> QberReport:
     """Error fraction of the sifted key, averaged over the Z and X bases.
 
     The corrected swap output is anticorrelated in every basis, so the wrong
-    bits are the correlated (HH and VV) coincidences.  Both tables are read
-    off the result's stacks and Bob's operators.
+    bits are the correlated (HH and VV) coincidences.  Each basis's table is
+    read through the result's stack of that basis, which Alice and Bob share.
     """
-    povms = analysis.result.povms
-    table_z, table_x = (_table(_probabilities(m, r)) for m, r in zip(analysis.bob, povms))
+    table_z, table_x = (_table(_joint_probabilities(result, p, p)) for p in result.povms)
     total = table_z.p_coincidence + table_x.p_coincidence
     if total <= 0.0:
         raise NoCoincidenceError("no coincidences in either basis; QBER undefined")
@@ -348,18 +323,21 @@ def qber(analysis: Analysis) -> QberReport:
     )
 
 
-def visibility(analysis: Analysis) -> float:
+def visibility(result: SwapResult) -> float:
     """Fringe visibility averaged over the Z and X key bases.
 
     Each basis scans Bob's angle with Alice's analyzer at that basis's angle,
-    from Bob's operator for her h outcome (row 0 of the analysis's
-    operators); both scans share one set of eigenbasis weights.  The mean
-    pairs with the pooled error fraction of qber() through QBER = (1 - V)/2,
-    even when the bases disagree slightly.
+    from Bob's operator for her h outcome (the first of the result's stack
+    for that basis); both scans share one set of eigenbasis weights.  The
+    mean pairs with the pooled error fraction of qber() through
+    QBER = (1 - V)/2, even when the bases disagree slightly.
     """
-    n_max = analysis.result.n_max
-    c = _analyzer_weights(n_max, analysis.result.det)
-    vis_z, vis_x = (_extrema(_fringe(m[0], c, n_max)).visibility for m in analysis.bob)
+    n_max = result.n_max
+    c = _analyzer_weights(n_max, result.det)
+    vis_z, vis_x = (
+        _extrema(_fringe(_bob_operators(result, p[:1])[0], c, n_max)).visibility
+        for p in result.povms
+    )
     return 0.5 * (vis_z + vis_x)
 
 

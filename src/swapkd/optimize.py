@@ -4,11 +4,10 @@ A Scenario bundles one operating point of the swapping link.  evaluate() runs
 the full sources -> swap -> metrics -> rates pipeline at increasing Fock
 cutoffs until two consecutive cutoffs agree, so every reported number carries
 a convergence verdict.  It builds each cutoff it reaches once: the swap with
-its key-basis stacks (swap.link_povms) and Bob's operators (metrics.analyze).
+its key-basis stacks (swap.link_povms), which metrics.qber reads directly.
 The base cutoff is never built: it is the next one's swap result compressed
-(SwapResult.compressed), with its Bob operators contracted again.  The
-visibility fringes are scanned once, at the accepted cutoff, from the same
-operators.
+(SwapResult.compressed).  The visibility fringes are scanned once, at the
+accepted cutoff, from the same swap result.
 Brightness searches run on the rate curve of one chi-free build (the QBER
 polynomial), not on the pipeline, with rates.grid_max: a coarse grid,
 golden-section refinement and an explicit unimodality guard.  Searches that
@@ -25,9 +24,15 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .detectors import DEFAULT_CONSTRAINT, DetectorConstraint
-from .errors import NUMERICAL_ERRORS, ConstraintViolationError, NoCoincidenceError, TruncationError
+from .errors import (
+    NUMERICAL_ERRORS,
+    ConstraintViolationError,
+    InvalidInputError,
+    NoCoincidenceError,
+    TruncationError,
+)
 from .fock import TruncationPolicy
-from .metrics import Analysis, QberReport, analyze, qber, qber_polynomial, visibility
+from .metrics import QberReport, qber, qber_polynomial, visibility
 from .rates import (
     KAPPA_DEFAULT,
     KeyRateReport,
@@ -40,7 +45,7 @@ from .rates import (
     sifted_rate,
 )
 from .sources import CHI_CAP
-from .swap import graded_swap_state, swap_conditional_state
+from .swap import SwapResult, graded_swap_state, swap_conditional_state
 
 __all__ = [
     "Scenario",
@@ -93,15 +98,15 @@ class Scenario:
 
     def __post_init__(self):
         if (self.p_dc is None) == (self.constraint is None):
-            raise ValueError("exactly one of p_dc and constraint must be set")
+            raise InvalidInputError("exactly one of p_dc and constraint must be set")
         if not (math.isfinite(self.alpha_d_db) and self.alpha_d_db >= 0.0):
-            raise ValueError(f"alpha_d_db {self.alpha_d_db!r} not finite and non-negative")
+            raise InvalidInputError(f"alpha_d_db {self.alpha_d_db!r} not finite and non-negative")
         if not 0.0 <= self.chi <= CHI_CAP:
-            raise ValueError(f"chi {self.chi!r} outside [0, {CHI_CAP}]")
+            raise InvalidInputError(f"chi {self.chi!r} outside [0, {CHI_CAP}]")
         if not 0.0 <= self.eta0 <= 1.0:
-            raise ValueError(f"eta0 {self.eta0!r} outside [0, 1]")
+            raise InvalidInputError(f"eta0 {self.eta0!r} outside [0, 1]")
         if self.p_dc is not None and not 0.0 <= self.p_dc < 1.0:
-            raise ValueError(f"p_dc {self.p_dc!r} outside [0, 1)")
+            raise InvalidInputError(f"p_dc {self.p_dc!r} outside [0, 1)")
         _check_kappa(self.kappa)
 
     @property
@@ -111,22 +116,21 @@ class Scenario:
         return self.p_dc
 
 
-def _pipeline_once(s: Scenario, n_max: int) -> Analysis:
-    """The swap at cutoff n_max, analyzed by its own key-basis stacks: one build."""
+def _pipeline_once(s: Scenario, n_max: int) -> SwapResult:
+    """The swap at cutoff n_max with its own key-basis stacks: one build."""
     policy = TruncationPolicy(n_max=n_max, convergence_tol=s.policy.convergence_tol)
-    result = swap_conditional_state(
+    return swap_conditional_state(
         chi=s.chi, eta0=s.eta0, alpha_d_db=s.alpha_d_db, p_dc=s.resolved_p_dc, policy=policy
     )
-    return analyze(result)
 
 
-def _observables(stage: Analysis) -> Tuple[QberReport, Tuple[float, ...]]:
+def _observables(stage: SwapResult) -> Tuple[QberReport, Tuple[float, ...]]:
     """The stage's QBER report and the values whose agreement means convergence."""
     report = qber(stage)
     return report, (
         report.qber,
         report.sifted_coincidence_probability,
-        stage.result.herald_probability,
+        stage.herald_probability,
     )
 
 
@@ -134,7 +138,7 @@ def _close(a: float, b: float, rel: float, floor: float = 1e-12) -> bool:
     return abs(a - b) <= rel * max(abs(a), abs(b)) + floor
 
 
-def _assemble(s: Scenario, stage: Analysis, report: QberReport) -> KeyRateReport:
+def _assemble(s: Scenario, stage: SwapResult, report: QberReport) -> KeyRateReport:
     r_sift = sifted_rate(s.chi, s.eta0, s.alpha_d_db)
     qber_for_rate = min(report.qber, 0.5)
     r_raw, r_sec = secret_rate(r_sift, qber_for_rate, s.kappa)
@@ -153,9 +157,9 @@ def _assemble(s: Scenario, stage: Analysis, report: QberReport) -> KeyRateReport
         r_sift=r_sift,
         r_sec_raw=r_raw,
         r_sec=r_sec,
-        herald_probability=stage.result.herald_probability,
+        herald_probability=stage.herald_probability,
         coincidence_probability=report.sifted_coincidence_probability,
-        n_max_used=stage.result.n_max,
+        n_max_used=stage.n_max,
         converged=True,
         diagnostics={
             "p_total_z": report.p_total_z,
@@ -185,12 +189,12 @@ def evaluate(s: Scenario) -> KeyRateReport:
     tol = s.policy.convergence_tol
     n = s.policy.n_max
     stage = _pipeline_once(s, n + 1)
-    prev_obs = _observables(analyze(stage.result.compressed(n)))[1]
+    prev_obs = _observables(stage.compressed(n))[1]
     while True:
         report, cur_obs = _observables(stage)
         if all(_close(a, b, tol) for a, b in zip(prev_obs, cur_obs)):
             return _assemble(s, stage, report)
-        n_hi = stage.result.n_max
+        n_hi = stage.n_max
         if n_hi == n + _ESCALATION_STEPS:
             raise TruncationError(
                 f"pipeline did not converge between n_max={n_hi - 1} and n_max={n_hi}",

@@ -15,6 +15,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 __all__ = [
     "KAPPA_DEFAULT",
     "NU_DEFAULT",
@@ -133,7 +135,7 @@ def h2(x: float) -> float:
 def _check_kappa(kappa: float) -> None:
     """Reject an error-correction inefficiency that is not a finite number >= 1."""
     if not (math.isfinite(kappa) and kappa >= 1.0):
-        raise ValueError(f"kappa {kappa!r} must be finite and >= 1")
+        raise InvalidInputError(f"kappa {kappa!r} must be finite and >= 1")
 
 
 def sifted_rate(chi: float, eta0: float, alpha_d_db: float) -> float:
@@ -181,11 +183,13 @@ class DecoyInputs:
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and 0.0 < self.nu < self.mu):
-            raise ValueError(f"need finite mu and 0 < nu < mu, got nu={self.nu!r}, mu={self.mu!r}")
+            raise InvalidInputError(
+                f"need finite mu and 0 < nu < mu, got nu={self.nu!r}, mu={self.mu!r}"
+            )
         if not 0.0 <= self.eta_bob <= 1.0:
-            raise ValueError(f"eta_bob {self.eta_bob!r} outside [0, 1]")
+            raise InvalidInputError(f"eta_bob {self.eta_bob!r} outside [0, 1]")
         if not 0.0 <= self.y0 <= 1.0:
-            raise ValueError(f"y0 {self.y0!r} outside [0, 1]")
+            raise InvalidInputError(f"y0 {self.y0!r} outside [0, 1]")
         _check_kappa(self.kappa)
 
 
@@ -305,7 +309,7 @@ def _mu_grid(nu: float) -> np.ndarray:
     grid = 0.05 + 0.005 * np.arange(n_steps + 1)
     usable = grid[grid > nu + 1e-12]
     if usable.size == 0:
-        raise ValueError(f"nu {nu!r} leaves no signal intensity in (nu, 1.0] to search")
+        raise InvalidInputError(f"nu {nu!r} leaves no signal intensity in (nu, 1.0] to search")
     return usable
 
 
@@ -320,7 +324,7 @@ def optimal_mu(
 
     grid_max on a grid in steps of 0.005, evaluated in one _decoy_bounds
     call, refined to MU_REFINE_TOL.  Grid values at or below nu are skipped
-    (the bound chain needs nu < mu); a nu that leaves none raises ValueError.
+    (the bound chain needs nu < mu); a nu that leaves none raises InvalidInputError.
     """
     usable = _mu_grid(nu)
     # Validated at the top grid intensity; _decoy_bounds replaces its mu.

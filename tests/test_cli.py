@@ -77,6 +77,14 @@ def test_parse_grid_rejects_bad_specs():
         parse_grid("-1:2:3:log")
 
 
+def test_parse_grid_rejects_values_that_are_not_numbers():
+    """A grid value that does not convert is invalid input (exit 2), not a
+    ValueError from inside the run."""
+    for bad in ("a,b", "0:x:1", "1:2:x:log", "1:2:2.5:lin", ["a"], [None]):
+        with pytest.raises(ConfigError, match="values must be numbers"):
+            parse_grid(bad)
+
+
 SWEEP_POINT = ["sweep", "--chi-grid", "0.05", "--eta0-grid", "0.3", "--pdc", "1e-5"]
 DECOY_POINT = ["compare-decoy", "--alpha-d-grid", "10", "--eta0", "0.2", "--pdc", "1.8e-5"]
 
@@ -282,6 +290,38 @@ def test_dark_count_exponent_beyond_float_range_is_a_constraint_violation(tmp_pa
     assert "p_dc = inf" in rows[1]["error"]
     manifest = json.loads((out / "sweep_manifest.json").read_text())
     assert manifest["results"] == {"failed_points": 2, "points": 2}
+
+
+def test_value_error_while_computing_propagates(tmp_path, monkeypatch):
+    """Exit 2 is for invalid input only: a ValueError raised while computing
+    a valid point keeps its traceback."""
+
+    def broken(r_sift, qber, kappa):
+        raise ValueError(f"qber {qber!r} outside [0, 0.5]")
+
+    monkeypatch.setattr(optimize_module, "secret_rate", broken)
+    with pytest.raises(ValueError, match="outside"):
+        main(EVALUATE_AT_10_DB + FAST + ["--output-dir", str(tmp_path)])
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("n_max", 2.5, "an integer"), ("kappa", [1.22], "a number"),
+     ("constraint", "yes", "true or false"), ("output_prefix", 3, "a string")],
+    ids=["fractional-n_max", "list-kappa", "string-constraint", "number-prefix"],
+)
+def test_config_value_of_the_wrong_type_is_a_configuration_error(
+    tmp_path, capsys, key, value, message
+):
+    """A config-file value whose type does not fit its key exits 2; none is
+    converted, so 2.5 never runs as cutoff 2."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chi": 0.1, "eta0": 0.3, "alpha_d": 10.0, "p_dc": 1e-5, key: value}))
+    assert main(["evaluate", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ConfigError" and key in err["message"] and message in err["message"]
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_programming_errors_propagate(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -57,6 +58,16 @@ def test_constraint_beyond_float_range():
     with pytest.raises(ConstraintViolationError, match="p_dc = inf >= 1 at eta0 = 0.3"):
         DetectorConstraint(a=6.1e-7, b=1e4).p_dc(0.3)
     assert DetectorConstraint(a=0.0, b=1e4).p_dc(0.5) == 0.0
+
+
+def test_subnormal_prefactor_beyond_float_range():
+    """A subnormal a can bring an overflowing exp(b * eta0) back into range:
+    p_dc is a exp(b eta0) = exp(log(a) + b eta0), not inf.  A normal a whose
+    product overflows too stays a violation."""
+    exact = Decimal(1e-320) * Decimal(710).exp()  # the float a, exactly
+    assert DetectorConstraint(a=1e-320, b=710.0).p_dc(1.0) == pytest.approx(float(exact), rel=1e-12)
+    with pytest.raises(ConstraintViolationError, match="p_dc = inf >= 1"):
+        DetectorConstraint(a=1e-7, b=1e4).p_dc(1.0)
 
 
 def test_pattern_weight_completeness():

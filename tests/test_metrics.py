@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -29,16 +30,18 @@ from swapkd.metrics import (
     AnalyzerSetting,
     VisibilityScan,
     _bob_angle_curve,
+    _joint_probabilities,
     _sector_table,
     _setting_povms,
-    analyze,
     fourfold_coincidence,
     qber,
     qber_polynomial,
     visibility,
     visibility_scan,
 )
+from swapkd.sources import pair_amplitudes
 from swapkd.swap import (
+    SwapResult,
     bsm_detector,
     graded_swap_state,
     swap_conditional_state,
@@ -76,8 +79,8 @@ def test_singlet_coincidence_table(ideal_detector):
 
 
 def test_singlet_qber_and_visibility(ideal_detector):
-    rep = qber(analyze(with_detector(singlet_state(n_max=2), ideal_detector)))
-    vis = visibility(analyze(with_detector(singlet_state(n_max=2), ideal_detector)))
+    rep = qber(with_detector(singlet_state(n_max=2), ideal_detector))
+    vis = visibility(with_detector(singlet_state(n_max=2), ideal_detector))
     assert rep.qber == pytest.approx(0.0, abs=1e-12)
     assert vis == pytest.approx(1.0, abs=1e-9)
     assert 0.5 * (1.0 - vis) == pytest.approx(0.0, abs=1e-9)
@@ -86,8 +89,8 @@ def test_singlet_qber_and_visibility(ideal_detector):
 
 def test_werner_state_qber_visibility(ideal_detector):
     """F = 0.925 gives lambda = 0.9, so V = 0.9 and QBER = 0.05."""
-    rep = qber(analyze(with_detector(werner_state(0.925), ideal_detector)))
-    vis = visibility(analyze(with_detector(werner_state(0.925), ideal_detector)))
+    rep = qber(with_detector(werner_state(0.925), ideal_detector))
+    vis = visibility(with_detector(werner_state(0.925), ideal_detector))
     assert rep.qber == pytest.approx(0.05, abs=1e-12)
     assert vis == pytest.approx(0.9, abs=1e-9)
     assert 0.5 * (1.0 - vis) == pytest.approx(0.05, abs=1e-9)
@@ -119,15 +122,15 @@ def test_analyzer_povm_completeness(n_max):
 
 def test_dark_counts_only_give_random_outcomes():
     det = ThresholdDetector(eta=0.5, p_dc=1e-3)
-    rep = qber(analyze(with_detector(vacuum_conditional(), det)))
+    rep = qber(with_detector(vacuum_conditional(), det))
     assert rep.qber == pytest.approx(0.5, abs=1e-12)
-    assert abs(visibility(analyze(with_detector(vacuum_conditional(), det)))) < 1e-6
+    assert abs(visibility(with_detector(vacuum_conditional(), det))) < 1e-6
 
 
 def test_no_coincidence_raises():
     det = ThresholdDetector(eta=0.5, p_dc=0.0)
     with pytest.raises(NoCoincidenceError):
-        qber(analyze(with_detector(vacuum_conditional(), det)))
+        qber(with_detector(vacuum_conditional(), det))
 
 
 def test_undefined_visibility_raises():
@@ -142,8 +145,9 @@ def test_visibility_scan_extrema_for_singlet(ideal_detector):
     # parallel analyzers never coincide, crossed analyzers always do
     assert scan.theta_max == pytest.approx(math.pi / 2.0, abs=1e-5)
     assert min(scan.theta_min % math.pi, math.pi - scan.theta_min % math.pi) < 1e-5
-    analysis = analyze(with_detector(singlet_state(n_max=2), ideal_detector))
-    assert visibility(analysis) == pytest.approx(1.0, abs=1e-9)
+    assert visibility(with_detector(singlet_state(n_max=2), ideal_detector)) == pytest.approx(
+        1.0, abs=1e-9
+    )
 
 
 def test_visibility_scan_matches_direct_contraction(ideal_detector):
@@ -169,7 +173,7 @@ def test_swap_state_rotational_covariance():
     policy = TruncationPolicy(n_max=3)
     res = swap_conditional_state(0.05, 0.8, 0.0, 0.0, policy)
     det = bsm_detector(0.8, 0.0, 0.0)
-    base = qber(analyze(with_detector(res, det))).qber
+    base = qber(with_detector(res, det)).qber
     for delta in (0.17, 0.61, 1.03):
         tz = fourfold_coincidence(res, AnalyzerSetting(delta, delta), det)
         tx = fourfold_coincidence(res, AnalyzerSetting(math.pi / 4 + delta, math.pi / 4 + delta), det)
@@ -179,7 +183,7 @@ def test_swap_state_rotational_covariance():
 
 def test_qber_pools_both_bases(ideal_detector):
     cond = werner_state(0.9)
-    rep = qber(analyze(with_detector(cond, ideal_detector)))
+    rep = qber(with_detector(cond, ideal_detector))
     wrong = rep.table_z.p_wrong + rep.table_x.p_wrong
     total = rep.table_z.p_coincidence + rep.table_x.p_coincidence
     assert rep.qber == pytest.approx(wrong / total, abs=1e-15)
@@ -205,6 +209,50 @@ def test_joint_probability_weight_is_herald(ideal_detector):
     cond = singlet_state(n_max=2, herald=0.01)
     table = fourfold_coincidence(cond, Z_BASIS, ideal_detector)
     assert table.p_hv == pytest.approx(0.005, abs=1e-12)
+
+
+def one_source(chi: float, n_max: int) -> SwapResult:
+    """One PDC source as a one-factor result: a two-mode squeezed vacuum per
+    polarization, th = tv with th[(i,I),(k,K)] = |c_i c_I| where k = i and
+    K = I (the phases of c_n cancel in every photon-number-conserving
+    measurement)."""
+    c = np.abs(pair_amplitudes(chi, n_max))
+    th = np.diag(np.outer(c, c).reshape(-1))[None]
+    return SwapResult(th, th, n_max, float(np.sum(c**2) ** 2))
+
+
+def pdc_coincidence(chi: float, eta: float, p_dc: float) -> float:
+    """Probability that both sides of one PDC source click, in closed form
+    (Ma, Fung and Lo, PRA 76, 012307 (2007)):
+    1 - 2(1-Y0)/(1+eta lam)^2 + (1-Y0)^2/(1+2 eta lam-eta^2 lam)^2 with
+    lam = sinh^2 chi and 1-Y0 = (1-p_dc)^2.  Evaluated at 60 digits: in float
+    the cancellation loses about log10(1/(eta^2 lam)) of them."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, eta = Decimal(chi), Decimal(eta)
+        lam = ((x.exp() - (-x).exp()) / 2) ** 2
+        q = (1 - Decimal(p_dc)) ** 2
+        p = 1 - 2 * q / (1 + eta * lam) ** 2 + q**2 / (1 + 2 * eta * lam - eta**2 * lam) ** 2
+        return float(p)
+
+
+@pytest.mark.parametrize("n_max", [2, 4, 6, 8])
+def test_one_source_coincidence_matches_closed_form(n_max):
+    """Coincidences of one PDC source, summed over both sides' h, v and both
+    outcomes at any analyzer angles, equal the closed form up to the
+    truncation: the probability 2 t^(n_max+1), t = tanh^2 chi, that either
+    pair exceeds the cutoff, plus 1e-13 relative for rounding."""
+    for chi in (1e-4, 1e-3, 0.01, 0.1, 0.2, 0.3):
+        state = one_source(chi, n_max)
+        for eta, p_dc in ((0.01, 0.0), (0.1, 0.0), (0.5, 1e-6), (1.0, 1e-3)):
+            det = ThresholdDetector(eta, p_dc)
+            result = with_detector(state, det)
+            want = pdc_coincidence(chi, eta, p_dc)
+            bound = 2.0 * math.tanh(chi) ** (2 * (n_max + 1)) + 1e-13 * want
+            for setting in (Z_BASIS, AnalyzerSetting(0.7, 0.2)):
+                p = _joint_probabilities(result, *_setting_povms(result, det, setting))
+                got = p[:3, :3].sum()  # h, v or both on each side
+                assert abs(got - want) <= bound, (chi, eta, p_dc, setting)
 
 
 def swap_case(n_max: int, chi: float, p_dc: float):
@@ -422,14 +470,14 @@ def test_sector_table_matches_mask_reference(n_max):
     analyzer=st.one_of(st.none(), st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 1e-2))),
 )
 def test_key_basis_tables_match_dense_contraction(n_max, eta0, alpha_d, p_dc, chi, analyzer):
-    """qber(analyze(...))'s Z and X tables equal the dense contraction of the
+    """qber(...)'s Z and X tables equal the dense contraction of the
     swap state (dense_reference.dense_probabilities), for the BSM's own
     detector (analyzer None) or another one.  Each entry agrees to 1e-12
     relative; entries that vanish in exact arithmetic are rounding noise, so
     the floor is 1e-14 of the table's largest entry."""
     res = swap_conditional_state(chi, eta0, alpha_d, p_dc, TruncationPolicy(n_max=n_max))
     det = bsm_detector(eta0, alpha_d, p_dc) if analyzer is None else ThresholdDetector(*analyzer)
-    report = qber(analyze(with_detector(res, det)))
+    report = qber(with_detector(res, det))
     cond = dense_state(res)
     for table, basis in ((report.table_z, Z_BASIS), (report.table_x, X_BASIS)):
         probs = dense_probabilities(cond, det, basis.theta_alice, basis.theta_bob)
@@ -449,10 +497,10 @@ def test_key_basis_tables_match_dense_contraction(n_max, eta0, alpha_d, p_dc, ch
 @pytest.mark.parametrize("chi", [0.01, 0.1, 0.3])
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
 def test_key_basis_tables_equal_fourfold_coincidence(n_max, chi):
-    """qber(analyze(...))'s Z and X tables are fourfold_coincidence's for the
+    """qber(...)'s Z and X tables are fourfold_coincidence's for the
     BSM's own detector, exactly: both run the same stack builder and
     contraction."""
     res = swap_conditional_state(chi, 0.3, 10.0, 1e-4, TruncationPolicy(n_max=n_max))
-    report = qber(analyze(res))
+    report = qber(res)
     assert report.table_z == fourfold_coincidence(res, Z_BASIS, res.det)
     assert report.table_x == fourfold_coincidence(res, X_BASIS, res.det)

@@ -117,7 +117,7 @@ def test_base_cutoff_is_a_compression_of_the_next(n_max, chi, dark):
     """The observables evaluate() reads off the n_max+1 build, compressed to
     n_max, are those of a build at n_max."""
     s = Scenario(alpha_d_db=10.0, chi=chi, eta0=0.3, **dark)
-    compressed = metrics_module.analyze(_pipeline_once(s, n_max + 1).result.compressed(n_max))
+    compressed = _pipeline_once(s, n_max + 1).compressed(n_max)
     sliced, built = (_observables(stage)[1] for stage in (compressed, _pipeline_once(s, n_max)))
     assert sliced == pytest.approx(built, rel=1e-12, abs=0.0)
 
@@ -151,7 +151,7 @@ def test_evaluate_builds_each_cutoff_once(monkeypatch, chi, dark):
     assert [result.n_max for _, result in runs] == list(range(s.policy.n_max + 1, rep.n_max_used + 1))
     assert counts == {"detector_pair_povms": 2 * built, "rotation_basis_weights": 1}
     accepted = runs[-1][1]
-    assert rep.visibility == metrics_module.visibility(metrics_module.analyze(accepted))
+    assert rep.visibility == metrics_module.visibility(accepted)
 
 
 def test_es_optimal_rate_builds_two_detector_stacks(monkeypatch):

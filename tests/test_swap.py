@@ -20,7 +20,7 @@ from dense_reference import (
 )
 from swapkd.detectors import ThresholdDetector
 from swapkd.fock import TruncationPolicy, detector_pair_povms
-from swapkd.metrics import analyze
+from swapkd.metrics import _bob_operators
 from swapkd.swap import bsm_detector, graded_swap_state, swap_conditional_state
 
 
@@ -189,5 +189,5 @@ def test_engine_operators_are_real(n_max):
     policy = TruncationPolicy(n_max=n_max)
     for res in (swap_conditional_state(0.1, 0.3, 10.0, 1e-4, policy),
                 graded_swap_state(0.3, 10.0, 1e-4, policy)):
-        arrays = (res.th, res.tv, *res.povms, *analyze(res).bob)
+        arrays = (res.th, res.tv, *res.povms, *(_bob_operators(res, p) for p in res.povms))
         assert [a.dtype for a in arrays] == [np.float64] * 6
