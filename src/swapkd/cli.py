@@ -4,7 +4,10 @@ decoy comparisons, and figure-data export.
 Every run writes one or more CSV files plus a JSON manifest that echoes the
 fully resolved configuration; re-running a command with --config pointed at
 the manifest reproduces the CSVs byte for byte.  Values in CSVs use
-scientific notation with 12 significant digits.  Exit codes: 0 success, 2
+scientific notation with 12 significant digits.  A CSV row is its result's
+fields by name (a report, an optimum, a scheme comparison or a decoy
+report), read by the names in the column list; a log10_<x> column is
+log10 of <x>, empty where <x> <= 0.  Exit codes: 0 success, 2
 invalid input (a rejected value, an unreadable or undecodable config file,
 or an output that cannot be written), 3 numerical failure; any other
 exception, a ValueError raised while computing included, propagates.
@@ -20,7 +23,7 @@ import math
 import os
 import sys
 import time
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,25 +33,17 @@ from .errors import NUMERICAL_ERRORS, ConstraintViolationError, InvalidInputErro
 from .fock import TruncationPolicy
 from .optimize import (
     CROSSOVER_TOL_DB,
-    OptimumPoint,
     Scenario,
     SweepRow,
+    _compare_schemes,
     _crossover_scan,
-    _rate_curve,
     _step_grid,
-    es_optimal_rate,
     evaluate,
     optimize_chi,
     optimize_joint,
     sweep,
 )
-from .rates import (
-    KAPPA_DEFAULT,
-    NU_DEFAULT,
-    decoy_inputs,
-    decoy_rate_report,
-    optimal_mu,
-)
+from .rates import KAPPA_DEFAULT, NU_DEFAULT, decoy_inputs, decoy_rate_report
 
 SCHEMA_VERSION = 1
 
@@ -138,69 +133,36 @@ def _fmt(value) -> str:
     return str(value).replace(",", ";")
 
 
-def _write_csv(path: str, columns: Sequence[str], rows: Sequence[Dict]) -> None:
+def _cell(row: Mapping, column: str):
+    """column's value in row; log10_<x> is log10 of <x>, None where <x> <= 0."""
+    if column.startswith("log10_"):
+        x = row.get(column[len("log10_"):])
+        return math.log10(x) if x is not None and x > 0.0 else None
+    return row.get(column)
+
+
+def _write_csv(path: str, columns: Sequence[str], rows: Sequence[Mapping]) -> None:
+    """One line per row, each column's cell read off the row by name (_cell)."""
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in columns))
+        lines.append(",".join(_fmt(_cell(row, col)) for col in columns))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _log10_or_none(rate: float) -> Optional[float]:
-    return math.log10(rate) if rate > 0.0 else None
-
-
 def _report_row(sr: SweepRow) -> Dict:
-    s = sr.scenario
-    row: Dict = {
-        "alpha_d_db": s.alpha_d_db,
-        "chi": s.chi,
-        "eta0": s.eta0,
-        "kappa": s.kappa,
-        "error": sr.error,
-    }
+    """A sweep row's fields: its scenario's, its report's if any (qber also as
+    qber_direct), and its error.  p_dc is the resolved dark-count
+    probability, None where the constraint is violated.
+    """
     try:
-        row["p_dc"] = s.resolved_p_dc
+        p_dc = sr.scenario.resolved_p_dc
     except ConstraintViolationError:
-        row["p_dc"] = None
-    r = sr.report
-    if r is not None:
-        row.update(
-            n_max_used=r.n_max_used,
-            converged=r.converged,
-            visibility=r.visibility,
-            qber_direct=r.qber,
-            qber_from_v=r.qber_from_v,
-            r_sift=r.r_sift,
-            r_sec_raw=r.r_sec_raw,
-            r_sec=r.r_sec,
-            log10_r_sec=_log10_or_none(r.r_sec),
-            herald_probability=r.herald_probability,
-            coincidence_probability=r.coincidence_probability,
-        )
+        p_dc = None
+    row = {**vars(sr.scenario), "p_dc": p_dc, "error": sr.error}
+    if sr.report is not None:
+        row.update(vars(sr.report), qber_direct=sr.report.qber)
     return row
-
-
-def _optimum_row(pt: OptimumPoint) -> Dict:
-    return {col: getattr(pt, col) for col in OPTIMIZE_COLUMNS}
-
-
-def _decoy_row(alpha: float, eta0: float, p_dc: float, rep) -> Dict:
-    return {
-        "alpha_d_db": alpha,
-        "eta0": eta0,
-        "p_dc": p_dc,
-        "mu": rep.inputs.mu,
-        "nu": rep.inputs.nu,
-        "q_mu": rep.q_mu,
-        "e_mu": rep.e_mu,
-        "y1_lower": rep.y1_lower,
-        "q1_lower": rep.q1_lower,
-        "e1_upper": rep.e1_upper,
-        "r_raw": rep.r_raw,
-        "r_sec": rep.r_sec,
-        "log10_r_sec": _log10_or_none(rep.r_sec),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -432,45 +394,17 @@ def _run_optimize(config: Dict) -> RunResult:
         else optimize_chi(a, eta0, p_dc=p_dc, constraint=constraint, kappa=kappa, policy=policy)
         for a in config["alpha_d_grid"]
     ]
-    return [("", OPTIMIZE_COLUMNS, [_optimum_row(pt) for pt in points])], {"points": len(points)}
+    return [("", OPTIMIZE_COLUMNS, [vars(pt) for pt in points])], {"points": len(points)}
 
 
 def _run_compare_decoy(config: Dict) -> RunResult:
     config["alpha_d_grid"] = parse_grid(config["alpha_d_grid"])
     eta0, p_dc = float(config["eta0"]), float(config["p_dc"])
-    nu, kappa, policy = float(config["nu"]), float(config["kappa"]), _policy(config)
-    fixed_mu, fixed_chi = config["mu"], config["chi"]
-    rows = []
-    for alpha in config["alpha_d_grid"]:
-        if fixed_chi is None:
-            chi_used, r_es = es_optimal_rate(alpha, eta0, p_dc, kappa=kappa, policy=policy)
-        else:
-            chi_used = fixed_chi
-            s = Scenario(
-                alpha_d_db=alpha, chi=fixed_chi, eta0=eta0, p_dc=p_dc,
-                kappa=kappa, policy=policy,
-            )
-            r_es = _rate_curve(s)(fixed_chi)
-        if fixed_mu is None:
-            mu_used, r_dk = optimal_mu(eta0, alpha, p_dc, nu=nu, kappa=kappa)
-        else:
-            mu_used = fixed_mu
-            r_dk = decoy_rate_report(
-                decoy_inputs(fixed_mu, eta0, alpha, p_dc, nu=nu, kappa=kappa)
-            ).r_sec
-        rows.append(
-            {
-                "alpha_d_db": alpha,
-                "eta0": eta0,
-                "p_dc": p_dc,
-                "chi_used": chi_used,
-                "r_es": r_es,
-                "log10_r_es": _log10_or_none(r_es),
-                "mu_used": mu_used,
-                "r_decoy": r_dk,
-                "log10_r_decoy": _log10_or_none(r_dk),
-            }
-        )
+    compare = functools.partial(
+        _compare_schemes, eta0=eta0, p_dc=p_dc, chi=config["chi"], mu=config["mu"],
+        nu=float(config["nu"]), kappa=float(config["kappa"]), policy=_policy(config),
+    )
+    rows = [{**compare(a)._asdict(), "eta0": eta0, "p_dc": p_dc} for a in config["alpha_d_grid"]]
     return [("", COMPARE_COLUMNS, rows)], {"points": len(rows)}
 
 
@@ -484,17 +418,18 @@ def _run_crossover(config: Dict) -> RunResult:
         policy=_policy(config),
         nu=float(config["nu"]),
     )
-    rows = [dict(zip(CROSSOVER_COLUMNS, row)) for row in rows]
+    rows = [row._asdict() for row in rows]
     return [("", CROSSOVER_COLUMNS, rows)], {"alpha_crossover": alpha_star}
 
 
 def _run_decoy_curve(config: Dict) -> RunResult:
     """The decoy bound chain per distance at the fixed intensity mu."""
     eta0, p_dc, mu = float(config["eta0"]), float(config["p_dc"]), float(config["mu"])
-    rows = [
-        _decoy_row(a, eta0, p_dc, decoy_rate_report(decoy_inputs(mu, eta0, a, p_dc)))
-        for a in parse_grid(config["alpha_d_grid"])
-    ]
+    rows = []
+    for a in parse_grid(config["alpha_d_grid"]):
+        report = decoy_rate_report(decoy_inputs(mu, eta0, a, p_dc))
+        rows.append({**vars(report), **vars(report.inputs), "alpha_d_db": a, "eta0": eta0,
+                     "p_dc": p_dc})
     return [("", DECOY_COLUMNS, rows)], None
 
 

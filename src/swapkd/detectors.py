@@ -19,7 +19,8 @@ class ThresholdDetector:
     """Unit-or-nothing detector: efficiency eta, dark-count probability p_dc per gate.
 
     no_click(n) = (1 - p_dc) * (1 - eta)^n for n incident photons; click is the
-    complement, so click(0) = p_dc exactly.
+    complement, computed as -expm1(log1p(-p_dc) + n log1p(-eta)) so that a
+    small click probability, such as click(0) = p_dc, keeps its digits.
     """
 
     eta: float
@@ -38,7 +39,10 @@ class ThresholdDetector:
 
     def click_weight(self, n) -> np.ndarray | float:
         n = np.asarray(n)
-        w = 1.0 - (1.0 - self.p_dc) * (1.0 - self.eta) ** n
+        if self.eta == 1.0:  # any photon clicks; log1p(-eta) would be -inf
+            w = np.where(n > 0, 1.0, self.p_dc)
+        else:  # log1p(-0.0) = -0.0, so no click weight is -0.0
+            w = -np.expm1(math.log1p(-self.p_dc) + n * math.log1p(-self.eta))
         return w if w.shape else float(w)
 
     def weight_vector(self, click: bool, max_n: int) -> np.ndarray:

@@ -13,13 +13,16 @@ polynomial), not on the pipeline, with rates.grid_max: a coarse grid,
 golden-section refinement and an explicit unimodality guard.  Searches that
 only need the best rate report the curve's value; optimize_chi evaluates its
 winner.  Distance boundaries are bisected with rates.bisect.
+One routine (_compare_schemes) sets the swap link against decoy BB84 at a
+distance, each at a fixed or its best source intensity; it gives every
+compare-decoy row and every distance the crossover search samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +42,8 @@ from .rates import (
     NU_DEFAULT,
     _check_kappa,
     bisect,
+    decoy_inputs,
+    decoy_rate_report,
     grid_max,
     optimal_mu,
     secret_rate,
@@ -411,6 +416,50 @@ def _step_grid(start: float, stop: float, step: float) -> List[float]:
     return [start + step * i for i in range(count)]
 
 
+class Comparison(NamedTuple):
+    """Both schemes at one distance: the swap link at brightness chi_used and
+    decoy BB84 at signal intensity mu_used, with their secret rates."""
+
+    alpha_d_db: float
+    chi_used: float
+    r_es: float
+    mu_used: float
+    r_decoy: float
+
+
+def _compare_schemes(
+    alpha_d_db: float,
+    eta0: float,
+    p_dc: float,
+    chi: Optional[float] = None,
+    mu: Optional[float] = None,
+    nu: float = NU_DEFAULT,
+    kappa: float = KAPPA_DEFAULT,
+    policy: TruncationPolicy = TruncationPolicy(),
+) -> Comparison:
+    """The swap link against decoy BB84 at one distance, each at a fixed or
+    at its best source intensity.
+
+    chi None searches the brightness (es_optimal_rate); a fixed chi is
+    checked by Scenario and its rate read off the rate curve at
+    policy.n_max.  mu None searches the signal intensity (optimal_mu); a
+    fixed mu runs the decoy chain once.  No pipeline runs.
+    """
+    if chi is None:
+        chi_used, r_es = es_optimal_rate(alpha_d_db, eta0, p_dc, kappa=kappa, policy=policy)
+    else:
+        s = Scenario(
+            alpha_d_db=alpha_d_db, chi=chi, eta0=eta0, p_dc=p_dc, kappa=kappa, policy=policy
+        )
+        chi_used, r_es = chi, _rate_curve(s)(chi)
+    if mu is None:
+        mu_used, r_decoy = optimal_mu(eta0, alpha_d_db, p_dc, nu=nu, kappa=kappa)
+    else:
+        d = decoy_inputs(mu, eta0, alpha_d_db, p_dc, nu=nu, kappa=kappa)
+        mu_used, r_decoy = mu, decoy_rate_report(d).r_sec
+    return Comparison(alpha_d_db, chi_used, r_es, mu_used, r_decoy)
+
+
 def _crossover_scan(
     eta0: float,
     p_dc: float,
@@ -419,20 +468,17 @@ def _crossover_scan(
     kappa: float,
     policy: TruncationPolicy,
     nu: float,
-) -> Tuple[Optional[float], List[Tuple[float, float, float]]]:
-    """Crossover distance (see find_crossover) and the (alpha, r_es, r_decoy)
-    rows of the grid scan that brackets it; each grid distance runs once."""
+) -> Tuple[Optional[float], List[Comparison]]:
+    """Crossover distance (see find_crossover) and the comparisons of the
+    grid scan that brackets it; each grid distance runs once."""
 
-    def rates(alpha: float) -> Tuple[float, float, float]:
-        r_es = es_optimal_rate(alpha, eta0, p_dc, kappa=kappa, policy=policy)[1]
-        r_dk = optimal_mu(eta0, alpha, p_dc, nu=nu, kappa=kappa)[1]
-        return alpha, r_es, r_dk
+    def rates(alpha: float) -> Comparison:
+        return _compare_schemes(alpha, eta0, p_dc, nu=nu, kappa=kappa, policy=policy)
 
-    def difference(row: Tuple[float, float, float]) -> Optional[float]:
-        _, r_es, r_dk = row
-        if r_es <= 0.0 and r_dk <= 0.0:
+    def difference(row: Comparison) -> Optional[float]:
+        if row.r_es <= 0.0 and row.r_decoy <= 0.0:
             return None
-        return r_dk - r_es
+        return row.r_decoy - row.r_es
 
     def same_side(alpha: float, g_lo: float) -> Optional[bool]:
         g = difference(rates(alpha))

@@ -4,14 +4,16 @@ The swapping scheme's sifted rate uses the leading-order analytic expression
 (1/4) chi^4 eta0^4 10^(-alpha*d/10); the simulated coincidence probability is
 carried alongside it as a diagnostic, never substituted into the key-rate
 formula.  The decoy baseline implements the vacuum + weak-decoy bound chain
-with every intermediate quantity exposed for auditing.
+with every intermediate quantity exposed for auditing, in one report type,
+DecoyRateReport: floats from decoy_rate_report, arrays over the intensity
+grid inside optimal_mu.  Its two intensities must lie DECOY_GAP apart.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +46,11 @@ E0_BACKGROUND = 0.5
 DETECTORS_AT_BOB = 2
 # Golden-section tolerance of the signal-intensity search.
 MU_REFINE_TOL = 1e-5
+# Smallest relative gap (mu - nu)/mu between the signal and decoy
+# intensities.  The bound chain's difference quotient rounds by about
+# 2 eps mu/(mu - nu); this gap keeps that below 1e-12, under the last of the
+# 12 significant digits a CSV cell holds.
+DECOY_GAP = 2.0 * np.finfo(float).eps / 1e-12
 # Bisection width of the QBER threshold.
 QBER_THRESHOLD_TOL = 1e-10
 
@@ -173,6 +180,9 @@ class DecoyInputs:
     eta_bob is the end-to-end single-photon transmission from Alice's source
     to a click at Bob (detector efficiency times channel transmission); y0 is
     the background yield per pulse, whose errors have rate E0_BACKGROUND.
+    The intensities need 0 < nu and mu - nu >= DECOY_GAP * mu (about
+    4.4e-4 mu), so the chain's rounding, about 2 eps mu/(mu - nu), stays
+    below 1e-12 relative.
     """
 
     mu: float
@@ -182,9 +192,11 @@ class DecoyInputs:
     kappa: float = KAPPA_DEFAULT
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and 0.0 < self.nu < self.mu):
+        if not (math.isfinite(self.mu) and 0.0 < self.nu
+                and self.mu - self.nu >= DECOY_GAP * self.mu):
             raise InvalidInputError(
-                f"need finite mu and 0 < nu < mu, got nu={self.nu!r}, mu={self.mu!r}"
+                f"need finite mu and 0 < nu with mu - nu >= {DECOY_GAP:.3g} mu, "
+                f"got nu={self.nu!r}, mu={self.mu!r}"
             )
         if not 0.0 <= self.eta_bob <= 1.0:
             raise InvalidInputError(f"eta_bob {self.eta_bob!r} outside [0, 1]")
@@ -213,7 +225,11 @@ def decoy_inputs(
 
 @dataclass(frozen=True)
 class DecoyRateReport:
-    """Every intermediate of the vacuum + weak-decoy chain, plus the rate."""
+    """Every intermediate of the vacuum + weak-decoy chain, plus the rate.
+
+    Each number is a float or a bool, or inside optimal_mu a numpy value
+    over mu (_decoy_bounds).
+    """
 
     inputs: DecoyInputs
     q_mu: float
@@ -229,30 +245,15 @@ class DecoyRateReport:
     e1_clamped: bool = False
 
 
-class _DecoyBounds(NamedTuple):
-    """DecoyRateReport's numbers, each a float or an array over mu."""
-
-    q_mu: np.ndarray
-    e_mu: np.ndarray
-    q_nu: np.ndarray
-    e_nu: np.ndarray
-    y1_lower: np.ndarray
-    q1_lower: np.ndarray
-    e1_upper: np.ndarray
-    r_raw: np.ndarray
-    r_sec: np.ndarray
-    y1_clamped: np.ndarray
-    e1_clamped: np.ndarray
-
-
-def _decoy_bounds(d: DecoyInputs, mu) -> _DecoyBounds:
+def _decoy_bounds(d: DecoyInputs, mu) -> DecoyRateReport:
     """The vacuum + weak-decoy bound chain of d, elementwise over mu.
 
-    mu is a float or an array of signal intensities that replaces d.mu;
-    every returned field has its shape.  Gains: Q_k = Y0 + S_k for
-    intensity k, with S_k = 1 - exp(-eta*k) computed as -expm1(-eta*k) so
-    that a small eta*k keeps its precision; background errors dominate, so
-    E_k Q_k = e0 Y0.  Single-photon bounds:
+    mu is a float or an array of signal intensities that replaces d.mu, and
+    the report's inputs are d; every number is a numpy value of mu's shape,
+    which decoy_rate_report turns into a float or a bool.  Gains:
+    Q_k = Y0 + S_k for intensity k, with S_k = 1 - exp(-eta*k) computed as
+    -expm1(-eta*k) so that a small eta*k keeps its precision; background
+    errors dominate, so E_k Q_k = e0 Y0.  Single-photon bounds:
       Y1 >= (mu/(mu nu - nu^2)) [Q_nu e^nu - Q_mu e^mu (nu/mu)^2
                                  - ((mu^2 - nu^2)/mu^2) Y0]
       e1 <= (E_nu Q_nu e^nu - e0 Y0) / (Y1 nu) = e0 Y0 (e^nu - 1) / (Y1 nu)
@@ -289,8 +290,8 @@ def _decoy_bounds(d: DecoyInputs, mu) -> _DecoyBounds:
         e1 = np.minimum(0.5, np.maximum(0.0, e1))
 
         r_raw = 0.5 * (-q_mu * d.kappa * entropy(np.minimum(0.5, e_mu)) + q1 * (1.0 - entropy(e1)))
-    return _DecoyBounds(
-        q_mu, e_mu, q_nu, e_nu, y1, q1, e1, r_raw, np.maximum(0.0, r_raw), y1_clamped, e1_clamped
+    return DecoyRateReport(
+        d, q_mu, e_mu, q_nu, e_nu, y1, q1, e1, r_raw, np.maximum(0.0, r_raw), y1_clamped, e1_clamped
     )
 
 
@@ -299,15 +300,15 @@ def decoy_rate_report(d: DecoyInputs) -> DecoyRateReport:
 
     The chain and its clamps are those of _decoy_bounds at d.mu.
     """
-    bounds = _decoy_bounds(d, d.mu)._asdict()
-    return DecoyRateReport(inputs=d, **{name: value.item() for name, value in bounds.items()})
+    bounds = _decoy_bounds(d, d.mu)
+    return replace(bounds, **{k: v.item() for k, v in vars(bounds).items() if k != "inputs"})
 
 
 def _mu_grid(nu: float) -> np.ndarray:
-    """optimal_mu's coarse grid: 0.05 + 0.005 i up to 1.0, above nu."""
+    """optimal_mu's coarse grid: 0.05 + 0.005 i up to 1.0, DECOY_GAP above nu."""
     n_steps = int(round((1.0 - 0.05) / 0.005))
     grid = 0.05 + 0.005 * np.arange(n_steps + 1)
-    usable = grid[grid > nu + 1e-12]
+    usable = grid[grid - nu >= DECOY_GAP * grid]
     if usable.size == 0:
         raise InvalidInputError(f"nu {nu!r} leaves no signal intensity in (nu, 1.0] to search")
     return usable
@@ -323,8 +324,9 @@ def optimal_mu(
     """Best signal intensity on mu in [0.05, 1.0] and the rate it achieves.
 
     grid_max on a grid in steps of 0.005, evaluated in one _decoy_bounds
-    call, refined to MU_REFINE_TOL.  Grid values at or below nu are skipped
-    (the bound chain needs nu < mu); a nu that leaves none raises InvalidInputError.
+    call, refined to MU_REFINE_TOL.  Grid values less than DECOY_GAP above
+    nu are skipped (DecoyInputs rejects them); a nu that leaves none raises
+    InvalidInputError.
     """
     usable = _mu_grid(nu)
     # Validated at the top grid intensity; _decoy_bounds replaces its mu.

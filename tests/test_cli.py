@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from swapkd.cli import (
     OPTIMIZE_COLUMNS,
     ROW_COLUMNS,
     ConfigError,
+    build_parser,
     main,
     parse_grid,
 )
@@ -103,11 +105,13 @@ DECOY_POINT = ["compare-decoy", "--alpha-d-grid", "10", "--eta0", "0.2", "--pdc"
         (DECOY_POINT + ["--nu", "nan"], "nu"),
         (DECOY_POINT + ["--nu", "inf"], "nu"),
         (DECOY_POINT + ["--mu", "inf"], "mu"),
+        (DECOY_POINT + ["--mu", "0.10000001"], "mu - nu"),
+        (DECOY_POINT + ["--chi", "0.5"], "chi 0.5"),
         (["crossover", "--eta0", "0.2", "--pdc", "1.8e-5", "--nu", "nan"], "nu"),
     ],
     ids=["crossover-inf", "step-inf", "step-nan", "evaluate-inf", "step-oversized",
          "lin-oversized", "log-oversized", "decoy-nu-nan", "decoy-nu-inf", "decoy-mu-inf",
-         "crossover-nu-nan"],
+         "decoy-mu-next-to-nu", "decoy-chi-above-cap", "crossover-nu-nan"],
 )
 def test_non_finite_or_oversized_input_is_a_configuration_error(args, message, tmp_path, capsys):
     assert main(args + ["--output-dir", str(tmp_path)] + FAST) == 2
@@ -530,9 +534,7 @@ def test_crossover_optimizes_each_grid_distance_once(tmp_path, monkeypatch):
         calls[alpha] += 1
         return es_optimal_rate(alpha, *args, **kwargs)
 
-    # the CLI calls it directly too (compare-decoy), so count both references
     monkeypatch.setattr(optimize_module, "es_optimal_rate", counting)
-    monkeypatch.setattr(cli_module, "es_optimal_rate", counting)
     out = str(tmp_path)
     code = main(
         ["crossover", "--eta0", "0.2", "--pdc", "1.8e-5", "--alpha-min", "0",
@@ -547,6 +549,23 @@ def test_crossover_optimizes_each_grid_distance_once(tmp_path, monkeypatch):
     assert max(calls.values()) == 1
     manifest = json.loads(Path(out, "crossover_manifest.json").read_text())
     assert 0.0 < manifest["results"]["alpha_crossover"] < 30.0
+
+
+def test_crossover_rows_are_compare_decoy_rows(tmp_path):
+    """crossover and compare-decoy read each distance's rates off the same
+    comparison, so their r_es and r_decoy cells agree."""
+    dark = ["--eta0", "0.2", "--pdc", "1.8e-5"] + FAST
+    assert main(["crossover", "--alpha-min", "20", "--alpha-max", "30", "--step", "5",
+                 "--output-dir", str(tmp_path)] + dark) == 0
+    assert main(["compare-decoy", "--alpha-d-grid", "20:30:5",
+                 "--output-dir", str(tmp_path)] + dark) == 0
+    _, crossover = read_csv(tmp_path / "crossover.csv")
+    _, compare = read_csv(tmp_path / "compare_decoy.csv")
+    columns = ("alpha_d_db", "r_es", "r_decoy")
+    assert [[row[c] for c in columns] for row in crossover] == [
+        [row[c] for c in columns] for row in compare
+    ]
+    assert len(crossover) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +717,20 @@ def test_pyproject_declares_console_script():
     assert project["scripts"]["swapkd"] == "swapkd.cli:main"
     # --version prints __version__, so the two must agree
     assert project["version"] == swapkd.__version__
+
+
+def test_readme_command_lines_parse():
+    """Every swapkd line of README's Command line block parses, with its
+    continuations joined and comments dropped; nothing runs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    lines = [line.split("#", 1)[0] for line in block.replace("\\\n", " ").splitlines()]
+    commands = [
+        build_parser().parse_args(shlex.split(line)[1:]).command
+        for line in lines
+        if line.startswith("swapkd ")
+    ]
+    assert set(commands) == set(cli_module.COMMANDS)
 
 
 @pytest.mark.skipif(shutil.which("swapkd") is None, reason="swapkd console script not installed")

@@ -1,5 +1,6 @@
 import itertools
-from decimal import Decimal
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,6 +18,26 @@ def test_click_probabilities():
         expect = (1.0 - 0.01) * 0.7 ** n
         assert det.no_click_weight(n) == pytest.approx(expect, abs=1e-15)
         assert det.click_weight(n) == pytest.approx(1.0 - expect, abs=1e-15)
+
+
+@pytest.mark.parametrize("p_dc", [0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2])
+def test_click_weight_keeps_its_digits(p_dc):
+    """click = 1 - (1 - p_dc)(1 - eta)^n within 2 ulp of its 50-digit value
+    for n up to 2 n_max at n_max 8, small click probabilities included; at
+    eta = 1, no photon clicks with p_dc and any photon with 1 exactly.  No
+    weight is nan or -0.0."""
+    n = np.arange(2 * 8 + 1)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for eta in (0.0, 1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.9, 0.999999, 1.0):
+            got = ThresholdDetector(eta, p_dc).click_weight(n)
+            assert not np.signbit(got).any() and not np.isnan(got).any(), eta
+            for k, w in zip(n.tolist(), got.tolist()):
+                silent = (1 - Decimal(eta)) ** k if k else 1  # Decimal 0 ** 0 is undefined
+                want = 1 - (1 - Decimal(p_dc)) * silent
+                assert abs(Decimal(w) - want) <= 2 * Decimal(math.ulp(float(want))), (eta, k)
+    assert ThresholdDetector(1.0, p_dc).click_weight(0) == p_dc
+    assert ThresholdDetector(1.0, p_dc).click_weight(n[1:]).tolist() == [1.0] * (len(n) - 1)
 
 
 def test_weight_vector_and_extra_loss():

@@ -241,14 +241,14 @@ def test_one_source_coincidence_matches_closed_form(n_max):
     """Coincidences of one PDC source, summed over both sides' h, v and both
     outcomes at any analyzer angles, equal the closed form up to the
     truncation: the probability 2 t^(n_max+1), t = tanh^2 chi, that either
-    pair exceeds the cutoff, plus 1e-13 relative for rounding."""
+    pair exceeds the cutoff, plus 1e-14 relative for rounding."""
     for chi in (1e-4, 1e-3, 0.01, 0.1, 0.2, 0.3):
         state = one_source(chi, n_max)
         for eta, p_dc in ((0.01, 0.0), (0.1, 0.0), (0.5, 1e-6), (1.0, 1e-3)):
             det = ThresholdDetector(eta, p_dc)
             result = with_detector(state, det)
             want = pdc_coincidence(chi, eta, p_dc)
-            bound = 2.0 * math.tanh(chi) ** (2 * (n_max + 1)) + 1e-13 * want
+            bound = 2.0 * math.tanh(chi) ** (2 * (n_max + 1)) + 1e-14 * want
             for setting in (Z_BASIS, AnalyzerSetting(0.7, 0.2)):
                 p = _joint_probabilities(result, *_setting_povms(result, det, setting))
                 got = p[:3, :3].sum()  # h, v or both on each side

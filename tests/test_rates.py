@@ -93,6 +93,22 @@ def test_decoy_inputs_validation():
     assert d.y0 == pytest.approx(3.6e-5, rel=1e-12)
 
 
+def test_decoy_intensities_keep_the_gap():
+    """A signal intensity less than DECOY_GAP above the decoy's is rejected,
+    and optimal_mu's grid skips such intensities; one at the gap is accepted."""
+    gap = rates_module.DECOY_GAP
+    nu = 0.1
+    at_gap = nu / (1.0 - gap)
+    assert at_gap - nu >= gap * at_gap
+    DecoyInputs(mu=at_gap, eta_bob=0.2, y0=1e-5, nu=nu)
+    for mu in (nu * (1.0 + 1e-12), nu * (1.0 + 0.5 * gap)):
+        with pytest.raises(ValueError, match="mu - nu"):
+            DecoyInputs(mu=mu, eta_bob=0.2, y0=1e-5, nu=nu)
+    # the old 1e-12 margin searched mu = 0.1 at this decoy intensity
+    assert rates_module._mu_grid(0.1 - 1e-11)[0] == pytest.approx(0.105)
+    assert rates_module._mu_grid(0.105 * (1.0 - 2.0 * gap))[0] == pytest.approx(0.105)
+
+
 def test_decoy_chain_frozen_golden():
     """Full vacuum+weak chain at mu=0.7, eta0=0.2, 10 dB, p_dc=1.8e-5."""
     rep = decoy_rate_report(decoy_inputs(0.7, 0.2, 10.0, 1.8e-5))
@@ -206,7 +222,7 @@ def test_decoy_bounds_bound_the_true_single_photon_values(nu_decades, mu_fractio
     mu / (mu - nu) when the two intensities meet."""
     nu = 0.2 * 10.0 ** -nu_decades
     mu = nu + mu_fraction * (1.0 - nu)
-    assume(mu > nu)
+    assume(mu - nu >= rates_module.DECOY_GAP * mu)
     rep = decoy_rate_report(decoy_inputs(mu, eta0, alpha_d, p_dc, nu=nu))
     y1 = rep.inputs.y0 + rep.inputs.eta_bob
     e1 = rates_module.E0_BACKGROUND * rep.inputs.y0 / y1
