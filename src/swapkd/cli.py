@@ -9,8 +9,10 @@ fields by name (a report, an optimum, a scheme comparison or a decoy
 report), read by the names in the column list; a log10_<x> column is
 log10 of <x>, empty where <x> <= 0.  Exit codes: 0 success, 2
 invalid input (a rejected value, an unreadable or undecodable config file,
-or an output that cannot be written), 3 numerical failure; any other
-exception, a ValueError raised while computing included, propagates.
+or an output that cannot be written), 3 numerical failure of the model
+(a TruncationError, NoCoincidenceError or UndefinedVisibilityError); any
+other exception, a ValueError or an ArithmeticError raised while computing
+included, propagates.
 Commands run serially: a --workers value is recorded for replay, not used.
 """
 
@@ -708,9 +710,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InvalidInputError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2
-    # ArithmeticError comes from fock.rotation_eigensystem; any other
-    # exception is a bug and propagates with its traceback
-    except NUMERICAL_ERRORS + (ArithmeticError,) as exc:
+    # any other exception is a bug and propagates with its traceback
+    except NUMERICAL_ERRORS as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 3
 

@@ -6,14 +6,14 @@ analyzers) is a rotation generated by i(a^dag b - a b^dag) followed by one
 threshold detector per output.  The generator conserves n1+n2, so its
 eigensystem on the complete photon-number blocks n1+n2 <= 2*n_max
 (rotation_eigensystem) gives every such POVM element on n1, n2 <= n_max
-exactly (rotated_pair_povm, the reference), and the Fourier coefficients of
-a fringe.  The rotation itself is a real orthogonal matrix, and its map
-from complete-block states to pair states (rotation_matrix, cached per
-(n_max, theta)) carries every detector: the four outcomes of a rotation and
-two threshold detectors (detector_pair_povms) are real polynomials in 1-eta
-over it, and a new efficiency costs no eigen-transform.  realign puts a pair
-operator in the (first-mode indices) x (second-mode indices) layout in
-which the swap and metrics modules contract states, and compress cuts a
+exactly, and the Fourier coefficients of a fringe.  The rotation itself is
+a real orthogonal matrix W from complete-block states to pair states
+(rotation_matrix, cached per (n_max, theta)), and it carries every
+detector: the four outcomes of a rotation and two threshold detectors
+(detector_pair_povms) are W diag(w1[n1] w2[n2]) W^T, real polynomials in
+1-eta over it, so a new efficiency costs no eigen-transform.  realign puts
+a pair operator in the (first-mode indices) x (second-mode indices) layout
+in which the swap and metrics modules contract states, and compress cuts a
 realigned operator down to a lower cutoff.
 """
 
@@ -95,33 +95,22 @@ def rotation_basis_weights(n_max: int, w1: np.ndarray, w2: np.ndarray) -> np.nda
     return (v.conj().T * (w1[n1] * w2[n2])[None, :]) @ v
 
 
-def rotated_pair_povm(n_max: int, theta: float, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """POVM element of a two-mode rotation by theta followed by one detector per output.
-
-    E = U(theta)^dag diag(w1[n1] * w2[n2]) U(theta) on n1, n2 <= n_max, in
-    pair-flattened order, with U(theta) = V diag(e^{-i theta w}) V^dag; the
-    rotation conserves n1+n2, so E = P C P^dag with P = V[sub] diag(e^{i theta w})
-    is exact.  Creation operators transform as a1+ -> cos(t) a1+ - sin(t) a2+,
-    a2+ -> sin(t) a1+ + cos(t) a2+; theta = pi/4 is a balanced beamsplitter.
-    """
-    w, v, sub, _, _ = rotation_eigensystem(n_max)
-    p = v[sub] * np.exp(1j * theta * w)[None, :]
-    e = p @ rotation_basis_weights(n_max, w1, w2) @ p.conj().T
-    return 0.5 * (e + e.conj().T)
-
-
 @lru_cache(maxsize=16)
 def rotation_matrix(n_max: int, theta: float) -> np.ndarray:
     """The rotation by theta from complete-block states to pair states.
 
-    rotated_pair_povm's E = P C P^dag is W diag(w1[n1] w2[n2]) W^T with
-    W = P V^dag: rows run over the pair states in pair-flattened order,
-    columns over the complete-block states of rotation_eigensystem.  The
-    rotation exp(theta (a^dag b - a b^dag)) is real orthogonal, so W is
-    real, and it maps the complete-block state (n1, n2) only onto pair
-    states with the same n1+n2; its imaginary parts and its entries across
-    photon-number blocks are rounding noise and are set to exactly 0.
-    Read-only, since every caller shares it.
+    W = V[sub] diag(e^{i theta w}) V^dag over rotation_eigensystem: a
+    rotation by theta followed by detectors with weights w1 and w2 on its
+    outputs has the element W diag(w1[n1] w2[n2]) W^T on n1, n2 <= n_max.
+    Rows run over the pair states in pair-flattened order, columns over the
+    complete-block states.  Creation operators transform as
+    a1+ -> cos(t) a1+ - sin(t) a2+, a2+ -> sin(t) a1+ + cos(t) a2+; theta =
+    pi/4 is a balanced beamsplitter.  The rotation exp(theta (a^dag b -
+    a b^dag)) is real orthogonal, so W is real, and it maps the
+    complete-block state (n1, n2) only onto pair states with the same
+    n1+n2; its imaginary parts and its entries across photon-number blocks
+    are rounding noise and are set to exactly 0.  Read-only, since every
+    caller shares it.
     """
     w, v, sub, n1, n2 = rotation_eigensystem(n_max)
     wmat = np.real((v[sub] * np.exp(1j * theta * w)[None, :]) @ v.conj().T)
@@ -135,8 +124,8 @@ def detector_pair_povms(n_max: int, theta: float, det: ThresholdDetector) -> np.
     """The four outcomes of a rotation by theta followed by det on each output.
 
     Returns the real stack [only the first output clicks, only the second,
-    both, neither], each equal to rotated_pair_povm with det's click and
-    no-click weights: W diag(w1[n1] w2[n2]) W^T over rotation_matrix.  The
+    both, neither], each W diag(w1[n1] w2[n2]) W^T over rotation_matrix,
+    with det's click or no-click weights w1 and w2 on the two outputs.  The
     detector enters only through its weights, whose no-click weight q x^n
     (q = 1-p_dc, x = 1-eta) makes each element a polynomial in x over a
     basis fixed by (n_max, theta).  So a new efficiency costs no

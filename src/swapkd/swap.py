@@ -10,7 +10,10 @@ beamsplitter with its two detectors is the rotation POVM of fock at pi/4
 (fock.detector_pair_povms, a polynomial in 1-eta over a real rotation
 matrix cached per cutoff and angle); the four heralds use only two of its
 outcomes, and the phases of the pair amplitudes cancel on their support,
-so the pair factors are real (see _heralded_state).
+so the pair factors are real.  The mixers are balanced and one detector
+model serves all four outputs, so exchanging a mixer's outputs changes
+nothing: each corrected psi+ herald leaves the state of a psi- one, and the
+aggregate is twice the psi- pair (see _heralded_state).
 
 The two-source state factorizes over the pairs (aH,bH), (aV,bV), (cH,dH),
 (cV,dV), and the BSM mixes H with H and V with V, so each herald's state on
@@ -47,10 +50,10 @@ class SwapResult:
 
     Pair factors realigned as matrices (fock.realign) and stacked over p:
     rho[(ijkl),(IJKL)] = sum_p th[p,(i,I),(k,K)] * tv[p,(j,J),(l,L)]; the
-    metrics contract them directly.  The swap holds one p per H click pair
-    of the accepted heralds.  herald_probability is tr(rho).  det is the
-    link's detector and povms its stacks at KEY_ANGLES (link_povms); states
-    not made by a swap leave them None.
+    metrics contract them directly.  A swap holds one p per psi- herald,
+    counted twice for its psi+ partner (_heralded_state).  herald_probability
+    is tr(rho).  det is the link's detector and povms its stacks at
+    KEY_ANGLES (link_povms); states not made by a swap leave them None.
     """
 
     th: np.ndarray
@@ -95,22 +98,19 @@ def _heralded_state(c: np.ndarray, det: ThresholdDetector, n_max: int) -> SwapRe
     cancel: c_i c_k conj(c_I c_K) = |c_i c_k c_I c_K|.  So the factors are
     built from the magnitudes |c_n| and, with the real stacks of
     link_povms, are real.
-    Every accepted herald clicks exactly one output of each mixer, and both
-    mixers see the same detectors, so only two elements occur: e1, only the
-    b' output clicks, and e2, only the c' output clicks.  psi- clicks
-    opposite outputs on the H and V mixers, psi+ the same output and carries
-    the frame phase (-1)^(l+L) in tv; heralds sharing an H element add their
-    tv.
+    Every accepted herald clicks exactly one output of each mixer: e0, only
+    the b' output, or e1, only the c' output.  The mixers are balanced and
+    all four BSM outputs share one detector, so exchanging a mixer's outputs
+    leaves its POVM unchanged, and that exchange is the parity (-1)^n on its
+    second input: e1 = e0 (-1)^(k+K).  The psi+ frame phase is the same
+    parity on dV, so each corrected psi+ herald, (b'H, b'V) or (c'H, c'V),
+    leaves the state of one psi- herald, (b'H, c'V) or (b'V, c'H): the
+    result is twice the psi- pair, th = (e0, e1) and tv = 2 (e1, e0).
     """
-    d = n_max + 1
     s = np.outer(np.abs(c), np.abs(c)).reshape(-1)  # s[(i,I)] = |c_i c_I|
-    weight = np.outer(s, s)
     povms = link_povms(n_max, det)
-    e1, e2 = weight * povms[1][:2]
-    parity = (-1.0) ** np.arange(d)
-    flip = np.outer(parity, parity).reshape(-1)[None, :]
-    th = np.stack([e1, e2])
-    tv = np.stack([e2 + e1 * flip, e1 + e2 * flip])
+    th = np.outer(s, s) * povms[1][:2]
+    tv = 2.0 * th[::-1]
     return SwapResult(th, tv, n_max, _trace(th, tv), det, povms)
 
 

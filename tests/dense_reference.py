@@ -11,8 +11,8 @@ engine cannot also be wrong here.  Textbook states
 (singlet, Werner) are built here as dense ConditionalStates too, and enter
 the package's metrics as pair factors (pair_factors); dense_probabilities
 contracts a dense state with the analyzer POVMs directly.  Its POVMs come
-from fock.rotated_pair_povm with the detector's click weights
-(mixer_povm, analyzer_povms), independent of the engine's rotation blocks
+from rotated_pair_povm with the detector's click weights (mixer_povm,
+analyzer_povms), independent of the engine's real rotation matrix
 (fock.detector_pair_povms).  sector_table cuts the engine's analyzer POVMs
 into photon-number blocks by masks and contracts them densely: the
 reference for the engine's contraction over photon-difference blocks.
@@ -39,7 +39,8 @@ from swapkd.fock import (
     TruncationPolicy,
     annihilation_matrix,
     realign,
-    rotated_pair_povm,
+    rotation_basis_weights,
+    rotation_eigensystem,
 )
 from swapkd.metrics import _OUTCOMES, _joint_probabilities, _setting_povms
 from swapkd.sources import CHI_CAP, pair_amplitudes
@@ -158,6 +159,21 @@ def pair_factors(cond: ConditionalState) -> SwapResult:
     th = (u[:, keep] * s[keep]).T.reshape(-1, d * d, d * d)
     tv = vh[keep].reshape(-1, d * d, d * d)
     return SwapResult(th, tv, cond.n_max, cond.herald_probability)
+
+
+def rotated_pair_povm(n_max: int, theta: float, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """POVM element of a two-mode rotation by theta followed by one detector per output.
+
+    E = U(theta)^dag diag(w1[n1] * w2[n2]) U(theta) on n1, n2 <= n_max, in
+    pair-flattened order, with U(theta) = V diag(e^{-i theta w}) V^dag; the
+    rotation conserves n1+n2, so E = P C P^dag with P = V[sub] diag(e^{i theta w})
+    and C = fock.rotation_basis_weights is exact.  Complex throughout, unlike
+    the engine's real fock.detector_pair_povms.
+    """
+    w, v, sub, _, _ = rotation_eigensystem(n_max)
+    p = v[sub] * np.exp(1j * theta * w)[None, :]
+    e = p @ rotation_basis_weights(n_max, w1, w2) @ p.conj().T
+    return 0.5 * (e + e.conj().T)
 
 
 def mixer_povm(

@@ -131,30 +131,52 @@ def _threshold_weight(click: bool, n: int, eta: float, p_dc: float) -> float:
     return p_click if click else 1.0 - p_click
 
 
-def detection_probability(state: State, clicks: Dict[str, bool], eta: Dict[str, float], p_dc: float) -> float:
-    """Probability that exactly the demanded click/no-click outcome fires on every mode."""
-    total = 0.0
+def pairs_per_source(occ: Tuple[int, ...]) -> Tuple[int, int]:
+    """(n_aH + n_aV, n_dH + n_dV): the pairs each source emitted into this component.
+
+    The BSM mixes only b with c and each analyzer only the H and V modes of
+    one side, so every optic of the link keeps both sums.
+    """
+    return occ[_IDX["aH"]] + occ[_IDX["aV"]], occ[_IDX["dH"]] + occ[_IDX["dV"]]
+
+
+def detection_sectors(
+    state: State, clicks: Dict[str, bool], eta: Dict[str, float], p_dc: float
+) -> Dict[Tuple[int, int], float]:
+    """Probability that exactly the demanded click/no-click outcome fires on
+    every mode, binned by each component's pairs_per_source.
+
+    The binning is exact: the detection sum is diagonal in the occupations,
+    and each occupation tuple belongs to one (N_A, N_B).
+    """
+    sectors: Dict[Tuple[int, int], float] = {}
     for occ, amp in state.items():
         w = abs(amp) ** 2
         for mode, wanted in clicks.items():
             w *= _threshold_weight(wanted, occ[_IDX[mode]], eta[mode], p_dc)
             if w == 0.0:
                 break
-        total += w
-    return total
+        key = pairs_per_source(occ)
+        sectors[key] = sectors.get(key, 0.0) + w
+    return sectors
 
 
-def coincidence_tables(
+Sectors = Dict[str, Dict[Tuple[str, str, int, int], float]]
+
+
+def coincidence_sectors(
     chi: float,
     eta0: float,
     alpha_d_db: float,
     p_dc: float,
     max_pairs: int = 2,
-) -> Dict[str, Dict[str, float]]:
-    """Joint herald+coincidence probabilities per basis, split into right/wrong outcomes.
+) -> Sectors:
+    """Joint herald+coincidence probabilities per basis and (Alice, Bob, N_A, N_B).
 
-    Wrong means Alice and Bob see the same polarization after the psi+ heralds
-    have been rotated into the psi- frame (V -> -V phase on mode d).
+    Alice's and Bob's outcomes are "H" or "V"; N_A and N_B are the pairs
+    each source emitted (pairs_per_source), summed over all four heralds
+    with the psi+ heralds rotated into the psi- frame (V -> -V phase on
+    mode d).
     """
     eta_arm = eta0 * 10.0 ** (-alpha_d_db / 40.0)
     base = two_source_state(chi, max_pairs=max_pairs)
@@ -163,9 +185,9 @@ def coincidence_tables(
 
     bsm_modes = ("bH", "bV", "cH", "cV")
     eta_map = {m: eta_arm for m in MODES}
-    out: Dict[str, Dict[str, float]] = {}
+    out: Sectors = {}
     for basis, theta in (("Z", 0.0), ("X", math.pi / 4.0)):
-        right = wrong = 0.0
+        table: Dict[Tuple[str, str, int, int], float] = {}
         for clicked, target in HERALDS:
             st = mixed
             if target == "psi_plus":
@@ -181,11 +203,29 @@ def coincidence_tables(
                     req["aV"] = a_out == "V"
                     req["dH"] = b_out == "H"
                     req["dV"] = b_out == "V"
-                    p = detection_probability(st, req, eta_map, p_dc)
-                    if a_out == b_out:
-                        wrong += p
-                    else:
-                        right += p
+                    for (n_a, n_b), p in detection_sectors(st, req, eta_map, p_dc).items():
+                        key = (a_out, b_out, n_a, n_b)
+                        table[key] = table.get(key, 0.0) + p
+        out[basis] = table
+    return out
+
+
+def coincidence_tables(
+    chi: float,
+    eta0: float,
+    alpha_d_db: float,
+    p_dc: float,
+    max_pairs: int = 2,
+) -> Dict[str, Dict[str, float]]:
+    """Joint herald+coincidence probabilities per basis, split into right/wrong outcomes.
+
+    Wrong means Alice and Bob see the same polarization after the psi+ heralds
+    have been rotated into the psi- frame (V -> -V phase on mode d).
+    """
+    out: Dict[str, Dict[str, float]] = {}
+    for basis, table in coincidence_sectors(chi, eta0, alpha_d_db, p_dc, max_pairs).items():
+        wrong = sum(p for (a_out, b_out, _, _), p in table.items() if a_out == b_out)
+        right = sum(p for (a_out, b_out, _, _), p in table.items() if a_out != b_out)
         out[basis] = {"right": right, "wrong": wrong, "total": right + wrong}
     return out
 

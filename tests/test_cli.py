@@ -329,15 +329,17 @@ def test_config_value_of_the_wrong_type_is_a_configuration_error(
 
 
 def test_programming_errors_propagate(tmp_path, monkeypatch):
-    """Exit 3 is for numerical failures; a TypeError keeps its traceback."""
+    """Exit 3 is for numerical failures of the model; a TypeError or an
+    ArithmeticError keeps its traceback."""
+    for error in (TypeError, ZeroDivisionError, OverflowError):
 
-    def broken(s):
-        raise TypeError("unsupported operand")
+        def broken(s):
+            raise error("unsupported operand")
 
-    monkeypatch.setattr(cli_module, "evaluate", broken)
-    with pytest.raises(TypeError):
-        main(["evaluate", "--chi", "0.05", "--eta0", "0.3", "--alpha-d", "5",
-              "--pdc", "1e-5", "--output-dir", str(tmp_path)])
+        monkeypatch.setattr(cli_module, "evaluate", broken)
+        with pytest.raises(error):
+            main(["evaluate", "--chi", "0.05", "--eta0", "0.3", "--alpha-d", "5",
+                  "--pdc", "1e-5", "--output-dir", str(tmp_path)])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dense_reference import (
     condition_on_diagonal_povm,
     fidelity_with_pure,
     pair_mixer_unitary,
+    rotated_pair_povm,
     vacuum,
 )
 import swapkd.fock as fock_module
@@ -24,7 +25,6 @@ from swapkd.fock import (
     annihilation_matrix,
     detector_pair_povms,
     realign,
-    rotated_pair_povm,
     rotation_eigensystem,
 )
 from swapkd.swap import bsm_detector, graded_swap_state, swap_conditional_state

@@ -401,6 +401,35 @@ def test_polynomial_rate_matches_pipeline(n_max):
             assert rate(float(chi)) == secret_rate(r_sift, min(q_polyval, 0.5), s.kappa)[1]
 
 
+@pytest.mark.parametrize("eta0, alpha_d", [(1.0, 0.0), (0.3, 10.0), (0.5, 20.0)])
+def test_sifted_rate_convention_at_low_brightness(eta0, alpha_d):
+    """At p_dc 0 the engine's sifted coincidence probability tends to 4 times
+    the analytic r_sift that the secret rate uses, and the herald to
+    4 chi^4 eta_BSM^2, as chi -> 0; both gaps shrink as chi^2."""
+    eta_bsm = swap_module.bsm_detector(eta0, alpha_d, 0.0).eta
+    gaps = []
+    for chi in (1e-2, 1e-3, 1e-4):
+        r = evaluate(Scenario(alpha_d_db=alpha_d, chi=chi, eta0=eta0, p_dc=0.0))
+        gap = (r.coincidence_probability / (4.0 * r.r_sift) - 1.0,
+               r.herald_probability / (4.0 * chi**4 * eta_bsm**2) - 1.0)
+        assert np.all(np.abs(gap) <= 8.0 * chi**2), (chi, gap)
+        gaps.append(gap)
+    for wide, narrow in zip(gaps, gaps[1:]):
+        assert np.allclose(np.divide(narrow, wide), 1e-2, rtol=0.02), (wide, narrow)
+
+
+@pytest.mark.parametrize("p_dc", [1.8e-5, 1e-6])
+def test_searched_rate_at_the_default_cutoff_is_within_3e_5_of_cutoff_7(p_dc):
+    """compare-decoy, crossover and fig7 read the swap rate curve at the
+    default n_max 4 with no convergence check; on fig7's settings its best
+    rate is within 3e-5 relative of the curve at n_max 7, at the same chi."""
+    for alpha_d in np.arange(0.0, 51.0, 5.0):
+        chi4, r4 = es_optimal_rate(alpha_d, 0.2, p_dc, policy=TruncationPolicy(n_max=4))
+        chi7, r7 = es_optimal_rate(alpha_d, 0.2, p_dc, policy=TruncationPolicy(n_max=7))
+        assert r4 == pytest.approx(r7, rel=3e-5, abs=0.0), alpha_d
+        assert abs(chi4 - chi7) <= CHI_TOL, alpha_d
+
+
 def test_optimize_chi_runs_the_pipeline_once(monkeypatch):
     """The search runs on one graded build; only optimize_chi's reported
     point goes through the pipeline, and es_optimal_rate runs none."""
@@ -502,22 +531,16 @@ def test_crossover_scan_stops_at_an_undefined_midpoint(monkeypatch):
     assert sampled == [0.0, 1.0, 2.0, 3.0, 4.0, 3.5]
 
 
-def test_new_detector_efficiencies_reuse_the_rotation_blocks(monkeypatch):
+def test_new_detector_efficiencies_reuse_the_rotation_blocks():
     """Detector POVMs are polynomials in 1-eta over a rotation matrix cached
     per (n_max, theta): once each cutoff's matrices exist, new efficiencies
-    (an alpha_d scan) build no rotation matrix and call no rotated_pair_povm."""
+    (an alpha_d scan) build no rotation matrix."""
     def scenario(alpha_d_db):
         return Scenario(alpha_d_db=alpha_d_db, chi=0.1, eta0=0.2,
                         constraint=DEFAULT_CONSTRAINT, policy=TruncationPolicy(n_max=3))
 
     evaluate(scenario(0.0))  # warm-up: matrices of every cutoff the escalation reaches
     misses = fock_module.rotation_matrix.cache_info().misses
-
-    def forbidden(*args):
-        raise AssertionError("rotated_pair_povm is the test reference only")
-
-    for module in (fock_module, metrics_module, swap_module, optimize_module):
-        monkeypatch.setattr(module, "rotated_pair_povm", forbidden, raising=False)
     cutoffs = {evaluate(scenario(alpha_d)).n_max_used for alpha_d in (5.0, 10.0, 15.0, 20.0, 25.0)}
     assert cutoffs == {evaluate(scenario(0.0)).n_max_used}
     assert fock_module.rotation_matrix.cache_info().misses == misses

@@ -17,11 +17,12 @@ from dense_reference import (
     dense_swap_state,
     fidelity_with_pure,
     perform_bsm,
+    two_source_state,
 )
 from swapkd.detectors import ThresholdDetector
 from swapkd.fock import TruncationPolicy, detector_pair_povms
 from swapkd.metrics import _bob_operators
-from swapkd.swap import bsm_detector, graded_swap_state, swap_conditional_state
+from swapkd.swap import bsm_detector, graded_swap_state, link_povms, swap_conditional_state
 
 
 def single_pair_per_source_register(policy: TruncationPolicy) -> ModeRegister:
@@ -145,6 +146,40 @@ def test_psi_plus_patterns_need_the_frame_correction():
     # aggregate without correction: half the heralds project to each state
     assert overlap(plus) == pytest.approx(0.5, abs=1e-3)
     assert overlap(minus) == pytest.approx(0.5, abs=1e-3)
+
+
+@pytest.mark.parametrize("n_max", range(1, 8))
+def test_mixer_output_exchange_is_a_parity_on_its_second_input(n_max):
+    """A balanced mixer with one detector model on both outputs does not
+    change when its outputs are exchanged, and that exchange is the parity
+    (-1)^n on its second input: in the BSM's realigned stack (the X stack),
+    "only the c' output clicks" is "only the b' output clicks" times
+    (-1)^(k+K) over the second input's (k, K).  The swap builds its psi+
+    heralds from this (swap._heralded_state)."""
+    parity = (-1.0) ** np.arange(n_max + 1)
+    flip = np.outer(parity, parity).reshape(-1)
+    for eta, p_dc in ((0.0, 0.0), (0.0, 0.3), (0.01, 1e-6), (0.3, 1e-4), (0.77, 0.3),
+                      (1.0, 0.0), (1.0, 1e-3)):
+        x = link_povms(n_max, ThresholdDetector(eta, p_dc))[1]
+        assert np.abs(x[1] - x[0] * flip).max() <= 1e-13 * np.abs(x).max(), (eta, p_dc)
+
+
+def test_corrected_psi_plus_heralds_equal_their_psi_minus_partners():
+    """In the dense reference, each psi+ herald rotated into the psi- frame
+    leaves the state of the psi- herald with the same H click: (b'H, b'V)
+    that of (b'H, c'V), and (c'H, c'V) that of (b'V, c'H)."""
+    policy = TruncationPolicy(n_max=2, convergence_tol=0.5)
+    state = two_source_state(0.2, policy)
+    det = bsm_detector(0.6, 4.0, 1e-3)
+    heralded = {clicks: perform_bsm(state, det, clicks) for clicks, _ in HERALDS}
+    plus = [clicks for clicks, psi_plus in HERALDS if psi_plus]
+    minus = [clicks for clicks, psi_plus in HERALDS if not psi_plus]
+    for clicks in plus:
+        (partner,) = [m for m in minus if (m[0], m[2]) == (clicks[0], clicks[2])]
+        got = apply_psi_plus_correction(heralded[clicks])
+        want = heralded[partner]
+        assert np.abs(got.rho - want.rho).max() <= 1e-13 * np.abs(want.rho).max()
+        assert got.herald_probability == pytest.approx(want.herald_probability, rel=1e-13)
 
 
 def test_psi_plus_correction_diagonal_phase():
