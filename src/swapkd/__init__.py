@@ -14,11 +14,8 @@ from .errors import (
 )
 from .fock import TruncationPolicy
 from .metrics import (
-    AnalyzerSetting,
     CoincidenceTable,
     QberReport,
-    X_BASIS,
-    Z_BASIS,
     fourfold_coincidence,
     qber,
     qber_polynomial,
@@ -59,7 +56,6 @@ from .swap import (
 
 __all__ = [
     "__version__",
-    "AnalyzerSetting",
     "CoincidenceTable",
     "ConstraintViolationError",
     "DecoyInputs",
@@ -78,8 +74,6 @@ __all__ = [
     "TruncationError",
     "TruncationPolicy",
     "UndefinedVisibilityError",
-    "X_BASIS",
-    "Z_BASIS",
     "bsm_detector",
     "decoy_inputs",
     "decoy_rate_report",

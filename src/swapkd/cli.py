@@ -177,6 +177,13 @@ GridLike = Union[str, Sequence[float], float, int]
 # checked before the grid is built; the figure presets use 25 points.
 MAX_GRID_POINTS = 100_000
 
+# Largest Fock cutoff a command accepts, checked before anything is built:
+# one evaluate at n_max 20 (chi 0.3, eta0 0.3, 10 dB, p_dc 1e-5) takes
+# about 1.3 s and 143 MB.  The rotation generator (fock.rotation_eigensystem)
+# grows as the fourth power of the cutoff: at n_max 100 it is a complex
+# 20,706-square matrix of 6.9 GB.
+MAX_N_MAX = 20
+
 
 def _numbers(text: str, values, kind: type = float) -> List:
     """values converted by kind; one that does not convert is a bad grid."""
@@ -311,9 +318,10 @@ def _resolve_pdc_mode(config: Dict) -> Tuple[Optional[float], Optional[DetectorC
 
 
 def _policy(config: Dict) -> TruncationPolicy:
-    return TruncationPolicy(
-        n_max=int(config["n_max"]), convergence_tol=float(config["convergence_tol"])
-    )
+    n_max = int(config["n_max"])
+    if n_max > MAX_N_MAX:
+        raise ConfigError(f"n_max must be at most {MAX_N_MAX}, got {n_max}")
+    return TruncationPolicy(n_max=n_max, convergence_tol=float(config["convergence_tol"]))
 
 
 def _out_path(config: Dict, name: str) -> str:

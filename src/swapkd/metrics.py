@@ -7,8 +7,8 @@ detector per output: the same four outcomes (fock.detector_pair_povms, over
 a real rotation matrix cached per cutoff and angle) as a BSM beamsplitter.
 The key-basis analyzers are the link's own optics, so their stacks come
 with the swap result (swap.link_povms); the general routines take any
-detector and setting and build their own.  Every table is one stacked
-contraction of the realigned pair factors and POVMs.
+detector and pair of analyzer angles and build their own.  Every table is
+one stacked contraction of the realigned pair factors and POVMs.
 qber_polynomial grades the tables by photon number: every operator
 conserves its pair's photon number, so the contraction reads only the
 entries of each photon-number sector, at positions from one formula
@@ -42,12 +42,9 @@ from .fock import (
     rotation_basis_weights,
     rotation_eigensystem,
 )
-from .swap import KEY_ANGLES, SwapResult
+from .swap import SwapResult
 
 __all__ = [
-    "AnalyzerSetting",
-    "Z_BASIS",
-    "X_BASIS",
     "CoincidenceTable",
     "VisibilityScan",
     "QberReport",
@@ -59,16 +56,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AnalyzerSetting:
-    """Analyzer angles for the two sides."""
-
-    theta_alice: float
-    theta_bob: float
-
-
-Z_BASIS, X_BASIS = (AnalyzerSetting(theta, theta) for theta in KEY_ANGLES)
-
 # Exclusive outcomes of one analyzer, in fock.detector_pair_povms order:
 # exactly the H detector, exactly the V detector, both, or neither, as
 # (H detector, V detector) click demands.
@@ -77,7 +64,7 @@ _OUTCOMES = {"h": (True, False), "v": (False, True), "both": (True, True), "none
 
 @dataclass(frozen=True)
 class CoincidenceTable:
-    """Joint outcome probabilities for one analyzer setting.
+    """Joint outcome probabilities for one pair of analyzer angles.
 
     p_hh .. p_vv are the exclusive one-click-per-side coincidence
     probabilities (first letter Alice, second Bob).  p_double_alice and
@@ -108,17 +95,6 @@ def _povms(result, det: ThresholdDetector, theta: float) -> np.ndarray:
     """One analyzer's four outcomes at angle theta, in _OUTCOMES order, realigned
     (fock.realign)."""
     return realign(detector_pair_povms(result.n_max, theta, det))
-
-
-def _setting_povms(
-    result, det: ThresholdDetector, setting: AnalyzerSetting
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's outcome stacks (_povms); one serves both sides when
-    their angles agree."""
-    ra = _povms(result, det, setting.theta_alice)
-    if setting.theta_bob == setting.theta_alice:
-        return ra, ra
-    return ra, _povms(result, det, setting.theta_bob)
 
 
 def _bob_operators(result, ra: np.ndarray) -> np.ndarray:
@@ -153,13 +129,18 @@ def _table(p: np.ndarray) -> CoincidenceTable:
     )
 
 
-def fourfold_coincidence(result, setting: AnalyzerSetting, det_ab: ThresholdDetector) -> CoincidenceTable:
-    """Exclusive coincidence probabilities for one analyzer setting.
+def fourfold_coincidence(
+    result, det_ab: ThresholdDetector, theta_alice: float, theta_bob: float
+) -> CoincidenceTable:
+    """Exclusive coincidence probabilities with Alice's analyzer at theta_alice
+    and Bob's at theta_bob; one stack (_povms) serves both when they agree.
 
     det_ab.eta must already include the channel loss of the detector's arm;
     this routine applies no further attenuation.
     """
-    return _table(_joint_probabilities(result, *_setting_povms(result, det_ab, setting)))
+    ra = _povms(result, det_ab, theta_alice)
+    rb = ra if theta_bob == theta_alice else _povms(result, det_ab, theta_bob)
+    return _table(_joint_probabilities(result, ra, rb))
 
 
 @dataclass(frozen=True)
@@ -180,12 +161,13 @@ class _Fringe:
         return np.real(np.exp(2j * np.outer(thetas, k)) @ self.g) + self.c0
 
 
-def _fringe(m: np.ndarray, c: np.ndarray, n_max: int) -> _Fringe:
+def _fringe(result, ra: np.ndarray, c: np.ndarray) -> _Fringe:
     """Probability of the (h, h) coincidence as a function of Bob's analyzer angle.
 
-    m is Bob's realigned operator for Alice's h outcome (_bob_operators) and
-    c his detectors' weights in the rotation generator's eigenbasis
-    (_analyzer_weights).  In that eigenbasis, p(theta) = tr[M U(theta)^dag
+    ra is Alice's realigned outcome stack (_povms) and c Bob's detectors'
+    weights in the rotation generator's eigenbasis (_analyzer_weights).
+    M is Bob's operator for Alice's h outcome, the first of ra
+    (_bob_operators).  In that eigenbasis, p(theta) = tr[M U(theta)^dag
     W U(theta)] = sum_pq K[p,q] exp(i theta (w_q - w_p)) with integer
     eigenvalues w, so the terms group into a Fourier series
     p(theta) = Re sum_f C_f exp(i f theta) with |f| <= 4*n_max.  Only even f
@@ -193,8 +175,10 @@ def _fringe(m: np.ndarray, c: np.ndarray, n_max: int) -> _Fringe:
     photon-number block the eigenvalues differ by even integers.  So the
     curve is a _Fringe of period pi with K = 2*n_max terms.
     """
+    n_max = result.n_max
     d = n_max + 1
-    m = m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)  # [(k,l),(K,L)]
+    m = _bob_operators(result, ra[:1])[0].reshape(d, d, d, d)
+    m = m.transpose(0, 2, 1, 3).reshape(d * d, d * d)  # [(k,l),(K,L)]
     w, v, sub, _, _ = rotation_eigensystem(n_max)
     v_sub = v[sub]
     a = v_sub.conj().T @ m @ v_sub
@@ -213,12 +197,6 @@ def _analyzer_weights(n_max: int, det: ThresholdDetector) -> np.ndarray:
     return rotation_basis_weights(
         n_max, det.weight_vector(True, 2 * n_max), det.weight_vector(False, 2 * n_max)
     )
-
-
-def _bob_angle_curve(result, det_ab: ThresholdDetector, theta_alice: float) -> _Fringe:
-    """The (h, h) fringe in Bob's angle with Alice's analyzer at theta_alice (_fringe)."""
-    m = _bob_operators(result, _povms(result, det_ab, theta_alice)[:1])[0]  # Alice's h outcome
-    return _fringe(m, _analyzer_weights(result.n_max, det_ab), result.n_max)
 
 
 @dataclass(frozen=True)
@@ -266,8 +244,10 @@ def visibility_scan(
     det_ab: ThresholdDetector,
     theta_alice: float = 0.0,
 ) -> VisibilityScan:
-    """Both extrema of the H-H rate over Bob's analyzer angle (_extrema)."""
-    return _extrema(_bob_angle_curve(result, det_ab, theta_alice))
+    """Both extrema of the H-H rate over Bob's analyzer angle, with Alice's
+    analyzer at theta_alice (_fringe, _extrema)."""
+    ra = _povms(result, det_ab, theta_alice)
+    return _extrema(_fringe(result, ra, _analyzer_weights(result.n_max, det_ab)))
 
 
 @dataclass(frozen=True)
@@ -327,17 +307,13 @@ def visibility(result: SwapResult) -> float:
     """Fringe visibility averaged over the Z and X key bases.
 
     Each basis scans Bob's angle with Alice's analyzer at that basis's angle,
-    from Bob's operator for her h outcome (the first of the result's stack
-    for that basis); both scans share one set of eigenbasis weights.  The
-    mean pairs with the pooled error fraction of qber() through
-    QBER = (1 - V)/2, even when the bases disagree slightly.
+    through the result's stack for that basis (_fringe); both scans share
+    one set of eigenbasis weights.  The mean pairs with the pooled error
+    fraction of qber() through QBER = (1 - V)/2, even when the bases
+    disagree slightly.
     """
-    n_max = result.n_max
-    c = _analyzer_weights(n_max, result.det)
-    vis_z, vis_x = (
-        _extrema(_fringe(_bob_operators(result, p[:1])[0], c, n_max)).visibility
-        for p in result.povms
-    )
+    c = _analyzer_weights(result.n_max, result.det)
+    vis_z, vis_x = (_extrema(_fringe(result, p, c)).visibility for p in result.povms)
     return 0.5 * (vis_z + vis_x)
 
 

@@ -262,18 +262,6 @@ def _not_positive(alpha_d_db: float, eta0: float, p_dc: float) -> OptimumPoint:
     return OptimumPoint(alpha_d_db, nan, eta0, p_dc, 0.0, nan, converged=False, positive=False)
 
 
-def _horner(coeffs: List[float], t: float) -> float:
-    """The polynomial with coefficients coeffs, highest power first, at t.
-
-    The same float64 operations in the same order as np.polyval, so the
-    same result, without numpy's per-call overhead.
-    """
-    y = 0.0
-    for c in coeffs:
-        y = y * t + c
-    return y
-
-
 def _rate_curve(s: Scenario) -> Callable[[float], float]:
     """Secret rate as a function of chi at the distance and detectors of s.
 
@@ -283,14 +271,16 @@ def _rate_curve(s: Scenario) -> Callable[[float], float]:
     single-cutoff pipeline at s.policy.n_max.
     """
     graded = graded_swap_state(s.eta0, s.alpha_d_db, s.resolved_p_dc, s.policy)
-    wrong, total = (c[::-1].tolist() for c in qber_polynomial(graded))
+    coeffs = list(zip(*(c[::-1].tolist() for c in qber_polynomial(graded))))
 
     def rate(chi: float) -> float:
         t = math.tanh(chi) ** 2
-        den = _horner(total, t)
+        num = den = 0.0
+        for w, c in coeffs:  # Horner, highest power first: np.polyval's operations
+            num, den = num * t + w, den * t + c
         if den <= 0.0:
             raise NoCoincidenceError("no coincidences in either basis; QBER undefined")
-        qber_t = max(_horner(wrong, t), 0.0) / den  # rounding can leave W(t) just below 0
+        qber_t = max(num, 0.0) / den  # rounding can leave W(t) just below 0
         return secret_rate(sifted_rate(chi, s.eta0, s.alpha_d_db), min(qber_t, 0.5), s.kappa)[1]
 
     return rate

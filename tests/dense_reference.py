@@ -42,7 +42,7 @@ from swapkd.fock import (
     rotation_basis_weights,
     rotation_eigensystem,
 )
-from swapkd.metrics import _OUTCOMES, _joint_probabilities, _setting_povms
+from swapkd.metrics import _OUTCOMES, _joint_probabilities
 from swapkd.sources import CHI_CAP, pair_amplitudes
 from swapkd.swap import SwapResult, bsm_detector
 
@@ -203,8 +203,9 @@ def dense_probabilities(cond: ConditionalState, det: ThresholdDetector, theta_al
     return probs
 
 
-def sector_table(result: SwapResult, det_ab: ThresholdDetector, setting) -> np.ndarray:
-    """Coincidences p[a, N_A, b, N_B] for the h/v outcomes a, b, by masked POVMs.
+def sector_table(result: SwapResult, povms_a: np.ndarray, povms_b: np.ndarray) -> np.ndarray:
+    """Coincidences p[a, N_A, b, N_B] for the h/v outcomes a, b of Alice's and
+    Bob's realigned outcome stacks povms_a and povms_b, by masked POVMs.
 
     The reference for metrics._sector_table: each analyzer element is cut
     into its blocks I+J = i+j = N by a mask, and all of them go through the
@@ -218,7 +219,7 @@ def sector_table(result: SwapResult, det_ab: ThresholdDetector, setting) -> np.n
     blocks = realign(sel[:, :, None] & sel[:, None, :])  # N block: I+J = i+j = N
     ra, rb = (
         (povms[:2, None] * blocks).reshape(-1, d2, d2)
-        for povms in _setting_povms(result, det_ab, setting)
+        for povms in (povms_a, povms_b)
     )
     return _joint_probabilities(result, ra, rb).reshape(2, n_blocks, 2, n_blocks)
 

@@ -119,6 +119,20 @@ def test_non_finite_or_oversized_input_is_a_configuration_error(args, message, t
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["evaluate", "--chi", "0.05", "--eta0", "0.3", "--alpha-d", "5", "--pdc", "1e-5"],
+     ["figure-data", "--figure", "fig3"]],
+    ids=["evaluate", "figure-data"],
+)
+def test_cutoff_above_the_cap_is_a_configuration_error(args, tmp_path, capsys):
+    """--n-max 21, one above cli.MAX_N_MAX, exits 2 before anything is built
+    and writes nothing."""
+    assert main(args + ["--n-max", "21", "--output-dir", str(tmp_path)]) == 2
+    assert "n_max must be at most 20" in json.loads(capsys.readouterr().out)["error"]["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 

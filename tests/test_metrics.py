@@ -25,14 +25,12 @@ from swapkd.errors import NoCoincidenceError, UndefinedVisibilityError
 from swapkd.fock import TruncationPolicy, detector_pair_povms
 from swapkd.metrics import (
     _OUTCOMES,
-    X_BASIS,
-    Z_BASIS,
-    AnalyzerSetting,
     VisibilityScan,
-    _bob_angle_curve,
+    _analyzer_weights,
+    _fringe,
     _joint_probabilities,
+    _povms,
     _sector_table,
-    _setting_povms,
     fourfold_coincidence,
     qber,
     qber_polynomial,
@@ -41,6 +39,7 @@ from swapkd.metrics import (
 )
 from swapkd.sources import pair_amplitudes
 from swapkd.swap import (
+    KEY_ANGLES,
     SwapResult,
     bsm_detector,
     graded_swap_state,
@@ -56,14 +55,13 @@ def vacuum_conditional(n_max: int = 2):
 
 
 def test_basis_settings():
-    assert Z_BASIS.theta_alice == 0.0 and Z_BASIS.theta_bob == 0.0
-    assert X_BASIS.theta_alice == pytest.approx(math.pi / 4.0)
-    assert X_BASIS.theta_bob == pytest.approx(math.pi / 4.0)
+    assert KEY_ANGLES[0] == 0.0
+    assert KEY_ANGLES[1] == pytest.approx(math.pi / 4.0)
 
 
 def test_singlet_coincidence_table(ideal_detector):
     cond = singlet_state(n_max=2)
-    table = fourfold_coincidence(cond, Z_BASIS, ideal_detector)
+    table = fourfold_coincidence(cond, ideal_detector, KEY_ANGLES[0], KEY_ANGLES[0])
     assert table.p_hv == pytest.approx(0.5, abs=1e-12)
     assert table.p_vh == pytest.approx(0.5, abs=1e-12)
     assert table.p_hh == pytest.approx(0.0, abs=1e-12)
@@ -73,7 +71,7 @@ def test_singlet_coincidence_table(ideal_detector):
     assert table.p_coincidence == pytest.approx(1.0, abs=1e-12)
     assert table.p_double_alice == pytest.approx(0.0, abs=1e-12)
     # the singlet looks the same in any rotated product basis
-    rotated = fourfold_coincidence(cond, AnalyzerSetting(0.3, 0.3), ideal_detector)
+    rotated = fourfold_coincidence(cond, ideal_detector, 0.3, 0.3)
     assert rotated.p_hv == pytest.approx(0.5, abs=1e-10)
     assert rotated.p_hh == pytest.approx(0.0, abs=1e-10)
 
@@ -153,9 +151,10 @@ def test_visibility_scan_extrema_for_singlet(ideal_detector):
 def test_visibility_scan_matches_direct_contraction(ideal_detector):
     """Spot-check the fast angle curve against fourfold_coincidence."""
     cond = werner_state(0.85)
-    curve = _bob_angle_curve(cond, ideal_detector, 0.2)
+    c = _analyzer_weights(cond.n_max, ideal_detector)
+    curve = _fringe(cond, _povms(cond, ideal_detector, 0.2), c)
     for theta in (0.0, 0.6942, 1.9094):
-        table = fourfold_coincidence(cond, AnalyzerSetting(0.2, theta), ideal_detector)
+        table = fourfold_coincidence(cond, ideal_detector, 0.2, theta)
         assert curve(theta)[0] == pytest.approx(table.p_hh, rel=1e-10)
 
 
@@ -163,7 +162,7 @@ def test_swap_state_hv_symmetry():
     policy = TruncationPolicy(n_max=3)
     res = swap_conditional_state(0.08, 0.6, 4.0, 1e-5, policy)
     det = bsm_detector(0.6, 4.0, 1e-5)
-    table = fourfold_coincidence(res, Z_BASIS, det)
+    table = fourfold_coincidence(res, det, KEY_ANGLES[0], KEY_ANGLES[0])
     assert table.p_hv == pytest.approx(table.p_vh, rel=1e-10)
     assert table.p_hh == pytest.approx(table.p_vv, rel=1e-10)
 
@@ -175,8 +174,7 @@ def test_swap_state_rotational_covariance():
     det = bsm_detector(0.8, 0.0, 0.0)
     base = qber(with_detector(res, det)).qber
     for delta in (0.17, 0.61, 1.03):
-        tz = fourfold_coincidence(res, AnalyzerSetting(delta, delta), det)
-        tx = fourfold_coincidence(res, AnalyzerSetting(math.pi / 4 + delta, math.pi / 4 + delta), det)
+        tz, tx = (fourfold_coincidence(res, det, t + delta, t + delta) for t in KEY_ANGLES)
         rotated = (tz.p_wrong + tx.p_wrong) / (tz.p_coincidence + tx.p_coincidence)
         assert rotated == pytest.approx(base, abs=5e-7)
 
@@ -207,7 +205,7 @@ def test_embed_qubit_pair_and_bell_state_agree():
 def test_joint_probability_weight_is_herald(ideal_detector):
     """Coincidence entries are joint with the herald, not conditioned on it."""
     cond = singlet_state(n_max=2, herald=0.01)
-    table = fourfold_coincidence(cond, Z_BASIS, ideal_detector)
+    table = fourfold_coincidence(cond, ideal_detector, KEY_ANGLES[0], KEY_ANGLES[0])
     assert table.p_hv == pytest.approx(0.005, abs=1e-12)
 
 
@@ -249,10 +247,10 @@ def test_one_source_coincidence_matches_closed_form(n_max):
             result = with_detector(state, det)
             want = pdc_coincidence(chi, eta, p_dc)
             bound = 2.0 * math.tanh(chi) ** (2 * (n_max + 1)) + 1e-14 * want
-            for setting in (Z_BASIS, AnalyzerSetting(0.7, 0.2)):
-                p = _joint_probabilities(result, *_setting_povms(result, det, setting))
+            for angles in ((KEY_ANGLES[0], KEY_ANGLES[0]), (0.7, 0.2)):
+                p = _joint_probabilities(result, *(_povms(result, det, t) for t in angles))
                 got = p[:3, :3].sum()  # h, v or both on each side
-                assert abs(got - want) <= bound, (chi, eta, p_dc, setting)
+                assert abs(got - want) <= bound, (chi, eta, p_dc, angles)
 
 
 def swap_case(n_max: int, chi: float, p_dc: float):
@@ -261,7 +259,8 @@ def swap_case(n_max: int, chi: float, p_dc: float):
     return res, bsm_detector(0.3, 10.0, p_dc)
 
 
-OFF_AXIS = AnalyzerSetting(0.3, 1.1)
+# (Alice's, Bob's) analyzer angles: both key bases and one off-axis pair
+ANGLE_PAIRS = [(theta, theta) for theta in KEY_ANGLES] + [(0.3, 1.1)]
 
 
 @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 6])
@@ -271,9 +270,9 @@ def test_factored_contraction_matches_dense_state(n_max):
         for p_dc in (0.0, 1e-4):
             res, det = swap_case(n_max, chi, p_dc)
             cond = dense_state(res)
-            for setting in (Z_BASIS, X_BASIS, OFF_AXIS):
-                table = fourfold_coincidence(res, setting, det)
-                probs = dense_probabilities(cond, det, setting.theta_alice, setting.theta_bob)
+            for theta_alice, theta_bob in ANGLE_PAIRS:
+                table = fourfold_coincidence(res, det, theta_alice, theta_bob)
+                probs = dense_probabilities(cond, det, theta_alice, theta_bob)
                 want = {
                     "p_hh": probs[("h", "h")],
                     "p_hv": probs[("h", "v")],
@@ -284,9 +283,9 @@ def test_factored_contraction_matches_dense_state(n_max):
                 }
                 for name, value in want.items():
                     assert getattr(table, name) == pytest.approx(value, rel=1e-9, abs=1e-20), name
-                scan = visibility_scan(res, det, theta_alice=setting.theta_alice)
+                scan = visibility_scan(res, det, theta_alice=theta_alice)
                 extrema = [
-                    max(dense_probabilities(cond, det, setting.theta_alice, theta)[("h", "h")], 0.0)
+                    max(dense_probabilities(cond, det, theta_alice, theta)[("h", "h")], 0.0)
                     for theta in (scan.theta_max, scan.theta_min)
                 ]
                 assert [scan.p_max, scan.p_min] == pytest.approx(extrema, rel=1e-9, abs=1e-20)
@@ -323,7 +322,8 @@ def test_fourier_curve_matches_brute_force():
         cases.append((res, swap_det, math.pi / 4.0))
     for state, d, theta_alice in cases:
         want = brute_force_bob_curve(dense_state(state), d, theta_alice, thetas)
-        got = _bob_angle_curve(state, d, theta_alice)(thetas)
+        curve = _fringe(state, _povms(state, d, theta_alice), _analyzer_weights(state.n_max, d))
+        got = curve(thetas)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-20)
 
 
@@ -349,7 +349,8 @@ def test_root_extrema_match_brute_force(n_max):
         det = bsm_detector(0.3, alpha_d, p_dc)
         for theta_alice in (0.0, math.pi / 4.0):
             scan = visibility_scan(res, det, theta_alice)
-            want = brute_force_visibility(_bob_angle_curve(res, det, theta_alice), scan)
+            curve = _fringe(res, _povms(res, det, theta_alice), _analyzer_weights(n_max, det))
+            want = brute_force_visibility(curve, scan)
             assert scan.visibility == pytest.approx(want, rel=1e-11, abs=0.0)
     assert scan.visibility < 1e-6
 
@@ -377,7 +378,7 @@ def test_scan_extrema_bound_the_fringe(n_max, eta0, alpha_d, p_dc, chi, theta_al
     res = swap_conditional_state(chi, eta0, alpha_d, p_dc, TruncationPolicy(n_max=n_max))
     det = bsm_detector(eta0, alpha_d, p_dc)
     scan = visibility_scan(res, det, theta_alice)
-    curve = _bob_angle_curve(res, det, theta_alice)
+    curve = _fringe(res, _povms(res, det, theta_alice), _analyzer_weights(n_max, det))
     values = curve(np.linspace(0.0, math.pi, 2001))
     slack = 1e-12 * scan.p_max
     assert values.max() <= scan.p_max + slack
@@ -391,15 +392,15 @@ def test_scan_extrema_bound_the_fringe(n_max, eta0, alpha_d, p_dc, chi, theta_al
     eta0=st.floats(0.05, 1.0),
     alpha_d=st.floats(0.0, 40.0),
     p_dc=st.floats(0.0, 1e-2),
-    setting=st.sampled_from([Z_BASIS, X_BASIS, OFF_AXIS]),
+    angles=st.sampled_from(ANGLE_PAIRS),
 )
-def test_sector_coefficients_are_bounded(n_max, eta0, alpha_d, p_dc, setting):
+def test_sector_coefficients_are_bounded(n_max, eta0, alpha_d, p_dc, angles):
     """Sector N of the brightness-free state holds C(N+3,3) unit-weight
     photon configurations, so its coincidences lie in [0, C(N+3,3)]; wrong
     coincidences never exceed the total."""
     graded = graded_swap_state(eta0, alpha_d, p_dc, TruncationPolicy(n_max=n_max))
     det = bsm_detector(eta0, alpha_d, p_dc)
-    povms = _setting_povms(graded, det, setting)
+    povms = (_povms(graded, det, theta) for theta in angles)
     sectors = _sector_table(graded, *povms).sum(axis=(0, 2))  # [N_A, N_B]
     n_blocks = 2 * n_max + 1
     for n in range(2 * n_blocks - 1):
@@ -421,10 +422,10 @@ def test_sector_table_sums_to_coincidence_table(n_max):
         t = math.tanh(chi) ** 2
         weight = (1.0 - t) ** 4 * t ** np.add.outer(n, n)
         res, _ = swap_case(n_max, chi, 1e-4)
-        for setting in (Z_BASIS, X_BASIS, OFF_AXIS):
-            sectors = _sector_table(graded, *_setting_povms(graded, det, setting))
+        for angles in ANGLE_PAIRS:
+            sectors = _sector_table(graded, *(_povms(graded, det, theta) for theta in angles))
             p = (sectors * weight[None, :, None, :]).sum(axis=(1, 3))
-            table = fourfold_coincidence(res, setting, det)
+            table = fourfold_coincidence(res, det, *angles)
             want = np.array([[table.p_hh, table.p_hv], [table.p_vh, table.p_vv]])
             assert np.allclose(p, want, rtol=1e-12, atol=0.0)
 
@@ -448,13 +449,15 @@ def test_sector_table_matches_mask_reference(n_max):
         graded = graded_swap_state(eta0, alpha_d, p_dc, policy)
         states = (graded, swap_conditional_state(0.2, eta0, alpha_d, p_dc, policy))
         for state in states:
-            for setting in (Z_BASIS, X_BASIS, OFF_AXIS):
-                want = sector_table(state, det, setting)
-                got = _sector_table(state, *_setting_povms(state, det, setting))
-                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (eta0, setting)
+            for angles in ANGLE_PAIRS:
+                povms = [_povms(state, det, theta) for theta in angles]
+                want = sector_table(state, *povms)
+                got = _sector_table(state, *povms)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (eta0, angles)
         # coefficients that vanish in exact arithmetic (no wrong coincidences
         # from one pair per source without dark counts) are rounding noise
-        want = _polynomial(sum(sector_table(graded, det, s) for s in (Z_BASIS, X_BASIS)))
+        key_povms = [_povms(graded, det, theta) for theta in KEY_ANGLES]
+        want = _polynomial(sum(sector_table(graded, p, p) for p in key_povms))
         floor = 1e-15 * np.abs(want[1]).max()
         for got, ref in zip(qber_polynomial(graded), want):
             assert np.all(np.abs(got - ref) <= np.maximum(1e-12 * np.abs(ref), floor)), (eta0, alpha_d)
@@ -479,8 +482,8 @@ def test_key_basis_tables_match_dense_contraction(n_max, eta0, alpha_d, p_dc, ch
     det = bsm_detector(eta0, alpha_d, p_dc) if analyzer is None else ThresholdDetector(*analyzer)
     report = qber(with_detector(res, det))
     cond = dense_state(res)
-    for table, basis in ((report.table_z, Z_BASIS), (report.table_x, X_BASIS)):
-        probs = dense_probabilities(cond, det, basis.theta_alice, basis.theta_bob)
+    for table, theta in zip((report.table_z, report.table_x), KEY_ANGLES):
+        probs = dense_probabilities(cond, det, theta, theta)
         want = {
             "p_hh": probs[("h", "h")],
             "p_hv": probs[("h", "v")],
@@ -502,5 +505,15 @@ def test_key_basis_tables_equal_fourfold_coincidence(n_max, chi):
     contraction."""
     res = swap_conditional_state(chi, 0.3, 10.0, 1e-4, TruncationPolicy(n_max=n_max))
     report = qber(res)
-    assert report.table_z == fourfold_coincidence(res, Z_BASIS, res.det)
-    assert report.table_x == fourfold_coincidence(res, X_BASIS, res.det)
+    assert report.table_z == fourfold_coincidence(res, res.det, KEY_ANGLES[0], KEY_ANGLES[0])
+    assert report.table_x == fourfold_coincidence(res, res.det, KEY_ANGLES[1], KEY_ANGLES[1])
+
+
+@pytest.mark.parametrize("n_max, chi", [(2, 1e-3), (3, 0.05), (4, 0.15), (5, 0.3)])
+def test_visibility_is_the_mean_of_the_key_angle_scans(n_max, chi):
+    """visibility(...) is the mean of visibility_scan's V with Alice's
+    analyzer at each key angle, for the BSM's own detector, exactly: both
+    read the fringe through one routine."""
+    res = swap_conditional_state(chi, 0.3, 10.0, 1e-4, TruncationPolicy(n_max=n_max))
+    scans = sum(visibility_scan(res, res.det, theta).visibility for theta in KEY_ANGLES)
+    assert visibility(res) == 0.5 * scans
