@@ -455,92 +455,43 @@ _CHI_SCAN_ZOOM = "1e-4:1e-2:25:log"
 _ALPHA_SCAN = "0:50:2.5"
 _ALPHA_SCAN_LONG = "0:60:2.5"
 
-# fig3/fig5: chi-scan curves at (eta0, chi grid) under the dark-count
-# constraint, one file per alpha*d
+# fig3/fig5 split their chi-scan curves per alpha*d, fig4 its alpha-scan
+# curves per chi
 _FIG3_ALPHAS = (0.0, 5.0, 10.0, 25.0, 50.0)
-# fig4: alpha-scan curves at eta0 under the constraint, one file per chi
 _FIG4_CHIS = (1e-4, 1e-3, 1e-2, 0.1, 0.2)
-# fig7: decoy vs swap at eta0 = 0.2 and per-distance optimal brightness,
-# one variant per dark-count level
-_FIG7_ETA0 = 0.2
 _FIG8_PDC = 1e-12
+
+# The figures whose brightness grid chi_grid overrides; the others choose
+# their brightness per distance or per curve.
+_CHI_GRID_FIGURES = ("fig3", "fig4", "fig5")
+
+# One run of a figure variant: (file suffix, split key, command, settings).
+# A split key names the grid that gets one file per value, the value's
+# _num_label ending the file name.
+_FigureRun = Tuple[str, Optional[str], _Command, Dict]
 
 
 def _num_label(value: float) -> str:
     return ("%g" % value).replace("-0", "-").replace("+", "")
 
 
-# fig8: fixed intensities and brightnesses at p_dc = _FIG8_PDC.  Each curve
-# is (scheme, file label, eta0, mu or chi): "decoy" evaluates the decoy
-# chain at intensity mu, "es" sweeps the swap link at brightness chi.
-_FIG8_CURVES = {
-    "a": [("decoy", f"mu{_num_label(mu)}", 0.2, mu) for mu in (0.8, 0.4)]
-    + [("es", f"chi{_num_label(chi)}", 0.2, chi) for chi in (0.174, 0.172, 0.12)],
-    "b": [
-        (scheme, f"eta{_num_label(eta0)}", eta0, x)
-        for eta0 in (0.9, 0.1)
-        for scheme, x in (("decoy", 0.7), ("es", 0.12))
-    ],
-}
-
-# The figures whose brightness grid chi_grid overrides; the others choose
-# their brightness per distance or per curve.
-_CHI_GRID_FIGURES = ("fig3", "fig4", "fig5")
-
-# Variants of each figure, in default order; fig6 has one unnamed variant.
-_FIGURES = {
-    "fig3": {
-        "a": (0.1, _CHI_SCAN_ZOOM),
-        "b": (0.1, _CHI_SCAN_FULL),
-        "c": (0.3, _CHI_SCAN_ZOOM),
-        "d": (0.3, _CHI_SCAN_FULL),
-    },
-    "fig4": {"a": 0.1, "b": 0.3},
-    "fig5": {"a": (0.1, _CHI_SCAN_FULL), "b": (0.3, _CHI_SCAN_FULL)},
-    "fig6": {"": None},
-    "fig7": {"a": 1.8e-5, "b": 1e-6, "c": 1e-10},
-    "fig8": _FIG8_CURVES,
-}
+def _constrained_sweep(
+    suffix: str, split: str, eta0: float, alpha_d_grid: GridLike, chi_grid: GridLike
+) -> _FigureRun:
+    """sweep curves at eta0 under the dark-count constraint, one per split value."""
+    settings = {"alpha_d_grid": alpha_d_grid, "eta0_grid": [eta0], "chi_grid": chi_grid,
+                "constraint": True}
+    return (suffix, split, COMMANDS["sweep"], settings)
 
 
-def _figure_runs(
-    figure: str, variant: str, alpha_grid: Optional[GridLike], chi_grid: Optional[GridLike]
-) -> List[Tuple[str, _Command, Dict]]:
-    """The (file suffix, command, settings) that write one figure variant."""
-    preset = _FIGURES[figure][variant]
-    sweep_cmd = COMMANDS["sweep"]
-    if figure in ("fig3", "fig5"):
-        eta0, chi_scan = preset
-        return [
-            (f"{variant}_ad{_num_label(a)}", sweep_cmd,
-             {"alpha_d_grid": [a], "eta0_grid": [eta0], "chi_grid": chi_grid or chi_scan,
-              "constraint": True})
-            for a in parse_grid(alpha_grid or _FIG3_ALPHAS)
-        ]
-    if figure == "fig4":
-        return [
-            (f"{variant}_chi{_num_label(c)}", sweep_cmd,
-             {"alpha_d_grid": alpha_grid or _ALPHA_SCAN, "eta0_grid": [preset], "chi_grid": [c],
-              "constraint": True})
-            for c in parse_grid(chi_grid or _FIG4_CHIS)
-        ]
-    if figure == "fig6":
-        settings = {"alpha_d_grid": alpha_grid or _ALPHA_SCAN, "constraint": True}
-        return [("_optima", COMMANDS["optimize"], settings)]
-    alphas = alpha_grid or _ALPHA_SCAN_LONG
-    if figure == "fig7":
-        settings = {"alpha_d_grid": alphas, "eta0": _FIG7_ETA0, "p_dc": preset}
-        return [(f"{variant}_es_vs_decoy", COMMANDS["compare-decoy"], settings)]
-    runs = []
-    for scheme, label, eta0, x in preset:
-        settings = {"alpha_d_grid": alphas, "p_dc": _FIG8_PDC}
-        if scheme == "decoy":
-            settings.update(eta0=eta0, mu=x)
-            runs.append((f"{variant}_decoy_{label}", _DECOY_CURVE, settings))
-        else:
-            settings.update(eta0_grid=[eta0], chi_grid=[x])
-            runs.append((f"{variant}_es_{label}", sweep_cmd, settings))
-    return runs
+def _fig8_curve(scheme: str, label: str, eta0: float, x: float) -> _FigureRun:
+    """One fig8 curve at p_dc = _FIG8_PDC: "decoy" evaluates the decoy chain
+    at intensity x, "es" sweeps the swap link at brightness x."""
+    settings = {"alpha_d_grid": _ALPHA_SCAN_LONG, "p_dc": _FIG8_PDC}
+    if scheme == "decoy":
+        return (f"_decoy_{label}", None, _DECOY_CURVE, {**settings, "eta0": eta0, "mu": x})
+    return (f"_es_{label}", None, COMMANDS["sweep"],
+            {**settings, "eta0_grid": [eta0], "chi_grid": [x]})
 
 
 def _run_figure_data(config: Dict) -> RunResult:
@@ -551,15 +502,20 @@ def _run_figure_data(config: Dict) -> RunResult:
         raise ConfigError(f"chi_grid applies to {', '.join(_CHI_GRID_FIGURES)} only, not {figure}")
     variants = (config["variant"],) if config["variant"] else tuple(_FIGURES[figure])
     shared = {key: config[key] for key in ("n_max", "convergence_tol")}
+    overrides = {k: config[k] for k in ("alpha_d_grid", "chi_grid") if config[k] is not None}
     files: List[Output] = []
     for variant in variants:
         if variant not in _FIGURES[figure]:
             raise ConfigError(f"unknown variant {variant!r} for {figure}")
-        for suffix, command, settings in _figure_runs(
-            figure, variant, config["alpha_d_grid"], config["chi_grid"]
-        ):
-            [(_, columns, rows)], _ = command.run({**command.defaults, **shared, **settings})
-            files.append((suffix, columns, rows))
+        for suffix, split, command, settings in _FIGURES[figure][variant]:
+            run_config = {**command.defaults, **shared, **settings, **overrides}
+            runs = [(variant + suffix, run_config)] if split is None else [
+                (variant + suffix + _num_label(v), {**run_config, split: [v]})
+                for v in parse_grid(run_config[split])
+            ]
+            for name, split_config in runs:
+                [(_, columns, rows)], _ = command.run(split_config)
+                files.append((name, columns, rows))
     return files, None
 
 
@@ -617,7 +573,7 @@ COMMANDS: Dict[str, _Command] = {
         "emit the published parameter grids",
         {**_COMMON_DEFAULTS, "figure": None, "variant": None, "alpha_d_grid": None,
          "chi_grid": None, "workers": None},
-        (),
+        ("figure",),
         _run_figure_data,
         stem_key="figure",
         flag_help={
@@ -625,6 +581,40 @@ COMMANDS: Dict[str, _Command] = {
             "chi_grid": "override the preset grid (fig3, fig4, fig5)",
         },
     ),
+}
+
+# Variants of each figure, in default order, each the runs that write its
+# files; fig6 has one unnamed variant.
+_FIGURES: Dict[str, Dict[str, List[_FigureRun]]] = {
+    "fig3": {
+        v: [_constrained_sweep("_ad", "alpha_d_grid", eta0, _FIG3_ALPHAS, chis)]
+        for v, eta0, chis in (("a", 0.1, _CHI_SCAN_ZOOM), ("b", 0.1, _CHI_SCAN_FULL),
+                              ("c", 0.3, _CHI_SCAN_ZOOM), ("d", 0.3, _CHI_SCAN_FULL))
+    },
+    "fig4": {
+        v: [_constrained_sweep("_chi", "chi_grid", eta0, _ALPHA_SCAN, _FIG4_CHIS)]
+        for v, eta0 in (("a", 0.1), ("b", 0.3))
+    },
+    "fig5": {
+        v: [_constrained_sweep("_ad", "alpha_d_grid", eta0, _FIG3_ALPHAS, _CHI_SCAN_FULL)]
+        for v, eta0 in (("a", 0.1), ("b", 0.3))
+    },
+    "fig6": {"": [("_optima", None, COMMANDS["optimize"],
+                   {"alpha_d_grid": _ALPHA_SCAN, "constraint": True})]},
+    "fig7": {
+        v: [("_es_vs_decoy", None, COMMANDS["compare-decoy"],
+             {"alpha_d_grid": _ALPHA_SCAN_LONG, "eta0": 0.2, "p_dc": p_dc})]
+        for v, p_dc in (("a", 1.8e-5), ("b", 1e-6), ("c", 1e-10))
+    },
+    "fig8": {
+        "a": [_fig8_curve("decoy", f"mu{_num_label(mu)}", 0.2, mu) for mu in (0.8, 0.4)]
+        + [_fig8_curve("es", f"chi{_num_label(chi)}", 0.2, chi) for chi in (0.174, 0.172, 0.12)],
+        "b": [
+            _fig8_curve(scheme, f"eta{_num_label(eta0)}", eta0, x)
+            for eta0 in (0.9, 0.1)
+            for scheme, x in (("decoy", 0.7), ("es", 0.12))
+        ],
+    },
 }
 
 # Command-line flag and argparse settings of every config key.

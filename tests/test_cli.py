@@ -24,7 +24,7 @@ from swapkd.cli import (
     parse_grid,
 )
 from swapkd.detectors import DEFAULT_CONSTRAINT
-from swapkd.optimize import SweepRow
+from swapkd.optimize import Comparison, OptimumPoint, SweepRow
 
 FAST = ["--n-max", "2"]
 
@@ -614,6 +614,13 @@ def test_figure_data_rejects_unknown_variant(figure, tmp_path, capsys):
     assert list(tmp_path.glob("*.csv")) == []
 
 
+def test_figure_data_requires_figure(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["figure-data", "--output-dir", str(out)]) == 2
+    assert "figure is required" in capsys.readouterr().out
+    assert not out.exists()
+
+
 def test_figure_data_config_rejects_unknown_figure(tmp_path, capsys):
     """argparse's choices guard the flag; the config file is checked too."""
     cfg = tmp_path / "cfg.json"
@@ -632,6 +639,36 @@ def test_figure_data_rejects_chi_grid_it_would_ignore(figure, tmp_path, capsys):
                  "--output-dir", str(tmp_path)] + FAST)
     assert code == 2
     assert "chi_grid" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "figure, key, outputs",
+    [("fig7", "alpha_d_grid", ["fig7a_es_vs_decoy.csv"]),
+     ("fig4", "chi_grid", ["fig4a_chi0.csv"])],
+    ids=["alpha_d_grid", "chi_grid"],
+)
+def test_figure_data_zero_grid_override_replaces_preset(figure, key, outputs, tmp_path,
+                                                        monkeypatch):
+    """A grid override of 0 is the one value 0, not a fall-back to the preset."""
+    monkeypatch.setattr(cli_module, "sweep", lambda scens: [SweepRow(s, None) for s in scens])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"figure": figure, "variant": "a", key: 0, "n_max": 2}))
+    out = tmp_path / "out"
+    assert main(["figure-data", "--config", str(cfg), "--output-dir", str(out)]) == 0
+    assert json.loads((out / f"{figure}_manifest.json").read_text())["outputs"] == outputs
+    column = {"alpha_d_grid": "alpha_d_db", "chi_grid": "chi"}[key]
+    for name in outputs:
+        _, rows = read_csv(out / name)
+        assert rows and {float(r[column]) for r in rows} == {0.0}, name
+
+
+def test_figure_data_empty_grid_override_is_rejected(tmp_path, capsys):
+    """An empty override is an empty grid (exit 2), as it is for sweep."""
+    code = main(["figure-data", "--figure", "fig7", "--variant", "a", "--alpha-d-grid", "",
+                 "--output-dir", str(tmp_path)] + FAST)
+    assert code == 2
+    assert "empty grid" in capsys.readouterr().out
     assert list(tmp_path.iterdir()) == []
 
 
@@ -710,6 +747,45 @@ def test_figure_data_preset_grids(figure, tmp_path, monkeypatch):
         assert got == [pytest.approx(w, rel=1e-10) for w in want], name
 
 
+# The arguments each per-distance search receives at the preset grids, per
+# file: optimize_joint's (alpha_d_db, constraint) for fig6 and
+# _compare_schemes' (alpha_d_db, eta0, p_dc, chi, mu) for fig7
+SEARCHED_PRESET_FILES = {
+    "fig6": {"fig6_optima.csv": [(a, DEFAULT_CONSTRAINT) for a in _alpha_scan(50)]},
+    "fig7": {
+        f"fig7{v}_es_vs_decoy.csv": [(a, 0.2, p_dc, None, None) for a in _alpha_scan(60)]
+        for v, p_dc in (("a", 1.8e-5), ("b", 1e-6), ("c", 1e-10))
+    },
+}
+
+
+@pytest.mark.parametrize("figure", sorted(SEARCHED_PRESET_FILES))
+def test_figure_data_searched_preset_grids(figure, tmp_path, monkeypatch):
+    """fig6's and fig7's preset distances and settings, with the searches
+    per distance stubbed out."""
+    calls = []
+
+    def stub_optimize_joint(alpha_d_db, constraint, **kwargs):
+        calls.append((alpha_d_db, constraint))
+        return OptimumPoint(alpha_d_db, 0.1, 0.2, 1e-6, 1e-3, 0.01)
+
+    def stub_compare(alpha_d_db, eta0, p_dc, chi, mu, **kwargs):
+        calls.append((alpha_d_db, eta0, p_dc, chi, mu))
+        return Comparison(alpha_d_db, 0.1, 1e-3, 0.5, 1e-3)
+
+    monkeypatch.setattr(cli_module, "optimize_joint", stub_optimize_joint)
+    monkeypatch.setattr(cli_module, "_compare_schemes", stub_compare)
+    code = main(["figure-data", "--figure", figure, "--output-dir", str(tmp_path)] + FAST)
+    assert code == 0
+    want = SEARCHED_PRESET_FILES[figure]
+    manifest = json.loads((tmp_path / f"{figure}_manifest.json").read_text())
+    assert manifest["outputs"] == list(want)
+    assert calls == [pytest.approx(c, rel=1e-10) for file in want.values() for c in file]
+    for name, file_calls in want.items():
+        _, rows = read_csv(tmp_path / name)
+        assert [float(r["alpha_d_db"]) for r in rows] == pytest.approx([c[0] for c in file_calls])
+
+
 def test_console_script_version():
     # `python -m swapkd` runs the same main() as the console script, so this
     # covers the command-line --version path without an installed package.
@@ -735,16 +811,20 @@ def test_pyproject_declares_console_script():
     assert project["version"] == swapkd.__version__
 
 
-def test_readme_command_lines_parse():
-    """Every swapkd line of README's Command line block parses, with its
-    continuations joined and comments dropped; nothing runs."""
+def readme_command_lines():
+    """The swapkd lines of README's Command line block, continuations joined
+    and comments dropped.  CI runs each of them."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
     lines = [line.split("#", 1)[0] for line in block.replace("\\\n", " ").splitlines()]
+    return [line for line in lines if line.startswith("swapkd ")]
+
+
+def test_readme_command_lines_parse():
+    """Every swapkd line of README's Command line block parses; nothing runs."""
     commands = [
         build_parser().parse_args(shlex.split(line)[1:]).command
-        for line in lines
-        if line.startswith("swapkd ")
+        for line in readme_command_lines()
     ]
     assert set(commands) == set(cli_module.COMMANDS)
 
