@@ -178,10 +178,11 @@ GridLike = Union[str, Sequence[float], float, int]
 MAX_GRID_POINTS = 100_000
 
 # Largest Fock cutoff a command accepts, checked before anything is built:
-# one evaluate at n_max 20 (chi 0.3, eta0 0.3, 10 dB, p_dc 1e-5) takes
-# about 1.3 s and 143 MB.  The rotation generator (fock.rotation_eigensystem)
-# grows as the fourth power of the cutoff: at n_max 100 it is a complex
-# 20,706-square matrix of 6.9 GB.
+# one evaluate at n_max 20 (chi 0.3, eta0 0.3, 10 dB, p_dc 1e-5; it
+# escalates to 21) takes about 0.26 s and 108 MB on a 2-core machine.  Every
+# pair operator is an (n_max+1)^2-square real matrix, so memory grows as the
+# fourth power of the cutoff: at n_max 100 a detector's four-outcome stack
+# is 3.3 GB.
 MAX_N_MAX = 20
 
 
@@ -206,13 +207,19 @@ def parse_grid(spec: GridLike) -> List[float]:
     "start:stop:step" (stop included when it lands on the step lattice), and
     "start:stop:n:log" / "start:stop:n:lin" for n log- or linearly spaced
     points.  The step and spaced forms hold at most MAX_GRID_POINTS points.
+    A bool, alone or in a list, is not a number.
     """
+    if any(isinstance(v, bool) for v in (spec if isinstance(spec, (list, tuple)) else [spec])):
+        raise ConfigError(f"bad grid {spec!r}: values must be numbers")
     if isinstance(spec, (int, float)):
         return _finite(repr(spec), [float(spec)])
     if isinstance(spec, (list, tuple)):
         values = _numbers(repr(spec), spec)
+    elif not isinstance(spec, str):
+        kind = type(spec).__name__
+        raise ConfigError(f"bad grid {spec!r}: expected a string, a number or a list, not {kind}")
     else:
-        text = str(spec).strip()
+        text = spec.strip()
         if ":" in text:
             parts = text.split(":")
             if len(parts) == 3:

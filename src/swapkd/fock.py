@@ -4,17 +4,18 @@ Every mode carries occupations 0..n_max (TruncationPolicy).  Every passive
 two-mode optic in the link (the BSM beamsplitters, the polarization
 analyzers) is a rotation generated by i(a^dag b - a b^dag) followed by one
 threshold detector per output.  The generator conserves n1+n2, so its
-eigensystem on the complete photon-number blocks n1+n2 <= 2*n_max
-(rotation_eigensystem) gives every such POVM element on n1, n2 <= n_max
-exactly, and the Fourier coefficients of a fringe.  The rotation itself is
-a real orthogonal matrix W from complete-block states to pair states
-(rotation_matrix, cached per (n_max, theta)), and it carries every
-detector: the four outcomes of a rotation and two threshold detectors
-(detector_pair_povms) are W diag(w1[n1] w2[n2]) W^T, real polynomials in
-1-eta over it, so a new efficiency costs no eigen-transform.  realign puts
-a pair operator in the (first-mode indices) x (second-mode indices) layout
-in which the swap and metrics modules contract states, and compress cuts a
-realigned operator down to a lower cutoff.
+eigenvectors on each complete photon-number block N = n1+n2 <= 2*n_max
+(rotation_blocks, one small eigh per block) give every such POVM element on
+n1, n2 <= n_max exactly, and the Fourier coefficients of a fringe.  The
+rotation itself is a real orthogonal matrix W from complete-block states to
+pair states (rotation_matrix, cached per (n_max, theta)), built block by
+block, and it carries every detector: the four outcomes of a rotation and
+two threshold detectors (detector_pair_povms) are W diag(w1[n1] w2[n2]) W^T,
+real polynomials in 1-eta over it, so a new efficiency costs no
+eigen-transform.  realign puts a pair operator in the (first-mode indices)
+x (second-mode indices) layout in which the swap and metrics modules
+contract states, and compress cuts a realigned operator down to a lower
+cutoff.
 """
 
 from __future__ import annotations
@@ -58,64 +59,60 @@ def annihilation_matrix(dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def rotation_eigensystem(n_max: int) -> Tuple[np.ndarray, ...]:
-    """Eigensystem of the two-mode rotation generator on complete photon-number blocks.
+def rotation_blocks(n_max: int) -> np.ndarray:
+    """Eigenvectors of the two-mode rotation generator, one photon-number block at a time.
 
-    The generator i(a^dag b - a b^dag) conserves n1+n2, and on every complete
-    block n1+n2 = N its eigenvalues are the integers -N, -N+2, .., N.  Pair
-    operators live on n1, n2 <= n_max, so the blocks N <= 2*n_max carry all
-    of the angle dependence; blocks cut by a finite embedding are never
-    touched, so no eigenvector can mix them in.
-
-    Returns (integer eigenvalues, eigenvectors, positions of the n1, n2 <=
-    n_max states in pair-flattened order, and the n1, n2 occupations of the
-    basis states).
+    The generator i(a^dag b - a b^dag) conserves n1+n2 = N, and on every
+    complete block N <= 2*n_max, the blocks that carry all of the angle
+    dependence of the pair operators on n1, n2 <= n_max, it is an
+    (N+1)-square tridiagonal matrix with the integer eigenvalues -N, -N+2,
+    .., N.  Returns V[N, n1, p], the component on |n1, N-n1> of eigenvector
+    p, whose eigenvalue is -N + 2p, zero-padded to (2*n_max+1)^3.
+    Read-only, since every caller shares it.
     """
-    n_total = 2 * n_max
-    a = annihilation_matrix(n_total + 1)
-    ad = a.conj().T
-    n1, n2 = np.divmod(np.arange((n_total + 1) ** 2), n_total + 1)
-    keep = n1 + n2 <= n_total
-    n1, n2 = n1[keep], n2[keep]
-    r1, c1, r2, c2 = n1[:, None], n1[None, :], n2[:, None], n2[None, :]
-    # kron(x, y)[(n1, n2), (m1, m2)] = x[n1, m1] y[n2, m2], on the kept states only
-    generator = 1j * (ad[r1, c1] * a[r2, c2] - a[r1, c1] * ad[r2, c2])
-    w, v = np.linalg.eigh(generator)
-    w_int = np.rint(w)
-    if np.abs(w - w_int).max() > 1e-9:
-        raise ArithmeticError("rotation generator has non-integer eigenvalues on complete blocks")
-    sub = np.flatnonzero((n1 <= n_max) & (n2 <= n_max))
-    return w_int.astype(int), v, sub, n1, n2
+    k = 2 * n_max + 1
+    v = np.zeros((k, k, k), dtype=complex)
+    for n in range(k):
+        # <n1+1, N-n1-1| generator |n1, N-n1> = i sqrt((n1+1)(N-n1))
+        lower = 1j * np.sqrt(np.arange(1.0, n + 1) * np.arange(n, 0, -1))
+        w, v[n, : n + 1, : n + 1] = np.linalg.eigh(np.diag(lower, -1) + np.diag(lower.conj(), 1))
+        if np.abs(w - np.arange(-n, n + 1, 2)).max() > 1e-9:
+            raise ArithmeticError(f"rotation generator block {n} has non-integer eigenvalues")
+    v.flags.writeable = False
+    return v
 
 
-def rotation_basis_weights(n_max: int, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """C = V^dag diag(w1[n1] * w2[n2]) V: two detectors' outcome weights in the
-    generator's eigenbasis.  w1 and w2 run over occupations 0..2*n_max."""
-    _, v, _, n1, n2 = rotation_eigensystem(n_max)
-    return (v.conj().T * (w1[n1] * w2[n2])[None, :]) @ v
+def _block_states(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Occupations n1, n2 of the complete-block states n1+n2 <= 2*n_max, n1 major."""
+    n1, n2 = np.divmod(np.arange((2 * n_max + 1) ** 2), 2 * n_max + 1)
+    keep = n1 + n2 <= 2 * n_max
+    return n1[keep], n2[keep]
 
 
 @lru_cache(maxsize=16)
 def rotation_matrix(n_max: int, theta: float) -> np.ndarray:
     """The rotation by theta from complete-block states to pair states.
 
-    W = V[sub] diag(e^{i theta w}) V^dag over rotation_eigensystem: a
-    rotation by theta followed by detectors with weights w1 and w2 on its
-    outputs has the element W diag(w1[n1] w2[n2]) W^T on n1, n2 <= n_max.
-    Rows run over the pair states in pair-flattened order, columns over the
-    complete-block states.  Creation operators transform as
+    Per photon-number block, W_N = Re(V_N[pair rows] diag(e^{i theta w})
+    V_N^dag) over rotation_blocks: a rotation by theta followed by detectors
+    with weights w1 and w2 on its outputs has the element
+    W diag(w1[n1] w2[n2]) W^T on n1, n2 <= n_max.  Rows run over the pair
+    states in pair-flattened order, columns over the complete-block states
+    (_block_states).  Creation operators transform as
     a1+ -> cos(t) a1+ - sin(t) a2+, a2+ -> sin(t) a1+ + cos(t) a2+; theta =
     pi/4 is a balanced beamsplitter.  The rotation exp(theta (a^dag b -
-    a b^dag)) is real orthogonal, so W is real, and it maps the
-    complete-block state (n1, n2) only onto pair states with the same
-    n1+n2; its imaginary parts and its entries across photon-number blocks
-    are rounding noise and are set to exactly 0.  Read-only, since every
-    caller shares it.
+    a b^dag)) is real orthogonal, so W is real (its imaginary parts are
+    rounding noise), and it maps the complete-block state (n1, n2) only onto
+    pair states with the same n1+n2, so entries across blocks are exactly 0.
+    Read-only, since every caller shares it.
     """
-    w, v, sub, n1, n2 = rotation_eigensystem(n_max)
-    wmat = np.real((v[sub] * np.exp(1j * theta * w)[None, :]) @ v.conj().T)
-    n = n1 + n2
-    wmat[n[sub][:, None] != n[None, :]] = 0.0
+    v = rotation_blocks(n_max)
+    k = 2 * n_max + 1
+    w = 2 * np.arange(k) - np.arange(k)[:, None]  # w[N, p] = -N + 2p
+    blocks = np.real((v * np.exp(1j * theta * w)[:, None, :]) @ v.conj().swapaxes(1, 2))
+    i, j = np.divmod(np.arange((n_max + 1) ** 2), n_max + 1)
+    n1, n2 = _block_states(n_max)
+    wmat = np.where((i + j)[:, None] == n1 + n2, blocks[n1 + n2, i[:, None], n1], 0.0)
     wmat.flags.writeable = False
     return wmat
 
@@ -133,7 +130,7 @@ def detector_pair_povms(n_max: int, theta: float, det: ThresholdDetector) -> np.
     equal terms.
     """
     wmat = rotation_matrix(n_max, float(theta))
-    _, _, _, n1, n2 = rotation_eigensystem(n_max)
+    n1, n2 = _block_states(n_max)
     click, silent = det.weight_vector(True, 2 * n_max), det.weight_vector(False, 2 * n_max)
     w1 = np.stack([click, silent, click, silent])[:, n1]
     w2 = np.stack([silent, click, click, silent])[:, n2]

@@ -14,15 +14,16 @@ conserves its pair's photon number, so the contraction reads only the
 entries of each photon-number sector, at positions from one formula
 (_sector_gathers), and one matrix product contracts them.  The fringe in
 Bob's angle is a Fourier series over the rotation generator's integer
-eigenvalues, so its extrema are at the roots of one polynomial and are
-found exactly.  All probabilities reported here are absolute (per pump
-pulse): the conditional state carries the herald probability as its
-trace, so no renormalization happens between the swap and the
-coincidences.
+eigenvalues, read block by block in Bob's photon number (_fringe, over
+fock.rotation_blocks), so its extrema are at the roots of one polynomial,
+the eigenvalues of its companion matrix, and are found exactly.  All
+probabilities reported here are absolute (per pump pulse): the conditional
+state carries the herald probability as its trace, so no renormalization
+happens between the swap and the coincidences.
 qber() and visibility() read one swap result through its own key-basis
 stacks: qber() contracts the two key-basis tables, and visibility() scans
-both fringes from Bob's operator for Alice's h outcome.  The reports hold
-numbers only.
+both fringes, read in one pass from Bob's operators for Alice's h outcome.
+The reports hold numbers only.
 """
 
 from __future__ import annotations
@@ -36,12 +37,7 @@ import numpy as np
 
 from .detectors import ThresholdDetector
 from .errors import NoCoincidenceError, UndefinedVisibilityError
-from .fock import (
-    detector_pair_povms,
-    realign,
-    rotation_basis_weights,
-    rotation_eigensystem,
-)
+from .fock import detector_pair_povms, realign, rotation_blocks
 from .swap import SwapResult
 
 __all__ = [
@@ -161,42 +157,61 @@ class _Fringe:
         return np.real(np.exp(2j * np.outer(thetas, k)) @ self.g) + self.c0
 
 
-def _fringe(result, ra: np.ndarray, c: np.ndarray) -> _Fringe:
+@lru_cache(maxsize=16)
+def _block_gather(n_max: int) -> np.ndarray:
+    """Flat positions, in a realigned pair operator, of its photon-number blocks.
+
+    Block N of M[(n1,n2),(m1,m2)] is B[N, n1, m1] = M[(n1,N-n1),(m1,N-m1)],
+    which the realigned R[(n1,m1),(n2,m2)] holds at ((n1 d + m1) d + N-n1) d
+    + N-m1, d = n_max + 1, or at d^4, the zero past the end (_take), where
+    an occupation falls outside 0..n_max.  Read-only, since every caller
+    shares it.
+    """
+    d = n_max + 1
+    n, n1, m1 = np.indices((2 * n_max + 1,) * 3)
+    occupations = np.stack((n1, m1, n - n1, n - m1))
+    inside = ((occupations >= 0) & (occupations <= n_max)).all(axis=0)
+    positions = np.where(inside, ((n1 * d + m1) * d + n - n1) * d + n - m1, d**4)
+    positions.flags.writeable = False
+    return positions
+
+
+def _fringe(result, ra: np.ndarray, c: np.ndarray):
     """Probability of the (h, h) coincidence as a function of Bob's analyzer angle.
 
-    ra is Alice's realigned outcome stack (_povms) and c Bob's detectors'
-    weights in the rotation generator's eigenbasis (_analyzer_weights).
-    M is Bob's operator for Alice's h outcome, the first of ra
-    (_bob_operators).  In that eigenbasis, p(theta) = tr[M U(theta)^dag
-    W U(theta)] = sum_pq K[p,q] exp(i theta (w_q - w_p)) with integer
-    eigenvalues w, so the terms group into a Fourier series
-    p(theta) = Re sum_f C_f exp(i f theta) with |f| <= 4*n_max.  Only even f
-    survive: M and W conserve Bob's photon number, and within one
-    photon-number block the eigenvalues differ by even integers.  So the
-    curve is a _Fringe of period pi with K = 2*n_max terms.
+    ra is Alice's realigned outcome stack (_povms), or several such stacks
+    stacked, and c Bob's detectors' weights per photon-number block in the
+    rotation eigenbasis (_analyzer_weights).  M is Bob's operator for
+    Alice's h outcome, the first of a stack (_bob_operators).  M, the
+    rotation and Bob's detectors conserve his photon number N, so with the
+    eigenvectors V_N of rotation_blocks, p(theta) = tr[M U(theta)^dag E
+    U(theta)] = sum_N sum_pq A_N[p,q] C_N[q,p] exp(2i theta (q - p)), where
+    A_N = V_N^dag M_N V_N: the eigenvalues -N + 2p differ by even integers.
+    So the curve is a _Fringe of period pi with K = 2*n_max terms, one per
+    q - p = 1..K, and every block of every stack is one batched product.
+    Returns the _Fringe of one stack, or a list of one per stack.
     """
-    n_max = result.n_max
-    d = n_max + 1
-    m = _bob_operators(result, ra[:1])[0].reshape(d, d, d, d)
-    m = m.transpose(0, 2, 1, 3).reshape(d * d, d * d)  # [(k,l),(K,L)]
-    w, v, sub, _, _ = rotation_eigensystem(n_max)
-    v_sub = v[sub]
-    a = v_sub.conj().T @ m @ v_sub
-    a *= c.T
-    k = a.reshape(-1)
-    f_max = 4 * n_max
-    bins = (w[None, :] - w[:, None] + f_max).reshape(-1)  # w_q - w_p, shifted to >= 0
-    n_bins = 2 * f_max + 1
-    coeffs = np.bincount(bins, k.real, n_bins) + 1j * np.bincount(bins, k.imag, n_bins)
-    folded = coeffs[f_max + 1 :] + coeffs[f_max - 1 :: -1].conj()  # C_f + conj(C_-f), f >= 1
-    return _Fringe(coeffs[f_max].real, folded[1::2])
+    k = 2 * result.n_max + 1
+    h = ra[..., 0, :, :].reshape((-1,) + ra.shape[-2:])
+    m = _take(_bob_operators(result, h), _block_gather(result.n_max))  # [stack, N, n1, m1]
+    v = rotation_blocks(result.n_max)
+    terms = ((v.conj().swapaxes(1, 2) @ m @ v) * c.swapaxes(1, 2)).sum(axis=1)  # [stack, p, q]
+    lag = np.arange(k) - np.arange(k)[:, None] + k - 1  # q - p, shifted to 0..2k-2
+    bins = (np.arange(len(m))[:, None, None] * (2 * k - 1) + lag).reshape(-1)
+    flat = terms.reshape(-1)
+    coeffs = (np.bincount(bins, flat.real) + 1j * np.bincount(bins, flat.imag)).reshape(len(m), -1)
+    folded = coeffs[:, k:] + coeffs[:, k - 2 :: -1].conj()  # C_j + conj(C_-j), j = q - p >= 1
+    fringes = [_Fringe(c0, g) for c0, g in zip(coeffs[:, k - 1].real.tolist(), folded)]
+    return fringes if ra.ndim > 3 else fringes[0]
 
 
 def _analyzer_weights(n_max: int, det: ThresholdDetector) -> np.ndarray:
-    """Bob's (click, no-click) weights in the rotation eigenbasis, for _fringe."""
-    return rotation_basis_weights(
-        n_max, det.weight_vector(True, 2 * n_max), det.weight_vector(False, 2 * n_max)
-    )
+    """Bob's (click, no-click) weights per photon-number block in the rotation
+    eigenbasis, C_N = V_N^dag diag(click[n1] silent[N-n1]) V_N, for _fringe."""
+    v = rotation_blocks(n_max)
+    n, n1 = np.indices(v.shape[:2])  # n1 > N reads a wrapped weight on a zero row of V
+    w = det.weight_vector(True, 2 * n_max)[n1] * det.weight_vector(False, 2 * n_max)[n - n1]
+    return (v.conj().swapaxes(1, 2) * w[:, None, :]) @ v
 
 
 @dataclass(frozen=True)
@@ -223,9 +238,14 @@ def _extrema(curve: _Fringe) -> VisibilityScan:
     # b_k falls steeply with k (like tanh^2(chi)^k); terms below 1e-16 of the
     # largest move the roots less than rounding does, and dropping the tail
     # keeps the companion matrix small and well scaled
-    b = np.trim_zeros(np.where(abs(b) > 1e-16 * abs(b).max(), b, 0.0), "b")
-    roots = np.roots(np.concatenate([b[::-1], [0.0], b.conj()]))  # highest power first
-    thetas = np.append(0.0, np.angle(roots) / 2.0) % math.pi
+    big = np.abs(b) > 1e-16 * np.abs(b).max()
+    b = np.where(big, b, 0.0)[: np.flatnonzero(np.append(True, big))[-1]]
+    thetas = np.zeros(1)
+    if len(b):
+        poly = np.concatenate([b[::-1], [0.0], b.conj()])  # highest power first
+        companion = np.eye(len(poly) - 1, k=-1, dtype=complex)
+        companion[0] = -poly[1:] / poly[0]
+        thetas = np.append(0.0, np.angle(np.linalg.eigvals(companion)) / 2.0) % math.pi
     values = curve(thetas)
     theta_max = float(thetas[np.argmax(values)])
     theta_min = float(thetas[np.argmin(values)])
@@ -307,13 +327,14 @@ def visibility(result: SwapResult) -> float:
     """Fringe visibility averaged over the Z and X key bases.
 
     Each basis scans Bob's angle with Alice's analyzer at that basis's angle,
-    through the result's stack for that basis (_fringe); both scans share
-    one set of eigenbasis weights.  The mean pairs with the pooled error
+    through the result's stack for that basis; one _fringe call reads both
+    fringes with one set of eigenbasis weights.  The mean pairs with the pooled error
     fraction of qber() through QBER = (1 - V)/2, even when the bases
     disagree slightly.
     """
-    c = _analyzer_weights(result.n_max, result.det)
-    vis_z, vis_x = (_extrema(_fringe(result, p, c)).visibility for p in result.povms)
+    stacks = np.stack([povms[:1] for povms in result.povms])
+    fringes = _fringe(result, stacks, _analyzer_weights(result.n_max, result.det))
+    vis_z, vis_x = (_extrema(f).visibility for f in fringes)
     return 0.5 * (vis_z + vis_x)
 
 

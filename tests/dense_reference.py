@@ -39,10 +39,8 @@ from swapkd.fock import (
     TruncationPolicy,
     annihilation_matrix,
     realign,
-    rotation_basis_weights,
-    rotation_eigensystem,
 )
-from swapkd.metrics import _OUTCOMES, _joint_probabilities
+from swapkd.metrics import _OUTCOMES, _bob_operators, _joint_probabilities
 from swapkd.sources import CHI_CAP, pair_amplitudes
 from swapkd.swap import SwapResult, bsm_detector
 
@@ -161,13 +159,75 @@ def pair_factors(cond: ConditionalState) -> SwapResult:
     return SwapResult(th, tv, cond.n_max, cond.herald_probability)
 
 
+@lru_cache(maxsize=16)
+def rotation_eigensystem(n_max: int):
+    """Eigensystem of the two-mode rotation generator on all complete
+    photon-number blocks at once: one eigh of the whole generator.
+
+    The generator i(a^dag b - a b^dag) conserves n1+n2, and on every complete
+    block n1+n2 = N its eigenvalues are the integers -N, -N+2, .., N; blocks
+    N <= 2*n_max carry all of the angle dependence of pair operators on
+    n1, n2 <= n_max.  Degenerate eigenvalues let an eigenvector mix blocks,
+    which no formula here depends on.  The independent reference for
+    fock.rotation_blocks, which builds one block at a time.
+
+    Returns (integer eigenvalues, eigenvectors, positions of the n1, n2 <=
+    n_max states in pair-flattened order, and the n1, n2 occupations of the
+    basis states).
+    """
+    n_total = 2 * n_max
+    a = annihilation_matrix(n_total + 1)
+    ad = a.conj().T
+    n1, n2 = np.divmod(np.arange((n_total + 1) ** 2), n_total + 1)
+    keep = n1 + n2 <= n_total
+    n1, n2 = n1[keep], n2[keep]
+    r1, c1, r2, c2 = n1[:, None], n1[None, :], n2[:, None], n2[None, :]
+    # kron(x, y)[(n1, n2), (m1, m2)] = x[n1, m1] y[n2, m2], on the kept states only
+    generator = 1j * (ad[r1, c1] * a[r2, c2] - a[r1, c1] * ad[r2, c2])
+    w, v = np.linalg.eigh(generator)
+    w_int = np.rint(w)
+    if np.abs(w - w_int).max() > 1e-9:
+        raise ArithmeticError("rotation generator has non-integer eigenvalues on complete blocks")
+    sub = np.flatnonzero((n1 <= n_max) & (n2 <= n_max))
+    return w_int.astype(int), v, sub, n1, n2
+
+
+def rotation_basis_weights(n_max: int, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """C = V^dag diag(w1[n1] * w2[n2]) V: two detectors' outcome weights in the
+    eigenbasis of rotation_eigensystem.  w1 and w2 run over occupations 0..2*n_max."""
+    _, v, _, n1, n2 = rotation_eigensystem(n_max)
+    return (v.conj().T * (w1[n1] * w2[n2])[None, :]) @ v
+
+
+def dense_fringe(result: SwapResult, ra: np.ndarray, det: ThresholdDetector):
+    """(c0, g) of the (h, h) fringe in Bob's angle, from the whole-generator
+    eigenbasis: K[p,q] = A[p,q] C[q,p] with A = V^dag M V over the pair
+    states and C from rotation_basis_weights, binned by w_q - w_p.  The
+    dense counterpart of metrics._fringe, with Alice's realigned stack ra."""
+    n_max = result.n_max
+    d = n_max + 1
+    m = _bob_operators(result, ra[:1])[0].reshape(d, d, d, d)
+    m = m.transpose(0, 2, 1, 3).reshape(d * d, d * d)  # [(k,l),(K,L)]
+    w, v, sub, _, _ = rotation_eigensystem(n_max)
+    c = rotation_basis_weights(
+        n_max, det.weight_vector(True, 2 * n_max), det.weight_vector(False, 2 * n_max)
+    )
+    k = ((v[sub].conj().T @ m @ v[sub]) * c.T).reshape(-1)
+    f_max = 4 * n_max
+    bins = (w[None, :] - w[:, None] + f_max).reshape(-1)  # w_q - w_p, shifted to >= 0
+    n_bins = 2 * f_max + 1
+    coeffs = np.bincount(bins, k.real, n_bins) + 1j * np.bincount(bins, k.imag, n_bins)
+    folded = coeffs[f_max + 1 :] + coeffs[f_max - 1 :: -1].conj()  # C_f + conj(C_-f), f >= 1
+    return coeffs[f_max].real, folded[1::2]
+
+
 def rotated_pair_povm(n_max: int, theta: float, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """POVM element of a two-mode rotation by theta followed by one detector per output.
 
     E = U(theta)^dag diag(w1[n1] * w2[n2]) U(theta) on n1, n2 <= n_max, in
     pair-flattened order, with U(theta) = V diag(e^{-i theta w}) V^dag; the
     rotation conserves n1+n2, so E = P C P^dag with P = V[sub] diag(e^{i theta w})
-    and C = fock.rotation_basis_weights is exact.  Complex throughout, unlike
+    and C = rotation_basis_weights is exact.  Complex throughout, unlike
     the engine's real fock.detector_pair_povms.
     """
     w, v, sub, _, _ = rotation_eigensystem(n_max)

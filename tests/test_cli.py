@@ -87,6 +87,16 @@ def test_parse_grid_rejects_values_that_are_not_numbers():
             parse_grid(bad)
 
 
+def test_parse_grid_rejects_bools_and_other_types():
+    """A bool is not a number, alone or in a list, and any other type that is
+    not a string, a number or a list is named in the message."""
+    for bad in (True, [True, False], [0.5, False]):
+        with pytest.raises(ConfigError, match="values must be numbers"):
+            parse_grid(bad)
+    with pytest.raises(ConfigError, match="not dict"):
+        parse_grid({"a": 1})
+
+
 SWEEP_POINT = ["sweep", "--chi-grid", "0.05", "--eta0-grid", "0.3", "--pdc", "1e-5"]
 DECOY_POINT = ["compare-decoy", "--alpha-d-grid", "10", "--eta0", "0.2", "--pdc", "1.8e-5"]
 
@@ -340,6 +350,19 @@ def test_config_value_of_the_wrong_type_is_a_configuration_error(
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "ConfigError" and key in err["message"] and message in err["message"]
     assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_bool_grid_in_a_config_file_is_a_configuration_error(tmp_path, capsys):
+    """"alpha_d_grid": true does not run at 1 dB: sweep exits 2 and writes
+    nothing, as every scalar key does for a bool."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chi_grid": 0.1, "eta0_grid": 0.3, "alpha_d_grid": True,
+                               "p_dc": 1e-5}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--output-dir", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ConfigError" and "values must be numbers" in err["message"]
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_programming_errors_propagate(tmp_path, monkeypatch):

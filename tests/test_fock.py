@@ -15,6 +15,7 @@ from dense_reference import (
     fidelity_with_pure,
     pair_mixer_unitary,
     rotated_pair_povm,
+    rotation_eigensystem,
     vacuum,
 )
 import swapkd.fock as fock_module
@@ -25,7 +26,6 @@ from swapkd.fock import (
     annihilation_matrix,
     detector_pair_povms,
     realign,
-    rotation_eigensystem,
 )
 from swapkd.swap import bsm_detector, graded_swap_state, swap_conditional_state
 
@@ -235,6 +235,31 @@ def test_rotation_eigensystem_matches_kron_generator(n_max):
     got = rotation_eigensystem(n_max)
     for g, x in zip(got, want):
         assert g.dtype == x.dtype and np.array_equal(g, x)
+
+
+@pytest.mark.parametrize("n_max", range(1, 9))
+def test_rotation_blocks_diagonalize_each_generator_block(n_max):
+    """Block N of rotation_blocks is unitary to 1e-14 and turns the block of
+    the kron generator into diag(-N, -N+2, .., N); the padding is exactly 0.
+    rotation_matrix equals V[sub] e^{i theta w} V^dag over the whole-generator
+    eigensystem to 1e-14."""
+    k = 2 * n_max + 1
+    a = annihilation_matrix(k)
+    generator = 1j * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
+    v = fock_module.rotation_blocks(n_max)
+    assert v.shape == (k, k, k) and not v.flags.writeable
+    for n in range(k):
+        states = [n1 * k + n - n1 for n1 in range(n + 1)]
+        block = v[n, : n + 1, : n + 1]
+        assert not v[n, n + 1 :].any() and not v[n, :, n + 1 :].any()
+        assert np.abs(block.conj().T @ block - np.eye(n + 1)).max() <= 1e-14
+        eigen = block.conj().T @ generator[np.ix_(states, states)] @ block
+        assert np.abs(eigen - np.diag(np.arange(-n, n + 1, 2))).max() <= 1e-13
+        assert np.array_equal(np.rint(np.real(np.diag(eigen))), np.arange(-n, n + 1, 2))
+    w, vf, sub, _, _ = rotation_eigensystem(n_max)
+    for theta in (0.0, math.pi / 4.0, 0.37, 1.1):
+        want = np.real((vf[sub] * np.exp(1j * theta * w)) @ vf.conj().T)
+        assert np.abs(fock_module.rotation_matrix(n_max, theta) - want).max() <= 1e-14, theta
 
 
 @settings(max_examples=25, deadline=None)

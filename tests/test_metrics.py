@@ -13,6 +13,7 @@ from dense_reference import (
     bell_psi_minus,
     chsh,
     dense_probabilities,
+    dense_fringe,
     dense_state,
     embed_qubit_pair,
     fidelity_visibility,
@@ -20,6 +21,7 @@ from dense_reference import (
     pair_mixer_unitary,
     sector_table,
 )
+import swapkd.metrics as metrics_module
 from swapkd.detectors import ThresholdDetector
 from swapkd.errors import NoCoincidenceError, UndefinedVisibilityError
 from swapkd.fock import TruncationPolicy, detector_pair_povms
@@ -517,3 +519,46 @@ def test_visibility_is_the_mean_of_the_key_angle_scans(n_max, chi):
     res = swap_conditional_state(chi, 0.3, 10.0, 1e-4, TruncationPolicy(n_max=n_max))
     scans = sum(visibility_scan(res, res.det, theta).visibility for theta in KEY_ANGLES)
     assert visibility(res) == 0.5 * scans
+
+
+# (eta0, alpha_d, p_dc): no dark counts, an ideal detector, high loss, and
+# the dark-count wall, where the fringe is nearly flat
+FRINGE_DETECTORS = ((0.3, 10.0, 0.0), (1.0, 0.0, 0.0), (0.1, 40.0, 1e-6), (0.1, 50.0, 1e-3))
+
+
+@pytest.mark.parametrize("n_max", range(1, 8))
+def test_block_fringe_matches_the_dense_eigenbasis(n_max):
+    """_fringe's c0 and g, read block by block, equal the whole-generator
+    eigenbasis formula (dense_fringe) to 1e-13 of max|g|, with Alice at both
+    key angles and off axis; several stacks in one call give each stack's
+    fringe."""
+    for eta0, alpha_d, p_dc in FRINGE_DETECTORS:
+        res = swap_conditional_state(0.15, eta0, alpha_d, p_dc, TruncationPolicy(n_max=n_max))
+        det = res.det
+        c = _analyzer_weights(n_max, det)
+        stacks = [_povms(res, det, theta) for theta in KEY_ANGLES + (0.3,)]
+        for ra, stacked in zip(stacks, _fringe(res, np.stack(stacks), c)):
+            got = _fringe(res, ra, c)
+            c0, g = dense_fringe(res, ra, det)
+            scale = 1e-13 * np.abs(g).max()
+            assert abs(got.c0 - c0) <= scale and np.abs(got.g - g).max() <= scale
+            assert abs(stacked.c0 - got.c0) <= scale and np.abs(stacked.g - got.g).max() <= scale
+
+
+def test_visibility_reads_both_fringes_in_one_call(monkeypatch):
+    """One _fringe call serves both key bases; each fringe is scanned once."""
+    calls = {"_fringe": 0, "_extrema": 0}
+
+    def counting(name):
+        real = getattr(metrics_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(metrics_module, name, wrapper)
+
+    counting("_fringe")
+    counting("_extrema")
+    visibility(swap_conditional_state(0.1, 0.3, 10.0, 1e-4, TruncationPolicy(n_max=3)))
+    assert calls == {"_fringe": 1, "_extrema": 2}

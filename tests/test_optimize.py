@@ -130,7 +130,7 @@ def test_evaluate_builds_each_cutoff_once(monkeypatch, chi, dark):
     built, no build at the base cutoff, and one set of fringe weights; the
     fringe V is visibility() of the accepted build."""
     runs = _record_calls(monkeypatch, "swap_conditional_state")
-    counts = {"detector_pair_povms": 0, "rotation_basis_weights": 0}
+    counts = {"detector_pair_povms": 0, "_analyzer_weights": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -143,13 +143,13 @@ def test_evaluate_builds_each_cutoff_once(monkeypatch, chi, dark):
 
     counting(swap_module, "detector_pair_povms")
     counting(metrics_module, "detector_pair_povms")
-    counting(metrics_module, "rotation_basis_weights")
+    counting(metrics_module, "_analyzer_weights")
     s = Scenario(alpha_d_db=10.0, chi=chi, eta0=0.3, **dark)
     rep = evaluate(s)
     built = rep.n_max_used - s.policy.n_max
     assert len(runs) == built
     assert [result.n_max for _, result in runs] == list(range(s.policy.n_max + 1, rep.n_max_used + 1))
-    assert counts == {"detector_pair_povms": 2 * built, "rotation_basis_weights": 1}
+    assert counts == {"detector_pair_povms": 2 * built, "_analyzer_weights": 1}
     accepted = runs[-1][1]
     assert rep.visibility == metrics_module.visibility(accepted)
 
@@ -557,12 +557,12 @@ def _fresh_python(code):
 
 
 def test_importing_the_cli_builds_no_rotation_blocks():
-    """The rotation matrices and the photon-number sector gathers are built
-    on first use, so start-up pays nothing for them."""
+    """The rotation blocks and matrices and the photon-number sector and
+    block gathers are built on first use, so start-up pays nothing for them."""
     code = ("import swapkd.cli, swapkd.fock as f, swapkd.metrics as m; "
-            "caches = (f.rotation_matrix, m._sector_gathers); "
+            "caches = (f.rotation_matrix, f.rotation_blocks, m._sector_gathers, m._block_gather); "
             "print(*(n for c in caches for n in (c.cache_info().misses, c.cache_info().currsize)))")
-    assert _fresh_python(code).split() == ["0"] * 4
+    assert _fresh_python(code).split() == ["0"] * 8
 
 
 def test_importing_the_cli_loads_no_process_pool():
