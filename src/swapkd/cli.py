@@ -177,12 +177,13 @@ GridLike = Union[str, Sequence[float], float, int]
 # checked before the grid is built; the figure presets use 25 points.
 MAX_GRID_POINTS = 100_000
 
-# Largest Fock cutoff a command accepts, checked before anything is built:
-# one evaluate at n_max 20 (chi 0.3, eta0 0.3, 10 dB, p_dc 1e-5; it
-# escalates to 21) takes about 0.26 s and 108 MB on a 2-core machine.  Every
-# pair operator is an (n_max+1)^2-square real matrix, so memory grows as the
-# fourth power of the cutoff: at n_max 100 a detector's four-outcome stack
-# is 3.3 GB.
+# Largest Fock cutoff a command accepts, checked before anything is built.
+# It caps the requested n_max only: evaluate's escalation builds up to three
+# cutoffs more, so up to 23.  One evaluate at n_max 20 (chi 0.3, eta0 0.3,
+# 10 dB, p_dc 1e-5; it escalates to 21) takes about 0.36 s and 106 MB on a
+# shared 2-core machine.  Every pair operator is an (n_max+1)^2-square real
+# matrix, so memory grows as the fourth power of the cutoff: at n_max 100 a
+# detector's four-outcome stack is 3.3 GB.
 MAX_N_MAX = 20
 
 
@@ -329,12 +330,6 @@ def _policy(config: Dict) -> TruncationPolicy:
     if n_max > MAX_N_MAX:
         raise ConfigError(f"n_max must be at most {MAX_N_MAX}, got {n_max}")
     return TruncationPolicy(n_max=n_max, convergence_tol=float(config["convergence_tol"]))
-
-
-def _out_path(config: Dict, name: str) -> str:
-    out_dir = config.get("output_dir") or "."
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
 
 
 # ---------------------------------------------------------------------------
@@ -686,9 +681,11 @@ def _run(name: str, args: argparse.Namespace) -> int:
             raise ConfigError(f"{key} is required")
     files, results = command.run(config)
     stem = config[command.stem_key]
+    out_dir = config.get("output_dir") or "."
+    os.makedirs(out_dir, exist_ok=True)
     outputs = []
     for suffix, columns, rows in files:
-        path = _out_path(config, f"{stem}{suffix}.csv")
+        path = os.path.join(out_dir, f"{stem}{suffix}.csv")
         _write_csv(path, columns, rows)
         outputs.append(os.path.basename(path))
     payload = {
@@ -702,9 +699,8 @@ def _run(name: str, args: argparse.Namespace) -> int:
     }
     if results is not None:
         payload["results"] = results
-    with open(_out_path(config, f"{stem}_manifest.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(os.path.join(out_dir, f"{stem}_manifest.json"), "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 

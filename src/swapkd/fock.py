@@ -7,15 +7,14 @@ threshold detector per output.  The generator conserves n1+n2, so its
 eigenvectors on each complete photon-number block N = n1+n2 <= 2*n_max
 (rotation_blocks, one small eigh per block) give every such POVM element on
 n1, n2 <= n_max exactly, and the Fourier coefficients of a fringe.  The
-rotation itself is a real orthogonal matrix W from complete-block states to
-pair states (rotation_matrix, cached per (n_max, theta)), built block by
-block, and it carries every detector: the four outcomes of a rotation and
-two threshold detectors (detector_pair_povms) are W diag(w1[n1] w2[n2]) W^T,
-real polynomials in 1-eta over it, so a new efficiency costs no
-eigen-transform.  realign puts a pair operator in the (first-mode indices)
-x (second-mode indices) layout in which the swap and metrics modules
-contract states, and compress cuts a realigned operator down to a lower
-cutoff.
+rotation's real block W_N carries every detector: the four outcomes of a
+rotation and two threshold detectors (detector_pair_povms) are, block by
+block, W_N diag(w1[c] w2[N-c]) W_N^T, real polynomials in 1-eta over the
+outer products of W_N's rows (cached per (n_max, theta)), so a new
+efficiency costs no eigen-transform.  The stacks are written straight into
+the (first-mode indices) x (second-mode indices) layout in which the swap
+and metrics modules contract states (block_positions), and compress cuts
+such an operator down to a lower cutoff.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -82,73 +81,78 @@ def rotation_blocks(n_max: int) -> np.ndarray:
     return v
 
 
-def _block_states(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Occupations n1, n2 of the complete-block states n1+n2 <= 2*n_max, n1 major."""
-    n1, n2 = np.divmod(np.arange((2 * n_max + 1) ** 2), 2 * n_max + 1)
-    keep = n1 + n2 <= 2 * n_max
-    return n1[keep], n2[keep]
+@lru_cache(maxsize=16)
+def block_positions(n_max: int) -> np.ndarray:
+    """Flat positions, in a realigned pair operator, of its photon-number blocks.
+
+    Block N of M[(n1,n2),(m1,m2)] is B[N, n1, m1] = M[(n1,N-n1),(m1,N-m1)],
+    which the realigned R[(n1,m1),(n2,m2)] holds at ((n1 d + m1) d + N-n1) d
+    + N-m1, d = n_max + 1, or at d^4, one past the end, where an occupation
+    falls outside 0..n_max.  Read-only, since every caller shares it.
+    """
+    d = n_max + 1
+    n, n1, m1 = np.indices((2 * n_max + 1,) * 3)
+    occupations = np.stack((n1, m1, n - n1, n - m1))
+    inside = ((occupations >= 0) & (occupations <= n_max)).all(axis=0)
+    positions = np.where(inside, ((n1 * d + m1) * d + n - n1) * d + n - m1, d**4)
+    positions.flags.writeable = False
+    return positions
 
 
 @lru_cache(maxsize=16)
-def rotation_matrix(n_max: int, theta: float) -> np.ndarray:
-    """The rotation by theta from complete-block states to pair states.
+def _povm_basis(n_max: int, theta: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every in-range block entry of a rotation by theta's detector stack.
 
-    Per photon-number block, W_N = Re(V_N[pair rows] diag(e^{i theta w})
-    V_N^dag) over rotation_blocks: a rotation by theta followed by detectors
-    with weights w1 and w2 on its outputs has the element
-    W diag(w1[n1] w2[n2]) W^T on n1, n2 <= n_max.  Rows run over the pair
-    states in pair-flattened order, columns over the complete-block states
-    (_block_states).  Creation operators transform as
-    a1+ -> cos(t) a1+ - sin(t) a2+, a2+ -> sin(t) a1+ + cos(t) a2+; theta =
-    pi/4 is a balanced beamsplitter.  The rotation exp(theta (a^dag b -
-    a b^dag)) is real orthogonal, so W is real (its imaginary parts are
-    rounding noise), and it maps the complete-block state (n1, n2) only onto
-    pair states with the same n1+n2, so entries across blocks are exactly 0.
-    Read-only, since every caller shares it.
+    Per photon-number block, the rotation is W_N = Re(V_N diag(e^{i theta
+    w}) V_N^dag) over rotation_blocks, w = -N + 2p.  Creation operators
+    transform as a1+ -> cos(t) a1+ - sin(t) a2+, a2+ -> sin(t) a1+ +
+    cos(t) a2+; theta = pi/4 is a balanced beamsplitter.  The rotation
+    exp(theta (a^dag b - a b^dag)) is real orthogonal, so W_N is real (its
+    imaginary parts are rounding noise).  Followed by detectors with
+    weights w1 and w2 on its outputs, its element has the block entries
+    B[N, n1, m1] = sum_c P[l, c] w1[c] w2[N-c] with P[l, c] = W_N[n1, c]
+    W_N[m1, c], exactly symmetric in n1 <-> m1 and zero for c > N.  Returns
+    (N, realigned flat position, P) per entry l = (N, n1, m1) with all of
+    n1, m1, N-n1, N-m1 in 0..n_max (block_positions).  Read-only, since
+    every caller shares them.
     """
+    positions = block_positions(n_max)
+    n, n1, m1 = np.nonzero(positions < (n_max + 1) ** 4)
     v = rotation_blocks(n_max)
     k = 2 * n_max + 1
     w = 2 * np.arange(k) - np.arange(k)[:, None]  # w[N, p] = -N + 2p
     blocks = np.real((v * np.exp(1j * theta * w)[:, None, :]) @ v.conj().swapaxes(1, 2))
-    i, j = np.divmod(np.arange((n_max + 1) ** 2), n_max + 1)
-    n1, n2 = _block_states(n_max)
-    wmat = np.where((i + j)[:, None] == n1 + n2, blocks[n1 + n2, i[:, None], n1], 0.0)
-    wmat.flags.writeable = False
-    return wmat
+    out = (n, positions[n, n1, m1], blocks[n, n1] * blocks[n, m1])
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
-def detector_pair_povms(n_max: int, theta: float, det: ThresholdDetector) -> np.ndarray:
-    """The four outcomes of a rotation by theta followed by det on each output.
+def detector_pair_povms(n_max: int, thetas: Sequence[float], det: ThresholdDetector) -> np.ndarray:
+    """The four outcomes of a rotation followed by det on each output, per angle.
 
-    Returns the real stack [only the first output clicks, only the second,
-    both, neither], each W diag(w1[n1] w2[n2]) W^T over rotation_matrix,
-    with det's click or no-click weights w1 and w2 on the two outputs.  The
-    detector enters only through its weights, whose no-click weight q x^n
-    (q = 1-p_dc, x = 1-eta) makes each element a polynomial in x over a
-    basis fixed by (n_max, theta).  So a new efficiency costs no
-    eigen-transform, and no element is formed as a difference of nearly
+    Returns the real realigned stacks [len(thetas), 4, (n_max+1)^2,
+    (n_max+1)^2] of [only the first output clicks, only the second, both,
+    neither]: R[(n1,m1),(n2,m2)] = E[(n1,n2),(m1,m2)], the operator-Schmidt
+    layout in which the swap and metrics modules contract states.  Each
+    block entry is sum_c P[l, c] w1[c] w2[N-c] over _povm_basis, with det's
+    click or no-click weights w1 and w2 on the two outputs, scattered into
+    zeros.  The detector enters only through its weights, whose no-click
+    weight q x^n (q = 1-p_dc, x = 1-eta) makes each element a polynomial
+    in x over a basis fixed by (n_max, theta).  So a new efficiency costs
+    no eigen-transform, and no element is formed as a difference of nearly
     equal terms.
     """
-    wmat = rotation_matrix(n_max, float(theta))
-    n1, n2 = _block_states(n_max)
-    click, silent = det.weight_vector(True, 2 * n_max), det.weight_vector(False, 2 * n_max)
-    w1 = np.stack([click, silent, click, silent])[:, n1]
-    w2 = np.stack([silent, click, click, silent])[:, n2]
-    out = (wmat * (w1 * w2)[:, None, :]) @ wmat.T
-    return 0.5 * (out + out.swapaxes(1, 2))
-
-
-def realign(op: np.ndarray) -> np.ndarray:
-    """Pair operators E[..., (I,J), (i,j)] realigned as R[..., (i,I), (j,J)].
-
-    Rows run over the first mode's occupation pairs (i, I), columns over the
-    second mode's (j, J): the operator-Schmidt layout, in which a product of
-    single-mode operators is an outer product.  Leading axes are kept.
-    """
-    d = math.isqrt(op.shape[-1])
-    r = op.reshape(op.shape[:-2] + (d, d, d, d))
-    r = np.moveaxis(r, (-2, -4, -1, -3), (-4, -3, -2, -1))
-    return r.reshape(op.shape)
+    bases = [_povm_basis(n_max, float(theta)) for theta in thetas]
+    n, positions = bases[0][:2]
+    k = 2 * n_max + 1
+    w = np.stack([det.weight_vector(True, k - 1), det.weight_vector(False, k - 1)])
+    # q[a, N, c] = w1[c] w2[N-c] per outcome; c > N wraps onto a zero of P
+    q = w[[0, 1, 0, 1], None, :] * w[[1, 0, 0, 1]][:, np.arange(k)[:, None] - np.arange(k)]
+    values = np.einsum("tlc,alc->tal", np.stack([b[2] for b in bases]), q[:, n])
+    out = np.zeros((len(bases), 4, (n_max + 1) ** 4))
+    out[..., positions] = values
+    return out.reshape(len(bases), 4, (n_max + 1) ** 2, (n_max + 1) ** 2)
 
 
 def compress(op: np.ndarray, n_max: int) -> np.ndarray:

@@ -4,7 +4,8 @@ Alice holds the (aH, aV) pair and Bob the (dH, dV) pair of the conditional
 state produced by the swap.  Each side passes its two modes through a
 polarization rotation by the analyzer angle and then through one threshold
 detector per output: the same four outcomes (fock.detector_pair_povms, over
-a real rotation matrix cached per cutoff and angle) as a BSM beamsplitter.
+the real rotation's photon-number blocks, cached per cutoff and angle) as a
+BSM beamsplitter.
 The key-basis analyzers are the link's own optics, so their stacks come
 with the swap result (swap.link_povms); the general routines take any
 detector and pair of analyzer angles and build their own.  Every table is
@@ -37,7 +38,7 @@ import numpy as np
 
 from .detectors import ThresholdDetector
 from .errors import NoCoincidenceError, UndefinedVisibilityError
-from .fock import detector_pair_povms, realign, rotation_blocks
+from .fock import block_positions, detector_pair_povms, rotation_blocks
 from .swap import SwapResult
 
 __all__ = [
@@ -88,9 +89,8 @@ class CoincidenceTable:
 
 
 def _povms(result, det: ThresholdDetector, theta: float) -> np.ndarray:
-    """One analyzer's four outcomes at angle theta, in _OUTCOMES order, realigned
-    (fock.realign)."""
-    return realign(detector_pair_povms(result.n_max, theta, det))
+    """One analyzer's four realigned outcomes at angle theta, in _OUTCOMES order."""
+    return detector_pair_povms(result.n_max, (theta,), det)[0]
 
 
 def _bob_operators(result, ra: np.ndarray) -> np.ndarray:
@@ -146,34 +146,17 @@ class _Fringe:
     The terms +f and -f of the Fourier series are summed as one, and the
     constant c0 is added last, so a fringe that is nearly flat keeps its
     oscillation to full precision and rounds the same way at every angle.
+    Each angle's terms are summed on their own row, so its value does not
+    depend on the other angles evaluated with it.
     """
 
     c0: float
     g: np.ndarray
 
     def __call__(self, thetas) -> np.ndarray:
-        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         k = np.arange(1, len(self.g) + 1)
-        return np.real(np.exp(2j * np.outer(thetas, k)) @ self.g) + self.c0
-
-
-@lru_cache(maxsize=16)
-def _block_gather(n_max: int) -> np.ndarray:
-    """Flat positions, in a realigned pair operator, of its photon-number blocks.
-
-    Block N of M[(n1,n2),(m1,m2)] is B[N, n1, m1] = M[(n1,N-n1),(m1,N-m1)],
-    which the realigned R[(n1,m1),(n2,m2)] holds at ((n1 d + m1) d + N-n1) d
-    + N-m1, d = n_max + 1, or at d^4, the zero past the end (_take), where
-    an occupation falls outside 0..n_max.  Read-only, since every caller
-    shares it.
-    """
-    d = n_max + 1
-    n, n1, m1 = np.indices((2 * n_max + 1,) * 3)
-    occupations = np.stack((n1, m1, n - n1, n - m1))
-    inside = ((occupations >= 0) & (occupations <= n_max)).all(axis=0)
-    positions = np.where(inside, ((n1 * d + m1) * d + n - n1) * d + n - m1, d**4)
-    positions.flags.writeable = False
-    return positions
+        terms = np.exp(2j * np.multiply.outer(np.atleast_1d(thetas), k)) * self.g
+        return terms.sum(-1).real + self.c0
 
 
 def _fringe(result, ra: np.ndarray, c: np.ndarray):
@@ -193,7 +176,7 @@ def _fringe(result, ra: np.ndarray, c: np.ndarray):
     """
     k = 2 * result.n_max + 1
     h = ra[..., 0, :, :].reshape((-1,) + ra.shape[-2:])
-    m = _take(_bob_operators(result, h), _block_gather(result.n_max))  # [stack, N, n1, m1]
+    m = _take(_bob_operators(result, h), block_positions(result.n_max))  # [stack, N, n1, m1]
     v = rotation_blocks(result.n_max)
     terms = ((v.conj().swapaxes(1, 2) @ m @ v) * c.swapaxes(1, 2)).sum(axis=1)  # [stack, p, q]
     lag = np.arange(k) - np.arange(k)[:, None] + k - 1  # q - p, shifted to 0..2k-2
@@ -247,10 +230,9 @@ def _extrema(curve: _Fringe) -> VisibilityScan:
         companion[0] = -poly[1:] / poly[0]
         thetas = np.append(0.0, np.angle(np.linalg.eigvals(companion)) / 2.0) % math.pi
     values = curve(thetas)
-    theta_max = float(thetas[np.argmax(values)])
-    theta_min = float(thetas[np.argmin(values)])
-    p_max = max(float(curve(theta_max)[0]), 0.0)
-    p_min = max(float(curve(theta_min)[0]), 0.0)
+    i_max, i_min = int(np.argmax(values)), int(np.argmin(values))
+    theta_max, theta_min = float(thetas[i_max]), float(thetas[i_min])
+    p_max, p_min = max(float(values[i_max]), 0.0), max(float(values[i_min]), 0.0)
     if p_max + p_min <= 0.0:
         raise UndefinedVisibilityError(
             "coincidence rate vanishes at every analyzer angle; visibility undefined"
@@ -332,8 +314,7 @@ def visibility(result: SwapResult) -> float:
     fraction of qber() through QBER = (1 - V)/2, even when the bases
     disagree slightly.
     """
-    stacks = np.stack([povms[:1] for povms in result.povms])
-    fringes = _fringe(result, stacks, _analyzer_weights(result.n_max, result.det))
+    fringes = _fringe(result, result.povms[:, :1], _analyzer_weights(result.n_max, result.det))
     vis_z, vis_x = (_extrema(f).visibility for f in fringes)
     return 0.5 * (vis_z + vis_x)
 

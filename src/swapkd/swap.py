@@ -7,13 +7,13 @@ Exactly-two-click patterns with one H and one V detector are accepted:
 Accepted psi+ outcomes are rotated into the psi- frame by a V -> -V phase on
 mode d, so the aggregate conditional state targets the singlet.  Each
 beamsplitter with its two detectors is the rotation POVM of fock at pi/4
-(fock.detector_pair_povms, a polynomial in 1-eta over a real rotation
-matrix cached per cutoff and angle); the four heralds use only two of its
-outcomes, and the phases of the pair amplitudes cancel on their support,
-so the pair factors are real.  The mixers are balanced and one detector
-model serves all four outputs, so exchanging a mixer's outputs changes
-nothing: each corrected psi+ herald leaves the state of a psi- one, and the
-aggregate is twice the psi- pair (see _heralded_state).
+(fock.detector_pair_povms, a polynomial in 1-eta over the real rotation's
+photon-number blocks, cached per cutoff and angle); the four heralds use
+only two of its outcomes, and the phases of the pair amplitudes cancel on
+their support, so the pair factors are real.  The mixers are balanced and
+one detector model serves all four outputs, so exchanging a mixer's outputs
+changes nothing: each corrected psi+ herald leaves the state of a psi- one,
+and the aggregate is twice the psi- pair (see _heralded_state).
 
 The two-source state factorizes over the pairs (aH,bH), (aV,bV), (cH,dH),
 (cV,dV), and the BSM mixes H with H and V with V, so each herald's state on
@@ -22,22 +22,23 @@ result holds those tensors; the (n_max+1)^4-square density matrix is never
 formed.  Every detector of the link, at the BSM and at both analyzers,
 is the same one behind the same quarter-span loss, and the X analyzer is
 the BSM's optic, so the result carries that detector and its realigned
-stacks at the two key-basis angles (link_povms): the BSM takes its two
-elements from the X stack, and metrics reads both.  A result at one cutoff
-compresses exactly to every lower one (compressed): the pair amplitudes
-are the untruncated c_n and every POVM is an exact compression.
+stacks at the two key-basis angles, built in one call (link_povms): the
+BSM takes its two elements from the X stack, and metrics reads both.  A
+result at one cutoff compresses exactly to every lower one (compressed):
+the pair amplitudes are the untruncated c_n and every POVM is an exact
+compression.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .detectors import ThresholdDetector
-from .fock import DEFAULT_POLICY, TruncationPolicy, compress, detector_pair_povms, realign
+from .fock import DEFAULT_POLICY, TruncationPolicy, compress, detector_pair_povms
 from .sources import pair_amplitudes
 
 # Analyzer angles of the key bases, Z then X; X is the BSM's beamsplitter.
@@ -48,12 +49,14 @@ KEY_ANGLES = (0.0, math.pi / 4.0)
 class SwapResult:
     """Aggregate heralded state on (aH, aV, dH, dV), in the psi- frame.
 
-    Pair factors realigned as matrices (fock.realign) and stacked over p:
+    Pair factors realigned as matrices (the layout of
+    fock.detector_pair_povms) and stacked over p:
     rho[(ijkl),(IJKL)] = sum_p th[p,(i,I),(k,K)] * tv[p,(j,J),(l,L)]; the
     metrics contract them directly.  A swap holds one p per psi- herald,
     counted twice for its psi+ partner (_heralded_state).  herald_probability
     is tr(rho).  det is the link's detector and povms its stacks at
-    KEY_ANGLES (link_povms); states not made by a swap leave them None.
+    KEY_ANGLES, one (2, 4, d^2, d^2) array (link_povms); states not made
+    by a swap leave them None.
     """
 
     th: np.ndarray
@@ -61,13 +64,12 @@ class SwapResult:
     n_max: int
     herald_probability: float
     det: Optional[ThresholdDetector] = None
-    povms: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    povms: Optional[np.ndarray] = None
 
     def compressed(self, n_max: int) -> "SwapResult":
         """This result at the lower cutoff n_max, cut out of its arrays (fock.compress)."""
         th, tv = compress(self.th, n_max), compress(self.tv, n_max)
-        povms = tuple(compress(p, n_max) for p in self.povms)
-        return SwapResult(th, tv, n_max, _trace(th, tv), self.det, povms)
+        return SwapResult(th, tv, n_max, _trace(th, tv), self.det, compress(self.povms, n_max))
 
 
 def _trace(th: np.ndarray, tv: np.ndarray) -> float:
@@ -82,9 +84,9 @@ def bsm_detector(eta0: float, alpha_d_db: float, p_dc: float) -> ThresholdDetect
     return ThresholdDetector(eta0 * 10.0 ** (-(alpha_d_db / 4.0) / 10.0), p_dc)
 
 
-def link_povms(n_max: int, det: ThresholdDetector) -> Tuple[np.ndarray, np.ndarray]:
-    """det's four outcomes at each of KEY_ANGLES, realigned (fock.realign)."""
-    return tuple(realign(detector_pair_povms(n_max, theta, det)) for theta in KEY_ANGLES)
+def link_povms(n_max: int, det: ThresholdDetector) -> np.ndarray:
+    """det's four realigned outcomes at each of KEY_ANGLES, stacked (fock.detector_pair_povms)."""
+    return detector_pair_povms(n_max, KEY_ANGLES, det)
 
 
 def _heralded_state(c: np.ndarray, det: ThresholdDetector, n_max: int) -> SwapResult:

@@ -12,8 +12,10 @@ engine cannot also be wrong here.  Textbook states
 the package's metrics as pair factors (pair_factors); dense_probabilities
 contracts a dense state with the analyzer POVMs directly.  Its POVMs come
 from rotated_pair_povm with the detector's click weights (mixer_povm,
-analyzer_povms), independent of the engine's real rotation matrix
-(fock.detector_pair_povms).  sector_table cuts the engine's analyzer POVMs
+analyzer_povms), independent of the engine's real rotation blocks
+(fock.detector_pair_povms).  dense_pair_povms builds the engine's stacks
+the dense way, over the whole real rotation matrix (rotation_matrix), and
+realigns them (realign).  sector_table cuts the engine's analyzer POVMs
 into photon-number blocks by masks and contracts them densely: the
 reference for the engine's contraction over photon-difference blocks.
 
@@ -34,12 +36,7 @@ import numpy as np
 
 from swapkd.detectors import ThresholdDetector
 from swapkd.errors import TruncationError
-from swapkd.fock import (
-    DEFAULT_POLICY,
-    TruncationPolicy,
-    annihilation_matrix,
-    realign,
-)
+from swapkd.fock import DEFAULT_POLICY, TruncationPolicy, annihilation_matrix, rotation_blocks
 from swapkd.metrics import _OUTCOMES, _bob_operators, _joint_probabilities
 from swapkd.sources import CHI_CAP, pair_amplitudes
 from swapkd.swap import SwapResult, bsm_detector
@@ -190,6 +187,65 @@ def rotation_eigensystem(n_max: int):
         raise ArithmeticError("rotation generator has non-integer eigenvalues on complete blocks")
     sub = np.flatnonzero((n1 <= n_max) & (n2 <= n_max))
     return w_int.astype(int), v, sub, n1, n2
+
+
+def _block_states(n_max: int):
+    """Occupations n1, n2 of the complete-block states n1+n2 <= 2*n_max, n1 major."""
+    n1, n2 = np.divmod(np.arange((2 * n_max + 1) ** 2), 2 * n_max + 1)
+    keep = n1 + n2 <= 2 * n_max
+    return n1[keep], n2[keep]
+
+
+@lru_cache(maxsize=16)
+def rotation_matrix(n_max: int, theta: float) -> np.ndarray:
+    """The dense real rotation by theta from complete-block states to pair states.
+
+    Rows run over the pair states n1, n2 <= n_max in pair-flattened order,
+    columns over the complete-block states (_block_states).  Block N is
+    W_N = Re(V_N diag(e^{i theta w}) V_N^dag) over fock.rotation_blocks,
+    placed where the row's and the column's photon numbers agree; entries
+    across blocks are exactly 0.  Read-only, since every caller shares it.
+    """
+    v = rotation_blocks(n_max)
+    k = 2 * n_max + 1
+    w = 2 * np.arange(k) - np.arange(k)[:, None]  # w[N, p] = -N + 2p
+    blocks = np.real((v * np.exp(1j * theta * w)[:, None, :]) @ v.conj().swapaxes(1, 2))
+    i, j = np.divmod(np.arange((n_max + 1) ** 2), n_max + 1)
+    n1, n2 = _block_states(n_max)
+    wmat = np.where((i + j)[:, None] == n1 + n2, blocks[n1 + n2, i[:, None], n1], 0.0)
+    wmat.flags.writeable = False
+    return wmat
+
+
+def realign(op: np.ndarray) -> np.ndarray:
+    """Pair operators E[..., (I,J), (i,j)] realigned as R[..., (i,I), (j,J)].
+
+    Rows run over the first mode's occupation pairs (i, I), columns over the
+    second mode's (j, J): the operator-Schmidt layout, in which a product of
+    single-mode operators is an outer product.  Leading axes are kept.
+    """
+    d = math.isqrt(op.shape[-1])
+    r = op.reshape(op.shape[:-2] + (d, d, d, d))
+    r = np.moveaxis(r, (-2, -4, -1, -3), (-4, -3, -2, -1))
+    return r.reshape(op.shape)
+
+
+def pair_layout(r: np.ndarray) -> np.ndarray:
+    """Realigned operators R[..., (n1,m1), (n2,m2)], as fock.detector_pair_povms
+    returns them, back in the pair layout E[..., (n1,n2), (m1,m2)]."""
+    d = math.isqrt(r.shape[-1])
+    return r.reshape(r.shape[:-2] + (d, d, d, d)).swapaxes(-3, -2).reshape(r.shape)
+
+
+def dense_pair_povms(n_max: int, theta: float, det: ThresholdDetector) -> np.ndarray:
+    """The four outcomes of fock.detector_pair_povms at one angle, built densely:
+    realign(W diag(w1[n1] w2[n2]) W^T) over rotation_matrix."""
+    wmat = rotation_matrix(n_max, float(theta))
+    n1, n2 = _block_states(n_max)
+    click, silent = det.weight_vector(True, 2 * n_max), det.weight_vector(False, 2 * n_max)
+    w1 = np.stack([click, silent, click, silent])[:, n1]
+    w2 = np.stack([silent, click, click, silent])[:, n2]
+    return realign((wmat * (w1 * w2)[:, None, :]) @ wmat.T)
 
 
 def rotation_basis_weights(n_max: int, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:

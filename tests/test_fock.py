@@ -12,21 +12,19 @@ from dense_reference import (
     apply_two_mode_mixer,
     bell_psi_minus,
     condition_on_diagonal_povm,
+    dense_pair_povms,
     fidelity_with_pure,
     pair_mixer_unitary,
+    realign,
     rotated_pair_povm,
     rotation_eigensystem,
+    rotation_matrix,
     vacuum,
 )
 import swapkd.fock as fock_module
 from swapkd.detectors import ThresholdDetector
 from swapkd.errors import TruncationError
-from swapkd.fock import (
-    TruncationPolicy,
-    annihilation_matrix,
-    detector_pair_povms,
-    realign,
-)
+from swapkd.fock import TruncationPolicy, annihilation_matrix, detector_pair_povms
 from swapkd.swap import bsm_detector, graded_swap_state, swap_conditional_state
 
 
@@ -185,32 +183,32 @@ def test_rotated_pair_povm_matches_full_embedding(n_max):
 
 
 def test_detector_pair_povms_match_rotated_pair_povm():
-    """The four outcomes built on the cached rotation matrix equal the
-    reference rotation of the detectors' click weights."""
+    """The four outcomes built on the cached rotation blocks equal the
+    reference rotation of the detectors' click weights, realigned."""
     clicks = ((True, False), (False, True), (True, True), (False, False))
     for n_max in range(2, 7):
         for theta in (0.0, math.pi / 4.0, 0.3):
             for eta in (0.0, 0.01, 0.35, 1.0):
                 for p_dc in (0.0, 1e-4):
                     det = ThresholdDetector(eta, p_dc)
-                    got = detector_pair_povms(n_max, theta, det)
+                    got = detector_pair_povms(n_max, (theta,), det)[0]
                     for e, (click1, click2) in zip(got, clicks):
                         w1 = det.weight_vector(click1, 2 * n_max)
                         w2 = det.weight_vector(click2, 2 * n_max)
-                        want = rotated_pair_povm(n_max, theta, w1, w2)
+                        want = realign(rotated_pair_povm(n_max, theta, w1, w2))
                         assert np.abs(e - want).max() <= 1e-14, (n_max, theta, eta, p_dc)
 
 
 @pytest.mark.parametrize("n_max", range(1, 7))
 def test_rotation_matrix_is_real_orthonormal_and_photon_number_preserving(n_max):
-    """The cached rotation from complete-block states to pair states is a
-    read-only float64 matrix, exactly zero between different photon numbers,
-    with orthonormal rows."""
+    """The reference's dense rotation from complete-block states to pair
+    states is a read-only float64 matrix, exactly zero between different
+    photon numbers, with orthonormal rows."""
     _, _, sub, n1, n2 = rotation_eigensystem(n_max)
     n = n1 + n2
     across = n[sub][:, None] != n[None, :]
     for theta in (0.0, math.pi / 4.0, 0.37, 1.1):
-        w = fock_module.rotation_matrix(n_max, theta)
+        w = rotation_matrix(n_max, theta)
         assert w.dtype == np.float64
         assert not w.flags.writeable
         assert w.shape == (len(sub), len(n))
@@ -241,8 +239,8 @@ def test_rotation_eigensystem_matches_kron_generator(n_max):
 def test_rotation_blocks_diagonalize_each_generator_block(n_max):
     """Block N of rotation_blocks is unitary to 1e-14 and turns the block of
     the kron generator into diag(-N, -N+2, .., N); the padding is exactly 0.
-    rotation_matrix equals V[sub] e^{i theta w} V^dag over the whole-generator
-    eigensystem to 1e-14."""
+    The reference's dense rotation_matrix, built from these blocks, equals
+    V[sub] e^{i theta w} V^dag over the whole-generator eigensystem to 1e-14."""
     k = 2 * n_max + 1
     a = annihilation_matrix(k)
     generator = 1j * (np.kron(a.conj().T, a) - np.kron(a, a.conj().T))
@@ -259,7 +257,7 @@ def test_rotation_blocks_diagonalize_each_generator_block(n_max):
     w, vf, sub, _, _ = rotation_eigensystem(n_max)
     for theta in (0.0, math.pi / 4.0, 0.37, 1.1):
         want = np.real((vf[sub] * np.exp(1j * theta * w)) @ vf.conj().T)
-        assert np.abs(fock_module.rotation_matrix(n_max, theta) - want).max() <= 1e-14, theta
+        assert np.abs(rotation_matrix(n_max, theta) - want).max() <= 1e-14, theta
 
 
 @settings(max_examples=25, deadline=None)
@@ -278,9 +276,46 @@ def test_realigned_operators_conserve_pair_photon_number(n_max, eta0, alpha_d, p
     policy = TruncationPolicy(n_max=n_max)
     graded = graded_swap_state(eta0, alpha_d, p_dc, policy)
     state = swap_conditional_state(chi, eta0, alpha_d, p_dc, policy)
-    povms = realign(detector_pair_povms(n_max, theta, bsm_detector(eta0, alpha_d, p_dc)))
+    povms = detector_pair_povms(n_max, (theta,), bsm_detector(eta0, alpha_d, p_dc))[0]
     i, big_i, j, big_j = np.indices((n_max + 1,) * 4)
     off_sector = (i + j != big_i + big_j).reshape((n_max + 1) ** 2, (n_max + 1) ** 2)
     for op in (graded.th, graded.tv, state.th, state.tv, povms):
         assert op.shape[-2:] == off_sector.shape
         assert not op[..., off_sector].any()
+
+
+# p_dc 0, eta 1, high loss, and the dark-count wall, a dark count on almost
+# every gate
+_STACK_DETECTORS = (
+    ThresholdDetector(0.35, 0.0),
+    ThresholdDetector(1.0, 1e-4),
+    ThresholdDetector(1e-4, 1e-6),
+    ThresholdDetector(0.3, 0.99),
+)
+
+
+@pytest.mark.parametrize("n_max", range(1, 8))
+def test_detector_pair_povms_match_the_dense_build(n_max):
+    """The block-built stacks equal the reference's dense
+    realign(W diag(w1 w2) W^T) to 1e-15 of the stack's largest entry."""
+    for theta in (0.0, math.pi / 4.0, 0.3, 1.1):
+        for det in _STACK_DETECTORS:
+            got = detector_pair_povms(n_max, (theta,), det)[0]
+            want = dense_pair_povms(n_max, theta, det)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (theta, det)
+
+
+@pytest.mark.parametrize("n_max", [1, 4, 7])
+def test_detector_pair_povms_stack_angles_exactly_and_are_symmetric(n_max):
+    """A call over two angles equals the two one-angle calls stacked, bit for
+    bit, and every element equals its pair-operator transpose exactly:
+    R[(n1,m1),(n2,m2)] = R[(m1,n1),(m2,n2)]."""
+    d = n_max + 1
+    for det in _STACK_DETECTORS:
+        thetas = (0.3, math.pi / 4.0)
+        both = detector_pair_povms(n_max, thetas, det)
+        single = np.stack([detector_pair_povms(n_max, (theta,), det)[0] for theta in thetas])
+        assert np.array_equal(both, single)
+        blocks = both.reshape(2, 4, d, d, d, d)
+        assert np.array_equal(blocks, blocks.transpose(0, 1, 3, 2, 5, 4))

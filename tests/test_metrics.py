@@ -18,6 +18,7 @@ from dense_reference import (
     embed_qubit_pair,
     fidelity_visibility,
     pair_factors,
+    pair_layout,
     pair_mixer_unitary,
     sector_table,
 )
@@ -110,9 +111,7 @@ def test_analyzer_povm_completeness(n_max):
     """Analyzer and BSM POVMs: the four click outcomes resolve the identity,
     and each element is Hermitian and positive."""
     det = ThresholdDetector(0.35, 1e-3)
-    analyzer = detector_pair_povms(n_max, 0.27, det)
-    bsm = detector_pair_povms(n_max, math.pi / 4.0, det)
-    for family in (analyzer, bsm):
+    for family in pair_layout(detector_pair_povms(n_max, (0.27, math.pi / 4.0), det)):
         assert len(family) == 4
         assert np.abs(sum(family) - np.eye((n_max + 1) ** 2)).max() < 1e-12
         for e in family:

@@ -126,9 +126,9 @@ def test_base_cutoff_is_a_compression_of_the_next(n_max, chi, dark):
     "chi, dark", [(0.25, {"p_dc": 1e-4}), (0.1, {"p_dc": 0.0}), (0.2, {"constraint": DEFAULT_CONSTRAINT})]
 )
 def test_evaluate_builds_each_cutoff_once(monkeypatch, chi, dark):
-    """One swap and two detector stacks (0 and pi/4, the BSM's) per cutoff
-    built, no build at the base cutoff, and one set of fringe weights; the
-    fringe V is visibility() of the accepted build."""
+    """One swap and one detector-stack build (both key angles, 0 and pi/4,
+    the BSM's) per cutoff built, no build at the base cutoff, and one set of
+    fringe weights; the fringe V is visibility() of the accepted build."""
     runs = _record_calls(monkeypatch, "swap_conditional_state")
     counts = {"detector_pair_povms": 0, "_analyzer_weights": 0}
 
@@ -149,29 +149,29 @@ def test_evaluate_builds_each_cutoff_once(monkeypatch, chi, dark):
     built = rep.n_max_used - s.policy.n_max
     assert len(runs) == built
     assert [result.n_max for _, result in runs] == list(range(s.policy.n_max + 1, rep.n_max_used + 1))
-    assert counts == {"detector_pair_povms": 2 * built, "_analyzer_weights": 1}
+    assert counts == {"detector_pair_povms": built, "_analyzer_weights": 1}
     accepted = runs[-1][1]
     assert rep.visibility == metrics_module.visibility(accepted)
 
 
 def test_es_optimal_rate_builds_two_detector_stacks(monkeypatch):
     """A brightness search builds one graded state and reads its QBER
-    polynomial: two detector stacks in all, at the key-basis angles."""
-    thetas = []
+    polynomial: both detector stacks in one call, at the key-basis angles."""
+    calls = []
 
     def counting(module):
         real = module.detector_pair_povms
 
-        def wrapper(n_max, theta, det):
-            thetas.append(theta)
-            return real(n_max, theta, det)
+        def wrapper(n_max, thetas, det):
+            calls.append(tuple(thetas))
+            return real(n_max, thetas, det)
 
         monkeypatch.setattr(module, "detector_pair_povms", wrapper)
 
     counting(swap_module)
     counting(metrics_module)
     es_optimal_rate(20.0, 0.2, 1.8e-5)
-    assert sorted(thetas) == [0.0, math.pi / 4.0]
+    assert calls == [(0.0, math.pi / 4.0)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -532,18 +532,18 @@ def test_crossover_scan_stops_at_an_undefined_midpoint(monkeypatch):
 
 
 def test_new_detector_efficiencies_reuse_the_rotation_blocks():
-    """Detector POVMs are polynomials in 1-eta over a rotation matrix cached
-    per (n_max, theta): once each cutoff's matrices exist, new efficiencies
-    (an alpha_d scan) build no rotation matrix."""
+    """Detector POVMs are polynomials in 1-eta over a block basis cached
+    per (n_max, theta): once each cutoff's bases exist, new efficiencies
+    (an alpha_d scan) build no basis."""
     def scenario(alpha_d_db):
         return Scenario(alpha_d_db=alpha_d_db, chi=0.1, eta0=0.2,
                         constraint=DEFAULT_CONSTRAINT, policy=TruncationPolicy(n_max=3))
 
     evaluate(scenario(0.0))  # warm-up: matrices of every cutoff the escalation reaches
-    misses = fock_module.rotation_matrix.cache_info().misses
+    misses = fock_module._povm_basis.cache_info().misses
     cutoffs = {evaluate(scenario(alpha_d)).n_max_used for alpha_d in (5.0, 10.0, 15.0, 20.0, 25.0)}
     assert cutoffs == {evaluate(scenario(0.0)).n_max_used}
-    assert fock_module.rotation_matrix.cache_info().misses == misses
+    assert fock_module._povm_basis.cache_info().misses == misses
 
 
 def _fresh_python(code):
@@ -557,10 +557,11 @@ def _fresh_python(code):
 
 
 def test_importing_the_cli_builds_no_rotation_blocks():
-    """The rotation blocks and matrices and the photon-number sector and
-    block gathers are built on first use, so start-up pays nothing for them."""
+    """The rotation blocks, the stacks' block bases and the photon-number
+    sector and block positions are built on first use, so start-up pays
+    nothing for them."""
     code = ("import swapkd.cli, swapkd.fock as f, swapkd.metrics as m; "
-            "caches = (f.rotation_matrix, f.rotation_blocks, m._sector_gathers, m._block_gather); "
+            "caches = (f._povm_basis, f.rotation_blocks, m._sector_gathers, f.block_positions); "
             "print(*(n for c in caches for n in (c.cache_info().misses, c.cache_info().currsize)))")
     assert _fresh_python(code).split() == ["0"] * 8
 

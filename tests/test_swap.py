@@ -16,6 +16,7 @@ from dense_reference import (
     dense_state,
     dense_swap_state,
     fidelity_with_pure,
+    pair_layout,
     perform_bsm,
     two_source_state,
 )
@@ -91,7 +92,8 @@ def test_engine_bsm_herald_budget_half_eta_squared(eta):
     """The same budget on the engine's own BSM elements, at any efficiency."""
 
     def engine_mixer(det, click1, click2):
-        return detector_pair_povms(1, math.pi / 4.0, det)[_ENGINE_OUTCOME[click1, click2]]
+        stack = pair_layout(detector_pair_povms(1, (math.pi / 4.0,), det)[0])
+        return stack[_ENGINE_OUTCOME[click1, click2]]
 
     assert abs(single_pair_herald_budget(eta, engine_mixer) - 0.5 * eta * eta) < 1e-8
 
